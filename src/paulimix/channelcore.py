@@ -254,8 +254,12 @@ class MixtureValidationError(ValueError):
         self.issues = tuple(issues)
 
 
-def _refine_crossing(f, lo: float, hi: float, flo: float, xtol: float = 1e-12) -> float:
-    """Bisect ``f`` for a sign change on [lo, hi]; ``flo = f(lo)``."""
+def bisect_root(f, lo: float, hi: float, flo: float, xtol: float) -> float:
+    """Bisect ``f`` for a sign change on [lo, hi]; ``flo = f(lo)``.
+
+    Stops at an exact zero of ``f``, once ``hi - lo <= xtol``, or after 200
+    halvings, and returns the midpoint of the last bracket.
+    """
     for _ in range(200):
         if hi - lo <= xtol:
             break
@@ -263,11 +267,43 @@ def _refine_crossing(f, lo: float, hi: float, flo: float, xtol: float = 1e-12) -
         fmid = f(mid)
         if fmid == 0.0:
             return mid
-        if (flo < 0) == (fmid < 0):
+        if (flo < 0.0) == (fmid < 0.0):
             lo, flo = mid, fmid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def bracket_roots(values: np.ndarray, times: np.ndarray, f, xtol: float):
+    """Zeros of each row of ``values`` (shape ``(rows, n)``, sampled at ``times``).
+
+    Returns one list of roots per row, in ascending grid order.  Brackets come
+    from one sign test over the whole array, with these rules for grid
+    interval ``k`` of a row, ``a = values[row, k]``, ``b = values[row, k+1]``:
+
+    - an exact zero ``a == 0`` with ``k > 0`` is reported at ``times[k]`` and
+      the interval is not bisected (the first column is never a root);
+    - a sign change from a nonzero ``a`` (``(a < 0) != (b < 0)``, so also
+      ``a < 0, b == 0``) is bisected with ``f(row, t)`` down to ``xtol``;
+    - ``values[row, -1] == 0`` reports ``times[-1]``, after any root of the
+      last interval;
+    - NaN compares false everywhere: it is never a zero, counts as
+      nonnegative, and a bracket from a NaN ``a`` is bisected from it.
+    """
+    a = values[:, :-1]
+    zero = a == 0.0
+    zero[:, 0] = False
+    flip = (a != 0.0) & ((a < 0.0) != (values[:, 1:] < 0.0))
+    roots = [[] for _ in range(values.shape[0])]
+    for row, k in np.argwhere(zero | flip).tolist():
+        if zero[row, k]:
+            roots[row].append(float(times[k]))
+        else:
+            lo, hi = float(times[k]), float(times[k + 1])
+            roots[row].append(bisect_root(lambda t: f(row, t), lo, hi, a[row, k], xtol))
+    for row in np.flatnonzero(values[:, -1] == 0.0).tolist():
+        roots[row].append(float(times[-1]))
+    return roots
 
 
 def validate_mixture(spec: MixtureSpec, grid) -> MixtureValidation:
@@ -326,11 +362,10 @@ def validate_mixture(spec: MixtureSpec, grid) -> MixtureValidation:
             p_in_range = False
             k = int(np.argmax(bad))
             t_bad = float(times[k])
-            if k > 0 and not bad[k - 1]:
+            if k > 0:
                 scalar = lambda s: float(func.value(s)) - threshold
-                t_bad = _refine_crossing(
-                    scalar, float(times[k - 1]), float(times[k]), scalar(float(times[k - 1]))
-                )
+                lo = float(times[k - 1])
+                t_bad = bisect_root(scalar, lo, t_bad, scalar(lo), 1e-12)
             issues.append(
                 ValidationIssue(
                     "p-range",

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import matrixlab, mubgen
 from .channelcore import (
-    ChannelSpec,
     MixtureSpec,
     MixtureValidationError,
+    bracket_roots,
     validate_mixture,
 )
 from .mubgen import WeylSet
@@ -336,58 +336,25 @@ def detect_semigroup(
 # ---------------------------------------------------------------------------
 
 
-def _bisect_zero(f, lo: float, hi: float, flo: float, xtol: float) -> float:
-    for _ in range(200):
-        if hi - lo <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _zero_crossings(values: np.ndarray, times: np.ndarray, scalar_f, xtol: float):
-    """Times where a sampled function crosses zero, bisection-refined."""
-    crossings = []
-    for k in range(values.size - 1):
-        a, b = values[k], values[k + 1]
-        if a == 0.0:
-            if k > 0:  # t=0 starts at 1, so a zero at k=0 cannot happen
-                crossings.append(float(times[k]))
-        elif (a < 0.0) != (b < 0.0):
-            crossings.append(
-                _bisect_zero(scalar_f, float(times[k]), float(times[k + 1]), a, xtol)
-            )
-    if values[-1] == 0.0:
-        crossings.append(float(times[-1]))
-    return crossings
-
-
-def _single_channel_offlabel(channel: ChannelSpec):
-    d = channel.dimension
-
-    def f(t: float) -> float:
-        return 1.0 - (d / (d - 1.0)) * float(channel.p.value(t))
-
-    return f
-
-
 def _input_verdicts(
     spec: MixtureSpec, grid: TimeGrid, sg_tol: float, xtol: float
 ) -> Tuple[InputVerdict, ...]:
     times = grid.times
     mid = times.size // 2
+    d = spec.dimension
+    factor = d / (d - 1.0)
+    channels = [comp.channel for comp in spec.components]
+    lams = np.empty((len(channels), times.size))
+    for i, channel in enumerate(channels):
+        p, _ = channel.p.value_and_derivative(times)
+        lams[i] = 1.0 - factor * np.asarray(p, dtype=float)
+
+    def offlabel(i: int, t: float) -> float:
+        return 1.0 - factor * float(channels[i].p.value(t))
+
+    roots = bracket_roots(lams, times, offlabel, xtol)
     verdicts = []
-    for i, comp in enumerate(spec.components, start=1):
-        d = comp.channel.dimension
-        p, _ = comp.channel.p.value_and_derivative(times)
-        lam = 1.0 - (d / (d - 1.0)) * np.atleast_1d(np.asarray(p, dtype=float))
-        crossings = _zero_crossings(lam, times, _single_channel_offlabel(comp.channel), xtol)
+    for i, (channel, lam, crossings) in enumerate(zip(channels, lams, roots), start=1):
         if crossings:
             verdict = "noninvertible"
         else:
@@ -399,7 +366,7 @@ def _input_verdicts(
         verdicts.append(
             InputVerdict(
                 component=i,
-                basis=comp.channel.basis,
+                basis=channel.basis,
                 verdict=verdict,
                 singular_times=tuple(crossings),
             )
@@ -410,17 +377,12 @@ def _input_verdicts(
 def _output_singularities(
     spec: MixtureSpec, traj: SpectralTrajectory, xtol: float
 ) -> Tuple[Tuple[int, float], ...]:
-    times = traj.grid.times
-    found = []
-    for beta in range(traj.dimension + 1):
+    def scalar(beta: int, t: float) -> float:
+        lam, _ = _eigenvalue_data(spec, np.asarray([t]))
+        return float(lam[beta, 0])
 
-        def scalar(t: float, _beta=beta) -> float:
-            lam, _ = _eigenvalue_data(spec, np.asarray([t]))
-            return float(lam[_beta, 0])
-
-        for t_star in _zero_crossings(traj.eigenvalues[beta], times, scalar, xtol):
-            found.append((beta + 1, t_star))
-    return tuple(sorted(found))
+    roots = bracket_roots(traj.eigenvalues, traj.grid.times, scalar, xtol)
+    return tuple(sorted((beta + 1, t) for beta, ts in enumerate(roots) for t in ts))
 
 
 def classify(

@@ -37,6 +37,7 @@ from .channelcore import (
     Expression,
     MixtureSpec,
     SampledGrid,
+    bisect_root,
 )
 from .dynamics import (
     TimeGrid,
@@ -184,25 +185,16 @@ def weight_lower_bound(d: int) -> float:
 
 def _first_range_violation(f, times: np.ndarray, values: np.ndarray, slack: float):
     """(first violating time, bound crossed) or None; bisection-refined."""
-    for k in range(times.size):
-        v = values[k]
-        if v < -slack or v > 1.0 + slack:
-            bound = 0.0 if v < -slack else 1.0
-            if k == 0:
-                return float(times[0]), bound
-            lo, hi = float(times[k - 1]), float(times[k])
-            glo = f(lo) - bound
-            for _ in range(200):
-                if hi - lo <= 1e-12:
-                    break
-                mid = 0.5 * (lo + hi)
-                gmid = f(mid) - bound
-                if (glo < 0.0) == (gmid < 0.0):
-                    lo, glo = mid, gmid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi), bound
-    return None
+    bad = (values < -slack) | (values > 1.0 + slack)
+    if not np.any(bad):
+        return None
+    k = int(np.argmax(bad))
+    bound = 0.0 if values[k] < -slack else 1.0
+    if k == 0:
+        return float(times[0]), bound
+    lo = float(times[k - 1])
+    g = lambda t: f(t) - bound
+    return bisect_root(g, lo, float(times[k]), g(lo), 1e-12), bound
 
 
 def build_same_channel_mix(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulimix import (
     AllChannelsRequest,
@@ -26,6 +28,7 @@ from paulimix import (
     refine_grid,
     single_channel_eigenvalues,
 )
+from paulimix.channelcore import bracket_roots
 from paulimix.dynamics import SpectralTrajectory
 from util import qubit_rates_abc, rk4_path
 
@@ -404,6 +407,91 @@ def test_intermediate_map_argument_validation():
         intermediate_map_check(traj, grid.times[10], grid.times[10])
     with pytest.raises(ValueError):
         intermediate_map_check(traj, 0.123456789, grid.times[400])  # not a grid point
+
+
+# ---------------------------------------------------------------------------
+# Root bracketing
+# ---------------------------------------------------------------------------
+
+
+def reference_zero_crossings(values, times, f, xtol):
+    """The per-grid-point scan and bisection that bracket_roots replaced."""
+
+    def bisect(lo, hi, flo):
+        for _ in range(200):
+            if hi - lo <= xtol:
+                break
+            mid = 0.5 * (lo + hi)
+            fmid = f(mid)
+            if fmid == 0.0:
+                return mid
+            if (flo < 0.0) == (fmid < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    crossings = []
+    for k in range(values.size - 1):
+        a, b = values[k], values[k + 1]
+        if a == 0.0:
+            if k > 0:
+                crossings.append(float(times[k]))
+        elif (a < 0.0) != (b < 0.0):
+            crossings.append(bisect(float(times[k]), float(times[k + 1]), a))
+    if values[-1] == 0.0:
+        crossings.append(float(times[-1]))
+    return crossings
+
+
+SAMPLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def sampled_rows(draw):
+    """(values, times): rows mixing exact zeros (interior and last), NaNs,
+    ``a < 0, b == 0`` pairs, alternating signs and all-positive rows."""
+    n = draw(st.integers(2, 24))
+    rows = draw(st.integers(1, 4))
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1))
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    one_row = st.lists(SAMPLE, min_size=n, max_size=n)
+    values = np.array(draw(st.lists(one_row, min_size=rows, max_size=rows)))
+    for row in values:
+        shape = draw(st.sampled_from(["raw", "positive", "alternating", "zero-pairs"]))
+        if shape == "positive":
+            row[:] = np.abs(row) + 0.5
+        elif shape == "alternating":
+            row[:] = np.abs(row) * (-1.0) ** np.arange(n)
+        elif shape == "zero-pairs":
+            row[1::2] = 0.0
+            row[::2] = -np.abs(row[::2]) - 0.5
+    return values, times
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_rows(), st.sampled_from([1e-10, 1e-3]))
+def test_bracket_roots_matches_per_point_scan(sample, xtol):
+    values, times = sample
+    calls, ref_calls = [], []
+
+    def f(row, t):
+        calls.append((row, t))
+        return float(np.interp(t, times, values[row]))
+
+    expected = []
+    for row in range(values.shape[0]):
+
+        def ref_f(t, _row=row):
+            ref_calls.append((_row, t))
+            return float(np.interp(t, times, values[_row]))
+
+        expected.append(reference_zero_crossings(values[row], times, ref_f, xtol))
+    assert bracket_roots(values, times, f, xtol) == expected
+    assert calls == ref_calls
 
 
 # ---------------------------------------------------------------------------

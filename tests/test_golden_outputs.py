@@ -1,0 +1,153 @@
+"""Byte-identity goldens for CLI outputs and construction diagnostics.
+
+The digests were captured before the zero-crossing search was vectorised;
+that search (and every later refactor of the root finding) must leave these
+outputs unchanged, byte for byte.  A digest mismatch means some reported
+number moved, not only its formatting.
+"""
+
+import hashlib
+import textwrap
+
+import numpy as np
+import pytest
+
+from paulimix import (
+    ConstructionError,
+    Expression,
+    SameChannelRequest,
+    SampledGrid,
+    build_same_channel_mix,
+)
+from paulimix.cli import main
+
+
+@pytest.fixture(autouse=True)
+def out_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv("PAULIMIX_OUT", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# Output map loses invertibility (lambda_3 crosses 0 near t = 0.57, lambda_2
+# near t = 0.90), so the analysis refines the grid around both times.
+EXPRESSION_SINGULAR = """\
+    [run]
+    dimension = 2
+    t_max = 5.0
+    points = 256
+
+    [component.1]
+    weight = 0.6
+    basis = 1
+    kind = expression
+    formula = "1-exp(-2*t)"
+
+    [component.2]
+    weight = 0.4
+    basis = 2
+    kind = expression
+    formula = "0.8*sin(t)^2"
+    """
+
+# Sampled qutrit inputs: the off-label eigenvalue 1 - (3/2) p of the second
+# input crosses zero near t = 1.57 and lambda_3 = lambda_4 of the output near
+# t = 2.24, so both searches run on interpolated (PCHIP) functions.
+SAMPLES_SINGULAR = """\
+    [run]
+    dimension = 3
+    t_max = 5.0
+    points = 128
+
+    [component.1]
+    weight = 0.5
+    basis = 1
+    kind = samples
+    times = 0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5
+    values = 0, 0.2, 0.35, 0.45, 0.52, 0.57, 0.6, 0.62, 0.63, 0.635, 0.64
+
+    [component.2]
+    weight = 0.5
+    basis = 2
+    kind = samples
+    times = 0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5
+    values = 0, 0.3, 0.5, 0.65, 0.75, 0.82, 0.86, 0.88, 0.89, 0.895, 0.9
+    """
+
+
+@pytest.mark.parametrize(
+    "argv, csv_name, csv_digest, stdout_digest",
+    [
+        (
+            ["scan", "2", "--family", "matched", "--divisions", "20"],
+            "scan_d2_matched.csv",
+            "9002a25ed7d37f80fd9ce6a1cf05aa16a28aba2bb6dc6e9fc895796a92badecc",
+            "bd87b5d578e9a94e92e5b6f1e96e10bf1f206156cb3f2187309334db5a45d243",
+        ),
+        (
+            ["scan", "3", "--family", "semigroup", "--divisions", "4"],
+            "scan_d3_semigroup.csv",
+            "efe103067f6765db099a7a3e1cdae2abefe4828ba0fa931bb756cc8cbcf2f000",
+            "26fa5f9faba744c7810f91ee3454ed725caa015a70f304101951b84bc2e005c9",
+        ),
+    ],
+)
+def test_scan_outputs_are_byte_identical(
+    out_dir, capsys, argv, csv_name, csv_digest, stdout_digest
+):
+    assert main(argv) == 0
+    # The summary names the CSV by its absolute path.
+    stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
+    assert sha256((out_dir / csv_name).read_text()) == csv_digest
+    assert sha256(stdout) == stdout_digest
+
+
+@pytest.mark.parametrize(
+    "config, json_digest, csv_digest",
+    [
+        (
+            EXPRESSION_SINGULAR,
+            "d7d280389e667c92a9a06ed91d5052311c9c63a8bf4035b2ceeac4d1b2e93cb0",
+            "f60393b4f1b1e542c17bd5c07a1a8479dcbe0a96382f5981a0efd303402ff84e",
+        ),
+        (
+            SAMPLES_SINGULAR,
+            "edae9818057d42c093d5bb310551b8336b4f75af194ab5ac30f6440a7689bd26",
+            "c7b0de6aa28d83ee97e6f018011ed6505e94e9257e52d7441a39c0211aac8e76",
+        ),
+    ],
+    ids=["expression", "samples"],
+)
+def test_analyze_outputs_are_byte_identical(out_dir, config, json_digest, csv_digest):
+    (out_dir / "mix.ini").write_text(textwrap.dedent(config))
+    assert main(["analyze", str(out_dir / "mix.ini")]) == 0
+    classification = (out_dir / "mix_classification.json").read_text()
+    assert '"singular_times": []' not in classification.split('"inputs"')[0]
+    assert sha256(classification) == json_digest
+    assert sha256((out_dir / "mix_trajectory.csv").read_text()) == csv_digest
+
+
+def test_same_basis_construct_output_is_byte_identical(capsys):
+    argv = ["construct", "2", "1.0", "--same", "0.5", "--q", "0.25*(1-exp(-2*t))"]
+    assert main(argv) == 0
+    digest = "941956cc45a5780cf084f7ef8d9b5b1f1508054beea9c186edb30b45c2f8958a"
+    assert sha256(capsys.readouterr().out) == digest
+
+
+def test_closed_form_first_violation_is_pinned():
+    req = SameChannelRequest(2, 1.0, 0.5, Expression("0.8*sin(t)^2"))
+    with pytest.raises(ConstructionError) as exc:
+        build_same_channel_mix(req)
+    assert exc.value.first_violation == 1.2166039897355967
+
+
+def test_sampled_first_violation_is_pinned():
+    times = np.linspace(0.0, 5.0, 257)
+    q = SampledGrid(times, 0.8 * np.sin(times) ** 2)
+    with pytest.raises(ConstructionError) as exc:
+        build_same_channel_mix(SameChannelRequest(2, 1.0, 0.5, q))
+    assert exc.value.first_violation == 1.2166068447541534
