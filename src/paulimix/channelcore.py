@@ -23,7 +23,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import exprcalc
 from .exprcalc import DomainError
-from .mubgen import DIMENSION_RANGE, is_prime
+from .mubgen import check_dimension
 
 __all__ = [
     "DecoherenceFunction",
@@ -181,11 +181,7 @@ class ChannelSpec:
     p: DecoherenceFunction
 
     def __post_init__(self):
-        lo, hi = DIMENSION_RANGE
-        if self.dimension < lo or self.dimension > hi or not is_prime(self.dimension):
-            raise ValueError(
-                f"channel dimension must be a prime in [{lo}, {hi}], got {self.dimension}"
-            )
+        check_dimension(self.dimension)
         if not 1 <= self.basis <= self.dimension + 1:
             raise ValueError(
                 f"basis label must lie in 1..{self.dimension + 1}, got {self.basis}"

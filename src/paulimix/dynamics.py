@@ -26,14 +26,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import matrixlab, mubgen
 from .channelcore import (
     MixtureSpec,
     MixtureValidationError,
     bracket_roots,
     validate_mixture,
 )
-from .mubgen import WeylSet
 
 __all__ = [
     "TimeGrid",
@@ -459,16 +457,23 @@ def intermediate_map_check(
     traj: SpectralTrajectory,
     t_a: float,
     t_b: float,
-    weyl: Optional[WeylSet] = None,
     pole_tol: float = 1e-12,
     psd_tol: float = 1e-10,
 ) -> IntermediateMapCheck:
     """CP verdict of the map taking the state at ``t_a`` to the state at ``t_b``.
 
-    Its eigenvalues are ``lambda_beta(t_b) / lambda_beta(t_a)``; the verdict is
-    Choi positivity (delegated to matrixlab).  If some ``lambda_beta(t_a)`` is
-    within ``pole_tol`` of zero the map does not exist and the check reports
-    undefined rather than a verdict.
+    Its eigenvalues are ``mu_beta = lambda_beta(t_b) / lambda_beta(t_a)`` on the
+    Weyl operators ``U_beta^m``, so it is a generalized Pauli channel with the
+    closed-form Choi spectrum ``d*p0`` (once) and ``d*p_alpha/(d-1)`` (each
+    ``d-1`` times), where
+
+        p0 = (1 + (d-1) sum_beta mu_beta) / d^2,
+        p_alpha = (1 + (d-1) mu_alpha) / d - p0.
+
+    The map is CP when the smallest of these is ``>= -psd_tol``; a NaN ratio
+    gives a NaN minimum, reported as not CP.  If some ``lambda_beta(t_a)``
+    is within ``pole_tol`` of zero the map does not exist and the check
+    reports undefined rather than a verdict.
     """
     if not t_a < t_b:
         raise ValueError("need t_a < t_b")
@@ -487,13 +492,14 @@ def intermediate_map_check(
             t_b=float(times[ib]),
         )
     mu = lam_b / lam_a
-    weyl = weyl if weyl is not None else mubgen.weyl_set(traj.dimension)
-    c = matrixlab.choi_from_eigenvalues(weyl, mu)
-    verdict = matrixlab.psd_check(c, psd_tol)
+    d = traj.dimension
+    p0 = (1.0 + (d - 1) * mu.sum()) / d**2
+    p_alpha = (1.0 + (d - 1) * mu) / d - p0
+    min_eig = float(np.min(np.append(d * p0, d * p_alpha / (d - 1))))
     return IntermediateMapCheck(
         defined=True,
-        is_cp=verdict.passed,
-        min_choi_eigenvalue=verdict.min_eigenvalue,
+        is_cp=min_eig >= -psd_tol,
+        min_choi_eigenvalue=min_eig,
         eigenvalue_ratios=tuple(float(x) for x in mu),
         t_a=float(times[ia]),
         t_b=float(times[ib]),

@@ -9,16 +9,18 @@ Conventions
   ``|Omega> = sum_i |ii>``:  ``C = sum_ij E(E_ij) kron E_ij``.  Complete
   positivity of the map is positive semidefiniteness of ``C``; trace
   preservation is ``tr_1 C = identity``.
-* Positivity checks diagonalize with a cyclic Jacobi eigensolver for
-  Hermitian matrices written out below (converged to off-diagonal norm
-  <= 1e-13), so the product code does not lean on the same eigensolver the
-  tests use as an oracle.
+* Positivity checks take the smallest eigenvalue of the Hermitian part from
+  LAPACK (``numpy.linalg.eigvalsh``); the tests judge it against LDL inertia
+  counts, an oracle that shares no code with it.
+* This dense ``d^2 x d^2`` layer is an independent cross-check.  CP verdicts
+  on intermediate maps come from the closed-form Choi spectrum in
+  :func:`paulimix.dynamics.intermediate_map_check` and never pass through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -31,13 +33,11 @@ __all__ = [
     "ComposeCheck",
     "DensityCheck",
     "hermiticity_deviation",
-    "hermitian_eigensystem",
     "psd_check",
     "check_density_matrix",
     "apply_channel",
     "superoperator",
     "choi",
-    "choi_from_eigenvalues",
     "partial_trace_first",
     "compose_check",
 ]
@@ -72,94 +72,18 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-# ---------------------------------------------------------------------------
-# Cyclic Jacobi eigensolver for Hermitian matrices
-# ---------------------------------------------------------------------------
-
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def hermitian_eigensystem(
-    m: np.ndarray, off_tol: float = 1e-13, max_sweeps: int = 60
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
-
-    Cyclic Jacobi: sweep all (p, q) pairs, each time applying the unitary
-    plane rotation that zeroes A[p, q].  For the 2x2 Hermitian block
-    [[a_pp, b*phase], [b*conj(phase), a_qq]] with b = |A[p,q]| the rotation is
-    the real symmetric Schur rotation conjugated by diag(1, conj(phase)).
-    Sweeps stop once the off-diagonal Frobenius norm is below ``off_tol``.
-    """
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return a.real.diagonal().copy(), v
-    for _ in range(max_sweeps):
-        if _off_norm(a) <= off_tol:
-            break
-        _jacobi_sweep(a, v)
-    if _off_norm(a) > off_tol:
-        raise ArithmeticError(
-            f"Jacobi sweeps did not converge to off-diagonal norm {off_tol:g}"
-        )
-    eigenvalues = a.diagonal().real.copy()
-    order = np.argsort(eigenvalues)
-    return eigenvalues[order], v[:, order]
-
-
-def _jacobi_sweep(a: np.ndarray, v: np.ndarray) -> None:
-    n = a.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            b = abs(apq)
-            if b == 0.0:
-                continue
-            phase = apq / b
-            app = a[p, p].real
-            aqq = a[q, q].real
-            tau = (aqq - app) / (2.0 * b)
-            if tau >= 0:
-                tan = 1.0 / (tau + np.hypot(1.0, tau))
-            else:
-                tan = -1.0 / (-tau + np.hypot(1.0, tau))
-            c = 1.0 / np.sqrt(1.0 + tan * tan)
-            s = tan * c
-            # R[p,p]=c, R[p,q]=s, R[q,p]=-s*conj(phase), R[q,q]=c*conj(phase)
-            col_p = a[:, p].copy()
-            col_q = a[:, q].copy()
-            a[:, p] = c * col_p - s * np.conj(phase) * col_q
-            a[:, q] = s * col_p + c * np.conj(phase) * col_q
-            row_p = a[p, :].copy()
-            row_q = a[q, :].copy()
-            a[p, :] = c * row_p - s * phase * row_q
-            a[q, :] = s * row_p + c * phase * row_q
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            vp = v[:, p].copy()
-            vq = v[:, q].copy()
-            v[:, p] = c * vp - s * np.conj(phase) * vq
-            v[:, q] = s * vp + c * np.conj(phase) * vq
-
-
 def psd_check(m: np.ndarray, tol: float = 1e-10) -> PsdCheck:
     """Positive-semidefiniteness verdict: min eigenvalue >= -tol.
 
-    Rejects inputs that are not Hermitian within 1e-10.
+    Rejects inputs with non-finite entries or not Hermitian within 1e-10.
     """
     m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
     dev = hermiticity_deviation(m)
     if dev > _HERM_INPUT_TOL:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:g})")
-    herm = 0.5 * (m + m.conj().T)
-    eigenvalues, _ = hermitian_eigensystem(herm)
-    min_eig = float(eigenvalues[0])
+    min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
     return PsdCheck(passed=min_eig >= -tol, min_eigenvalue=min_eig, tolerance=tol)
 
 
@@ -172,8 +96,7 @@ def check_density_matrix(
     rho = np.asarray(rho, dtype=complex)
     herm_dev = hermiticity_deviation(rho)
     trace_dev = abs(complex(np.trace(rho)) - 1.0)
-    eigenvalues, _ = hermitian_eigensystem(0.5 * (rho + rho.conj().T))
-    min_eig = float(eigenvalues[0])
+    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
     return DensityCheck(
         passed=herm_dev <= herm_tol and trace_dev <= trace_tol and min_eig >= eig_floor,
         hermiticity_deviation=herm_dev,
@@ -256,35 +179,6 @@ def choi(spec: MixtureSpec, t: float, weyl: Optional[WeylSet] = None) -> np.ndar
         for j in range(d):
             unit[i, j] = 1.0
             c += np.kron(apply_channel(spec, t, unit, weyl), unit)
-            unit[i, j] = 0.0
-    return c
-
-
-def choi_from_eigenvalues(weyl: WeylSet, label_eigenvalues) -> np.ndarray:
-    """Choi matrix of the map with eigenvalue ``mu_beta`` on each ``U_beta^m``.
-
-    The map fixes the identity component and scales the span of ``U_beta^m``
-    (m = 1..d-1) by ``mu_beta``; this covers intermediate maps of mixtures,
-    whose eigenbasis is the same Weyl operator basis.
-    """
-    d = weyl.dimension
-    mu = np.asarray(label_eigenvalues, dtype=float)
-    if mu.shape != (d + 1,):
-        raise ValueError(f"expected {d + 1} label eigenvalues, got shape {mu.shape}")
-    powers = [_unitary_powers(weyl, beta + 1) for beta in range(d + 1)]
-    eye = np.eye(d, dtype=complex)
-    c = np.zeros((d * d, d * d), dtype=complex)
-    unit = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit[i, j] = 1.0
-            # expand E_ij in {identity} U {U_beta^m} and rescale each piece
-            out = (np.trace(unit) / d) * eye
-            for beta in range(d + 1):
-                for um in powers[beta]:
-                    coeff = np.trace(um.conj().T @ unit) / d
-                    out = out + mu[beta] * coeff * um
-            c += np.kron(out, unit)
             unit[i, j] = 0.0
     return c
 

@@ -77,7 +77,8 @@ class MubReport:
     passed: bool
 
 
-def _check_dimension(d: int) -> None:
+def check_dimension(d: int) -> None:
+    """Reject a dimension that is not an integer, not in range, or not prime."""
     lo, hi = DIMENSION_RANGE
     if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
         raise ValueError(f"dimension must be an integer, got {d!r}")
@@ -95,7 +96,7 @@ def construct_mub(d: int) -> MubFamily:
 
     Rejects composite or out-of-range dimensions with an explanatory error.
     """
-    _check_dimension(d)
+    check_dimension(d)
     if d == 2:
         s = 1.0 / np.sqrt(2.0)
         bases = np.array(

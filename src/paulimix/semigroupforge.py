@@ -46,7 +46,7 @@ from .dynamics import (
     mixture_eigenvalues,
     rates_from_spectrum,
 )
-from .mubgen import DIMENSION_RANGE, is_prime
+from .mubgen import check_dimension
 
 __all__ = [
     "ConstructionError",
@@ -88,14 +88,6 @@ class WeightBoundError(ValueError):
         self.bound = bound
 
 
-def _check_dimension(d: int) -> None:
-    lo, hi = DIMENSION_RANGE
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
-        raise ValueError(f"dimension must be an integer, got {d!r}")
-    if not (lo <= d <= hi) or not is_prime(int(d)):
-        raise ValueError(f"dimension must be a prime in [{lo}, {hi}], got {d}")
-
-
 @dataclass(frozen=True)
 class SameChannelRequest:
     """Pair a channel with decoherence function ``q`` (mixed with weight ``a``)
@@ -108,7 +100,7 @@ class SameChannelRequest:
     basis: int = 1
 
     def __post_init__(self):
-        _check_dimension(self.dimension)
+        check_dimension(self.dimension)
         if not self.rate > 0:
             raise ValueError(f"target rate must be positive, got {self.rate!r}")
         if not 0.0 < self.a < 1.0:
@@ -128,7 +120,7 @@ class AllChannelsRequest:
     weights: Tuple[float, ...]
 
     def __post_init__(self):
-        _check_dimension(self.dimension)
+        check_dimension(self.dimension)
         if not self.rate > 0:
             raise ValueError(f"target rate must be positive, got {self.rate!r}")
         w = tuple(float(x) for x in self.weights)
@@ -372,7 +364,7 @@ def _valid_full_weights(rng: np.random.Generator, d: int) -> np.ndarray:
 def _scan(d: int, trials: int, seed: int) -> ScanReport:
     if trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {trials}")
-    _check_dimension(d)
+    check_dimension(d)
     grid = default_grid(5.0, 128)
     counterexamples = []
     subset_semigroups = 0

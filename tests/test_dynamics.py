@@ -400,6 +400,18 @@ def test_intermediate_map_undefined_at_singular_start():
     assert check.is_cp is None and check.min_choi_eigenvalue is None
 
 
+@pytest.mark.parametrize("bad_columns", [(slice(1, 2), 40), (slice(None), 40)])
+def test_intermediate_map_with_nan_ratio_is_not_cp(bad_columns):
+    grid = default_grid(5.0, 64)
+    lam = np.ones((4, 64))
+    lam[bad_columns] = np.nan
+    traj = SpectralTrajectory(3, grid, lam, np.zeros((4, 64)))
+    for ia, ib in [(0, 40), (40, 41)]:
+        check = intermediate_map_check(traj, grid.times[ia], grid.times[ib])
+        assert check.defined and check.is_cp is False
+        assert math.isnan(check.min_choi_eigenvalue)
+
+
 def test_intermediate_map_argument_validation():
     grid = default_grid()
     traj = mixture_eigenvalues(equal_thirds_mix(), grid)

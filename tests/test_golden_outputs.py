@@ -151,3 +151,17 @@ def test_sampled_first_violation_is_pinned():
     with pytest.raises(ConstructionError) as exc:
         build_same_channel_mix(SameChannelRequest(2, 1.0, 0.5, q))
     assert exc.value.first_violation == 1.2166068447541534
+
+
+# Captured while the dense PSD check still ran the hand-written Jacobi
+# solver; the switch to LAPACK must not move any cptp verdict or number.
+@pytest.mark.parametrize(
+    "d, digest",
+    [
+        (3, "5cb0a6c8b923846e6539d5c4f77fa6cabde58908760ebcc40d6c1dad44586579"),
+        (5, "b66b4e37abde75989c5f49082f74721f58c44caf4ff11c8fe1dc597c283a854b"),
+    ],
+)
+def test_verify_cptp_output_is_byte_identical(capsys, d, digest):
+    assert main(["verify", "cptp", "--d", str(d), "--trials", "4"]) == 0
+    assert sha256(capsys.readouterr().out) == digest

@@ -1,4 +1,4 @@
-"""Channel action on states, Choi matrices, eigensolver, composition checks."""
+"""Channel action on states, Choi matrices, PSD checks, composition checks."""
 
 import math
 
@@ -14,16 +14,14 @@ from paulimix import (
     build_all_channels_mix,
     check_density_matrix,
     choi,
-    choi_from_eigenvalues,
     compose_check,
     default_grid,
-    hermitian_eigensystem,
     hermiticity_deviation,
+    intermediate_map_check,
     mixture_eigenvalues,
     partial_trace_first,
     psd_check,
     superoperator,
-    weyl_set,
 )
 
 
@@ -100,19 +98,8 @@ def test_channel_preserves_hermiticity_and_trace(d):
 
 
 # ---------------------------------------------------------------------------
-# Eigensolver
+# PSD checks
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_eigensystem_on_random_hermitian(seed):
-    rng = np.random.default_rng(seed)
-    m = random_hermitian(rng, 9)
-    vals, vecs = hermitian_eigensystem(m)
-    assert abs(vals.sum() - np.trace(m).real) <= 1e-11
-    residual = m @ vecs - vecs * vals[None, :]
-    assert np.abs(residual).max() <= 1e-10
-    np.testing.assert_allclose(vals, np.linalg.eigvalsh(m), atol=1e-12)
 
 
 def test_eigensystem_minimum_matches_inertia_bisection():
@@ -121,8 +108,8 @@ def test_eigensystem_minimum_matches_inertia_bisection():
     rng = np.random.default_rng(7)
     for _ in range(4):
         m = random_hermitian(rng, 9)
-        vals, _ = hermitian_eigensystem(m)
-        assert vals.min() == pytest.approx(min_eig_by_inertia(m), abs=1e-10)
+        min_eig = psd_check(m).min_eigenvalue
+        assert min_eig == pytest.approx(min_eig_by_inertia(m), abs=1e-10)
 
 
 def test_psd_check_verdicts():
@@ -132,6 +119,12 @@ def test_psd_check_verdicts():
     assert not bad.passed and bad.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
     with pytest.raises(ValueError):
         psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_psd_check_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError):
+        psd_check(np.diag([bad, 1.0, 1.0]))
 
 
 def test_density_matrix_check():
@@ -148,8 +141,7 @@ def test_density_matrix_check():
 def test_choi_of_identity_channel_is_rank_one():
     spec = equal_thirds_mix()
     c = choi(spec, 0.0)
-    vals, _ = hermitian_eigensystem(c)
-    vals = np.sort(vals)
+    vals = np.sort(np.linalg.eigvalsh(c))
     np.testing.assert_allclose(vals, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
@@ -158,7 +150,7 @@ def test_dephasing_choi_eigenvalues():
     t = 0.8
     p = 0.5 * (1 - math.exp(-t))
     c = choi(spec, t)
-    vals = np.sort(hermitian_eigensystem(c)[0])
+    vals = np.sort(np.linalg.eigvalsh(c))
     np.testing.assert_allclose(vals, [0.0, 0.0, 2 * p, 2 * (1 - p)], atol=1e-12)
 
 
@@ -171,16 +163,21 @@ def test_choi_partial_trace_and_trace(d):
     np.testing.assert_allclose(partial_trace_first(c, d), np.eye(d), atol=1e-10)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_choi_from_eigenvalues_matches_direct_construction(d):
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+def test_closed_form_choi_minimum_matches_dense_choi(d):
+    from util import min_eig_by_inertia
+
     rng = np.random.default_rng(20 + d)
     spec = random_mixture(rng, d)
-    t = 0.9
-    grid = default_grid(2.0, 64)
+    grid = default_grid(3.0, 64)
     traj = mixture_eigenvalues(spec, grid)
-    k = int(np.argmin(np.abs(grid.times - t)))
-    rebuilt = choi_from_eigenvalues(weyl_set(d), traj.eigenvalues[:, k])
-    np.testing.assert_allclose(rebuilt, choi(spec, float(grid.times[k])), atol=1e-12)
+    # lambda = 1 at times[0], so the intermediate map is the mixture at t_b.
+    t_b = float(grid.times[int(rng.integers(1, len(grid)))])
+    check = intermediate_map_check(traj, float(grid.times[0]), t_b)
+    c = choi(spec, t_b)
+    c = 0.5 * (c + c.conj().T)  # exactly real diagonal for the LDL oracle
+    assert check.min_choi_eigenvalue == pytest.approx(min_eig_by_inertia(c), abs=1e-10)
+    assert check.min_choi_eigenvalue == pytest.approx(np.linalg.eigvalsh(c)[0], abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +193,9 @@ def test_superoperator_spectrum_matches_label_eigenvalues(d):
         t = float(rng.uniform(0.1, 3.0))
         m = superoperator(spec, t)
         # The k and d-k power terms are mutual adjoints, so the mixture
-        # superoperator is Hermitian and the hand-rolled solver applies.
+        # superoperator is Hermitian and a Hermitian eigensolver applies.
         assert hermiticity_deviation(m) <= 1e-13
-        vals, _ = hermitian_eigensystem(m)
+        vals = np.linalg.eigvalsh(m)
         labels = single_label_values(spec, t)
         expected = np.sort(np.concatenate([[1.0], np.repeat(labels, d - 1)]))
         np.testing.assert_allclose(np.sort(vals), expected, atol=1e-10)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from paulimix import mubgen
+from paulimix import ChannelSpec, ExpRelax, SameChannelRequest, mubgen, theorem2_scan
 
 PRIMES = [2, 3, 5, 7, 11]
 
@@ -107,3 +107,18 @@ def test_weyl_set_is_cached():
     assert mubgen.weyl_set(3) is mubgen.weyl_set(3)
     assert mubgen.weyl_set(3).dimension == 3
     assert len(mubgen.weyl_set(3).unitaries) == 4
+
+
+DIMENSION_CHECKED = {
+    "ChannelSpec": lambda d: ChannelSpec(d, 1, ExpRelax(0.5, 1.0)),
+    "SameChannelRequest": lambda d: SameChannelRequest(d, 1.0, 0.5, ExpRelax(0.25, 1.0)),
+    "theorem2_scan": lambda d: theorem2_scan(d, 100, 0),
+    "construct_mub": mubgen.construct_mub,
+}
+
+
+@pytest.mark.parametrize("build", DIMENSION_CHECKED.values(), ids=DIMENSION_CHECKED.keys())
+@pytest.mark.parametrize("bad", [1, 4, 32, True, 2.0], ids=repr)
+def test_every_entry_point_shares_the_dimension_check(build, bad):
+    with pytest.raises(ValueError):
+        build(bad)
