@@ -551,18 +551,15 @@ def cmd_dump(args) -> int:
                 blocks.append(f"# unitary U_{b + 1}")
                 blocks.append(reportio.matrix_csv(weyl.unitaries[b]).rstrip("\n"))
             text = "\n".join(blocks) + "\n"
-        default_name = f"{what}_d{d}.csv"
     else:
         if not args.config:
             raise ConfigError(f"dump {what} requires --config")
         cfg = parse_run_config(args.config)
-        t = args.t
         if what == "choi":
-            m = matrixlab.choi(cfg.mixture, t)
+            m = matrixlab.choi(cfg.mixture, args.t)
         else:
-            m = matrixlab.superoperator(cfg.mixture, t)
+            m = matrixlab.superoperator(cfg.mixture, args.t)
         text = reportio.matrix_csv(m)
-        default_name = f"{what}_t{reportio.fmt_float(t)}.csv"
     if args.out:
         path = _resolve_out(args.out, args.out)
         _write_text(path, text)

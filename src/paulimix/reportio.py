@@ -4,12 +4,19 @@ All floats are rendered at 17 significant digits (enough to round-trip a
 double bit-faithfully), infinities as ``inf``/``-inf`` and NaN as ``nan``;
 JSON objects keep insertion order.  Identical inputs therefore produce
 byte-identical output.
+
+Every float CSV (trajectories, matrices, MUB vectors) goes through one block
+renderer, which formats each distinct double once -- keyed on its bit
+pattern, so ``0.0`` and ``-0.0`` stay apart -- and emits the whole body with
+one ``%`` over a repeated row format.  The text is the one ``fmt_float``
+gives cell by cell.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -31,12 +38,8 @@ __all__ = [
 
 
 def fmt_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    # ``.17g`` already spells nan (of either sign), inf and -inf this way.
+    return f"{float(x):.17g}"
 
 
 def _render(obj, indent: int) -> str:
@@ -81,6 +84,24 @@ def to_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _csv_block(header: str, values: np.ndarray, index: Optional[np.ndarray] = None) -> str:
+    """CSV text of an ``(n, k)`` float table, after optional integer columns.
+
+    Each distinct bit pattern is formatted once with ``fmt_float``'s
+    ``.17g``; keying on bits, not values, keeps ``0.0`` apart from ``-0.0``.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n, k = values.shape
+    distinct, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
+    text = "\n".join(["%.17g"] * distinct.size) % tuple(distinct.view(np.float64).tolist())
+    cells = np.array(text.split("\n"), dtype=object)[inverse].reshape(n, k)
+    row = ["%s"] * k
+    if index is not None:
+        row = ["%d"] * index.shape[1] + row
+        cells = np.concatenate([index.astype(object), cells], axis=1)
+    return header + "\n" + ((",".join(row) + "\n") * n) % tuple(cells.reshape(-1))
+
+
 def trajectory_csv(spectral: SpectralTrajectory, rates: RateTrajectory) -> str:
     d = spectral.dimension
     header = (
@@ -88,36 +109,26 @@ def trajectory_csv(spectral: SpectralTrajectory, rates: RateTrajectory) -> str:
         + [f"lambda_{b}" for b in range(1, d + 2)]
         + [f"gamma_{b}" for b in range(1, d + 2)]
     )
-    lines = [",".join(header)]
-    times = spectral.grid.times
-    for k in range(times.size):
-        row = [fmt_float(times[k])]
-        row += [fmt_float(spectral.eigenvalues[b, k]) for b in range(d + 1)]
-        row += [fmt_float(rates.gamma[b, k]) for b in range(d + 1)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    table = np.vstack([spectral.grid.times, spectral.eigenvalues, rates.gamma]).T
+    return _csv_block(",".join(header), table)
+
+
+def _complex_columns(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z).reshape(-1)
+    return np.stack([z.real, z.imag], axis=1)
 
 
 def matrix_csv(m: np.ndarray) -> str:
     m = np.asarray(m)
-    lines = ["row,col,re,im"]
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            v = complex(m[i, j])
-            lines.append(f"{i},{j},{fmt_float(v.real)},{fmt_float(v.imag)}")
-    return "\n".join(lines) + "\n"
+    index = np.indices(m.shape).reshape(2, -1).T
+    return _csv_block("row,col,re,im", _complex_columns(m), index)
 
 
 def mub_bases_csv(family: MubFamily) -> str:
-    lines = ["basis,vector,component,re,im"]
-    for b in range(family.bases.shape[0]):
-        for j in range(family.bases.shape[1]):
-            for k in range(family.bases.shape[2]):
-                v = complex(family.bases[b, j, k])
-                lines.append(
-                    f"{b + 1},{j},{k},{fmt_float(v.real)},{fmt_float(v.imag)}"
-                )
-    return "\n".join(lines) + "\n"
+    bases = family.bases
+    index = np.indices(bases.shape).reshape(3, -1).T
+    index[:, 0] += 1
+    return _csv_block("basis,vector,component,re,im", _complex_columns(bases), index)
 
 
 # ---------------------------------------------------------------------------

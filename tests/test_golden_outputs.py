@@ -165,3 +165,89 @@ def test_sampled_first_violation_is_pinned():
 def test_verify_cptp_output_is_byte_identical(capsys, d, digest):
     assert main(["verify", "cptp", "--d", str(d), "--trials", "4"]) == 0
     assert sha256(capsys.readouterr().out) == digest
+
+
+# Goldens below were captured while every CSV cell still went through
+# ``fmt_float`` one at a time; the block renderer must reproduce them.
+
+# A qutrit mixture for the choi/superop dumps.
+QUTRIT_DUMP = """\
+    [run]
+    dimension = 3
+    t_max = 5.0
+    points = 64
+
+    [component.1]
+    weight = 0.7
+    basis = 1
+    kind = expression
+    formula = "1-exp(-2*t)"
+
+    [component.2]
+    weight = 0.3
+    basis = 3
+    kind = expression
+    formula = "0.5*sin(t)^2"
+    """
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["dump", "mub-bases", "--d", "3"],
+            "bdc205541dc73675705bebf621ae5c4dbad44e5528ef6cd5c91e065498a52a84",
+        ),
+        (
+            ["dump", "mub-unitaries", "--d", "3"],
+            "6c123f9433c555b0412ee83fc591085192a10c4097efcceca574baab30a7601e",
+        ),
+        (
+            ["dump", "choi", "--config", "mix.ini", "--t", "0.7"],
+            "ff35c4d3b20e893f51810c5bab21ae78b3c1e4571f687515d1a9d292639403cd",
+        ),
+        (
+            ["dump", "superop", "--config", "mix.ini", "--t", "0.7"],
+            "494d69319cc9b589934d5615b9d00b1facdbbbbf65c2d79defd6a2d83516061c",
+        ),
+    ],
+    ids=["mub-bases", "mub-unitaries", "choi", "superop"],
+)
+def test_dump_outputs_are_byte_identical(out_dir, capsys, argv, digest):
+    (out_dir / "mix.ini").write_text(textwrap.dedent(QUTRIT_DUMP))
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
+# The all-channels semigroup: every label decays as exp(-t), so the spectrum
+# is degenerate and most trajectory cells repeat a few doubles.
+def test_all_channels_analyze_trajectory_is_byte_identical(out_dir, capsys):
+    weights = ["0.2", "0.16", "0.16", "0.16", "0.16", "0.16"]
+    assert main(["construct", "5", "1.0", *weights, "--out", "all.ini"]) == 0
+    assert main(["analyze", str(out_dir / "all.ini")]) == 0
+    csv = (out_dir / "all_trajectory.csv").read_text()
+    assert sha256(csv) == "ac8de7c1e1b6a7a518be9b8fc6712950b76354d4d4035fc91acb267684f5710c"
+
+
+# lambda_2 = lambda_3 = 1 - t vanishes at t = 1, which is off the 64-point
+# grid; refinement adds t = 1 itself, where every rate is a pole (inf).
+POLE_ON_REFINED_GRID = """\
+    [run]
+    dimension = 2
+    t_max = 2.0
+    points = 64
+
+    [component.1]
+    weight = 1.0
+    basis = 1
+    kind = expression
+    formula = "0.5*t"
+    """
+
+
+def test_pole_columns_trajectory_is_byte_identical(out_dir):
+    (out_dir / "pole.ini").write_text(textwrap.dedent(POLE_ON_REFINED_GRID))
+    assert main(["analyze", str(out_dir / "pole.ini")]) == 0
+    csv = (out_dir / "pole_trajectory.csv").read_text()
+    assert "\n1,1,0,0,inf,inf,inf\n" in csv
+    assert sha256(csv) == "493892b702540f0d3e67208ad7e0d4b5a800777eee15956c04dc132e8abf378b"
