@@ -15,8 +15,9 @@ which is everything the spectral layer needs to know about it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -29,6 +30,8 @@ __all__ = [
     "DecoherenceFunction",
     "ExpRelax",
     "Expression",
+    "ProductTemplate",
+    "DifferenceTemplate",
     "SampledGrid",
     "ChannelSpec",
     "MixtureComponent",
@@ -48,12 +51,18 @@ _RANGE_SLACK = 1e-12
 class DecoherenceFunction:
     """Base class: a mixing probability ``p(t)`` with ``p(0) = 0``."""
 
+    kind: ClassVar[str]  # the ``kind`` key of ``describe()`` and of configs
+
     def value_and_derivative(self, t):
         """Return ``(p(t), dp/dt)``; floats for scalar ``t``, arrays for arrays."""
         raise NotImplementedError
 
     def value(self, t):
         return self.value_and_derivative(t)[0]
+
+    def as_expression(self) -> str:
+        """Source text that ``Expression`` parses to this function."""
+        raise TypeError(f"{type(self).__name__} has no closed-form expression")
 
     def describe(self) -> dict:
         """JSON/config-ready description of the function."""
@@ -64,6 +73,7 @@ class DecoherenceFunction:
 class ExpRelax(DecoherenceFunction):
     """Exponential relaxation ``p(t) = scale * (1 - exp(-rate*t))``, rate > 0."""
 
+    kind = "exp_relax"
     scale: float
     rate: float
 
@@ -84,13 +94,14 @@ class ExpRelax(DecoherenceFunction):
         return f"{self.scale!r}*(1-exp(-{self.rate!r}*t))"
 
     def describe(self) -> dict:
-        return {"kind": "exp_relax", "scale": self.scale, "rate": self.rate}
+        return {"kind": self.kind, "scale": self.scale, "rate": self.rate}
 
 
 @dataclass(frozen=True)
 class Expression(DecoherenceFunction):
     """A decoherence function given by an expression in ``t`` (see ``exprcalc``)."""
 
+    kind = "expression"
     source: str
 
     def __post_init__(self):
@@ -111,8 +122,107 @@ class Expression(DecoherenceFunction):
         dual = exprcalc.eval_dual(self.ast, t)
         return dual.value, dual.derivative
 
+    def as_expression(self) -> str:
+        return self.source
+
     def describe(self) -> dict:
-        return {"kind": "expression", "formula": self.source}
+        return {"kind": self.kind, "formula": self.source}
+
+
+class _Template(DecoherenceFunction):
+    """A closed form that replays ``Expression(self.as_expression())``.
+
+    ``value_and_derivative`` performs, on the same numpy arrays, exactly the
+    operations that ``exprcalc.eval_dual`` performs on the parsed formula
+    (a scalar ``t`` becomes a 1-element array, as there), so values and
+    derivatives equal the parsed formula's bit for bit, signed zeros
+    included, with no parsing and no tree walk.  Parameters must be finite
+    and nonnegative; they are stored as Python floats, whose ``repr`` the
+    formula spells.
+    """
+
+    kind = "expression"
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = float(getattr(self, field.name))
+            if not math.isfinite(value) or math.copysign(1.0, value) < 0:
+                raise ValueError(
+                    f"{type(self).__name__} {field.name} must be finite and "
+                    f"nonnegative, got {value!r}"
+                )
+            object.__setattr__(self, field.name, value)
+
+    def value_and_derivative(self, t):
+        arr = np.asarray(t, dtype=float)
+        if arr.ndim == 0:
+            p, dp = self._dual(arr.reshape(1))
+            return float(p[0]), float(dp[0])
+        return self._dual(arr)
+
+    def _dual(self, t: np.ndarray):
+        raise NotImplementedError
+
+    def describe(self) -> dict:
+        return {"kind": self.kind, "formula": self.as_expression()}
+
+
+def _scaled_relax(scale: float, rate: float, t: np.ndarray):
+    """Dual value of the parsed ``scale*(1-exp(-rate*t))``."""
+    e = np.exp(-rate * t)
+    de = e * (-0.0 * t + -rate)
+    a = 1.0 - e
+    da = 0.0 - de
+    return scale * a, 0.0 * a + scale * da
+
+
+@dataclass(frozen=True)
+class ProductTemplate(_Template):
+    """``p(t) = scale*(1-exp(-rate*t))*(1-depth*sin(freq*t)^2)``, in closed form."""
+
+    scale: float
+    rate: float
+    depth: float
+    freq: float
+
+    def _dual(self, t):
+        sa, dsa = _scaled_relax(self.scale, self.rate, t)
+        ft = self.freq * t
+        dft = 0.0 * t + self.freq
+        sn = np.sin(ft)
+        dsn = np.cos(ft) * dft
+        sq = sn**2.0
+        dsq = 2.0 * sn**1.0 * dsn
+        b = 1.0 - self.depth * sq
+        db = 0.0 - (0.0 * sq + self.depth * dsq)
+        return sa * b, dsa * b + sa * db
+
+    def as_expression(self) -> str:
+        return (
+            f"{self.scale!r}*(1-exp(-{self.rate!r}*t))"
+            f"*(1-{self.depth!r}*sin({self.freq!r}*t)^2)"
+        )
+
+
+@dataclass(frozen=True)
+class DifferenceTemplate(_Template):
+    """``p(t) = scale*(1-exp(-rate*t)) - m*(1-exp(-rate2*t))``, in closed form."""
+
+    scale: float
+    rate: float
+    m: float
+    rate2: float
+
+    def _dual(self, t):
+        sa, dsa = _scaled_relax(self.scale, self.rate, t)
+        mb, dmb = _scaled_relax(self.m, self.rate2, t)
+        return sa - mb, dsa - dmb
+
+    def as_expression(self) -> str:
+        return (
+            f"{self.scale!r}*(1-exp(-{self.rate!r}*t)) "
+            f"- {self.m!r}*(1-exp(-{self.rate2!r}*t))"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +234,7 @@ class SampledGrid(DecoherenceFunction):
     Evaluation outside the sampled range is a domain error.
     """
 
+    kind = "samples"
     times: np.ndarray
     values: np.ndarray
 
@@ -166,7 +277,7 @@ class SampledGrid(DecoherenceFunction):
 
     def describe(self) -> dict:
         return {
-            "kind": "samples",
+            "kind": self.kind,
             "times": [float(x) for x in self.times],
             "values": [float(x) for x in self.values],
         }

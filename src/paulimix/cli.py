@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import re
 import sys
@@ -638,9 +639,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built once per process (parsing
+    leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:

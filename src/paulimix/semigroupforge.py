@@ -33,9 +33,11 @@ import numpy as np
 from .channelcore import (
     ChannelSpec,
     DecoherenceFunction,
+    DifferenceTemplate,
     ExpRelax,
     Expression,
     MixtureSpec,
+    ProductTemplate,
     SampledGrid,
     bisect_root,
 )
@@ -197,9 +199,10 @@ def build_same_channel_mix(
 
     The partner function ``p`` is rendered in the same representation as
     ``q``: a closed-form ``q`` yields a closed-form expression, a sampled
-    ``q`` yields a densely resampled grid.  ``p`` must stay within [0, 1] on
-    the validation grid; otherwise :class:`ConstructionError` reports the
-    first violating time.
+    ``q`` yields a densely resampled grid.  Any other ``q`` enters through
+    its ``as_expression()`` text (a ``TypeError`` if it has none).  ``p``
+    must stay within [0, 1] on the validation grid; otherwise
+    :class:`ConstructionError` reports the first violating time.
     """
     d, c, a = req.dimension, float(req.rate), float(req.a)
     f_scale = (d - 1) / d / (1.0 - a)
@@ -225,15 +228,7 @@ def build_same_channel_mix(
         p: DecoherenceFunction = SampledGrid(times, p_vals)
         check_grid = TimeGrid(times)
     else:
-        if isinstance(req.q, ExpRelax):
-            q_src = req.q.as_expression()
-        elif isinstance(req.q, Expression):
-            q_src = req.q.source
-        else:
-            raise TypeError(
-                "q must be ExpRelax, Expression, or SampledGrid, "
-                f"got {type(req.q).__name__}"
-            )
+        q_src = req.q.as_expression()
         p = Expression(
             f"{f_scale!r}*(1-exp(-{c!r}*t)) - {q_coeff!r}*({q_src})"
         )
@@ -336,15 +331,11 @@ def random_decoherence_function(
     if kind == "product":
         depth = float(rng.uniform(0.1, 0.5))
         freq = float(rng.uniform(0.3, 2.0))
-        return Expression(
-            f"{scale!r}*(1-exp(-{rate!r}*t))*(1-{depth!r}*sin({freq!r}*t)^2)"
-        )
+        return ProductTemplate(scale, rate, depth, freq)
     if kind == "difference":
         m = scale * float(rng.uniform(0.0, 0.8))
         r2 = rate * float(rng.uniform(0.2, 1.0))
-        return Expression(
-            f"{scale!r}*(1-exp(-{rate!r}*t)) - {m!r}*(1-exp(-{r2!r}*t))"
-        )
+        return DifferenceTemplate(scale, rate, m, r2)
     times = np.linspace(0.0, t_max, 257)
     vals = scale * (1.0 - np.exp(-rate * times))
     return SampledGrid(times, vals)
@@ -381,7 +372,7 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
         for basis, weight in zip(bases, weights):
             f = random_decoherence_function(rng)
             sampled = sampled or isinstance(f, SampledGrid)
-            fams.append(f.describe()["kind"])
+            fams.append(f.kind)
             components.append((float(weight), ChannelSpec(d, int(basis), f)))
         spec = MixtureSpec(d, components)
         traj = mixture_eigenvalues(spec, grid)

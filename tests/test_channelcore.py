@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulimix import (
     ChannelSpec,
+    DifferenceTemplate,
     ExpRelax,
     Expression,
     MixtureSpec,
+    ProductTemplate,
     SampledGrid,
     default_grid,
     single_channel_eigenvalues,
@@ -92,6 +96,64 @@ def test_sampled_grid_domain_error_outside_range():
         f.value(np.array([1.0, 3.0]))
     # boundary itself is fine
     assert f.value(2.0) == pytest.approx(0.5 * (1 - math.exp(-2.0)), abs=1e-8)
+
+
+# Closed-form templates: each replays its parsed formula bit for bit.
+
+_PARAM = st.floats(min_value=0.0, max_value=10.0)
+_TEMPLATES = st.one_of(
+    st.builds(ProductTemplate, _PARAM, _PARAM, _PARAM, _PARAM),
+    st.builds(DifferenceTemplate, _PARAM, _PARAM, _PARAM, _PARAM),
+)
+
+
+def _bits(pair):
+    return tuple(np.asarray(x, dtype=float).tobytes() for x in pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEMPLATES, st.lists(st.floats(min_value=0.0, max_value=20.0), max_size=40))
+def test_templates_replay_their_expression_on_arrays(f, times):
+    parsed = Expression(f.as_expression())
+    t = np.array([0.0] + times)
+    assert _bits(f.value_and_derivative(t)) == _bits(parsed.value_and_derivative(t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEMPLATES, st.floats(min_value=0.0, max_value=20.0))
+def test_templates_replay_their_expression_on_scalars(f, t):
+    got = f.value_and_derivative(t)
+    want = Expression(f.as_expression()).value_and_derivative(t)
+    assert all(type(x) is float for x in got)
+    assert _bits(got) == _bits(want)
+
+
+def test_template_formulas_and_descriptions():
+    f = ProductTemplate(0.5, 1.25, 0.2, 0.75)
+    assert f.as_expression() == "0.5*(1-exp(-1.25*t))*(1-0.2*sin(0.75*t)^2)"
+    g = DifferenceTemplate(0.5, 1.25, 1e-05, 0.5)
+    assert g.as_expression() == "0.5*(1-exp(-1.25*t)) - 1e-05*(1-exp(-0.5*t))"
+    assert g.describe() == {"kind": "expression", "formula": g.as_expression()}
+    # numpy scalars are stored as floats, so the formula spells plain numbers
+    assert ProductTemplate(*map(np.float64, (0.5, 1.25, 0.2, 0.75))) == f
+    assert f.value(0.0) == 0.0
+
+
+@pytest.mark.parametrize("bad", [-1.0, -0.0, math.inf, math.nan])
+def test_templates_reject_negative_or_nonfinite_parameters(bad):
+    with pytest.raises(ValueError):
+        ProductTemplate(0.5, 1.0, bad, 1.0)
+    with pytest.raises(ValueError):
+        DifferenceTemplate(0.5, bad, 0.1, 1.0)
+
+
+def test_kind_names_the_description():
+    samples = SampledGrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 0.5, 5))
+    for f in (ExpRelax(0.5, 1.0), Expression("t"), samples, ProductTemplate(0.5, 1, 0, 1)):
+        assert f.describe()["kind"] == f.kind
+    assert Expression("0.5*t").as_expression() == "0.5*t"
+    with pytest.raises(TypeError):
+        samples.as_expression()
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,20 @@ def test_dump_superop_matrix(out_dir, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def test_main_reuses_one_parser_across_calls(out_dir, capsys):
+    assert main(["verify", "mub", "--d", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 3
+    assert main(["dump", "mub-bases", "--d", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1,0,0,1,0"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nonsense"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    # defaults of one call do not leak into the next
+    assert main(["verify", "mub"]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 2
+
+
 def test_installed_console_script_smoke():
     exe = shutil.which("paulimix")
     assert exe, "console script should be installed with the package"

@@ -167,6 +167,27 @@ def test_verify_cptp_output_is_byte_identical(capsys, d, digest):
     assert sha256(capsys.readouterr().out) == digest
 
 
+# Captured while the scanners' product and difference draws were still
+# formatted into expression strings and parsed; the closed-form templates
+# must replay every draw, verdict and number of those reports.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["theorem1", "--trials", "120", "--seed", "5"],
+            "074a0da28aaae62ba7876416f2912d03fd3f94ae28e4040a8cff6d41fafa3467",
+        ),
+        (
+            ["theorem2", "--d", "5", "--trials", "100", "--seed", "3"],
+            "fa048477fa1d422977d79e9666ebbdd6141ea007723639c6955529acafb24c67",
+        ),
+    ],
+)
+def test_verify_scanner_output_is_byte_identical(capsys, argv, digest):
+    assert main(["verify", *argv]) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
 # Goldens below were captured while every CSV cell still went through
 # ``fmt_float`` one at a time; the block renderer must reproduce them.
 

@@ -9,8 +9,10 @@ from scipy.optimize import brentq
 from paulimix import (
     AllChannelsRequest,
     ConstructionError,
+    DecoherenceFunction,
     ExpRelax,
     Expression,
+    ProductTemplate,
     SameChannelRequest,
     SampledGrid,
     ScanReport,
@@ -245,9 +247,77 @@ def test_same_channel_sampled_route_rejects_immediate_violation():
     assert exc.value.first_violation == pytest.approx(0.0, abs=1e-2)
 
 
+def test_same_channel_template_q_matches_its_parsed_formula():
+    q = ProductTemplate(0.3, 1.5, 0.25, 1.1)
+    grid = default_grid(5.0, 1024)
+    p_template = build_same_channel_mix(SameChannelRequest(3, 1.0, 0.4, q), grid)
+    parsed = Expression(q.as_expression())
+    p_parsed = build_same_channel_mix(SameChannelRequest(3, 1.0, 0.4, parsed), grid)
+    first, second = (m.components[0].channel.p for m in (p_template, p_parsed))
+    assert first.as_expression() == second.as_expression()
+    assert first.value(grid.times).tobytes() == second.value(grid.times).tobytes()
+    assert p_template.components[1].channel.p is q
+
+
+def test_same_channel_rejects_q_without_closed_form():
+    class Opaque(DecoherenceFunction):
+        def value_and_derivative(self, t):
+            return 0.1 * np.asarray(t), 0.1 + 0 * np.asarray(t)
+
+    with pytest.raises(TypeError):
+        build_same_channel_mix(SameChannelRequest(2, 1.0, 0.5, Opaque()))
+
+
 # ---------------------------------------------------------------------------
 # Random decoherence functions
 # ---------------------------------------------------------------------------
+
+
+def _parsed_random_decoherence_function(rng, t_max=5.0, allow_sampled=True):
+    """The scanner family as it was drawn when templates were parsed strings."""
+    kinds = ["exp_relax", "product", "difference"]
+    if allow_sampled:
+        kinds.append("sampled")
+    kind = kinds[rng.integers(len(kinds))]
+    scale = float(rng.uniform(0.2, 1.0))
+    rate = float(rng.uniform(0.2, 2.0))
+    if kind == "exp_relax":
+        return ExpRelax(scale, rate)
+    if kind == "product":
+        depth = float(rng.uniform(0.1, 0.5))
+        freq = float(rng.uniform(0.3, 2.0))
+        return Expression(
+            f"{scale!r}*(1-exp(-{rate!r}*t))*(1-{depth!r}*sin({freq!r}*t)^2)"
+        )
+    if kind == "difference":
+        m = scale * float(rng.uniform(0.0, 0.8))
+        r2 = rate * float(rng.uniform(0.2, 1.0))
+        return Expression(
+            f"{scale!r}*(1-exp(-{rate!r}*t)) - {m!r}*(1-exp(-{r2!r}*t))"
+        )
+    times = np.linspace(0.0, t_max, 257)
+    vals = scale * (1.0 - np.exp(-rate * times))
+    return SampledGrid(times, vals)
+
+
+def test_random_draws_replay_the_parsed_family():
+    new_rng, old_rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    times = default_grid(5.0, 128).times
+    kinds = []
+    for _ in range(500):
+        new = random_decoherence_function(new_rng)
+        old = _parsed_random_decoherence_function(old_rng)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        assert new.kind == old.kind
+        assert new.describe() == old.describe()
+        new_p, new_dp = new.value_and_derivative(times)
+        old_p, old_dp = old.value_and_derivative(times)
+        assert new_p.tobytes() == old_p.tobytes()
+        assert new_dp.tobytes() == old_dp.tobytes()
+        kinds.append(type(new).__name__)
+    assert set(kinds) == {
+        "ExpRelax", "ProductTemplate", "DifferenceTemplate", "SampledGrid"
+    }
 
 
 def test_random_function_family_is_admissible_and_diverse():
