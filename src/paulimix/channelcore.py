@@ -71,15 +71,20 @@ class DecoherenceFunction:
 
 @dataclass(frozen=True)
 class ExpRelax(DecoherenceFunction):
-    """Exponential relaxation ``p(t) = scale * (1 - exp(-rate*t))``, rate > 0."""
+    """Exponential relaxation ``p(t) = scale * (1 - exp(-rate*t))``, with a
+    finite ``scale`` and a finite ``rate > 0``."""
 
     kind = "exp_relax"
     scale: float
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"relaxation rate must be positive, got {self.rate!r}")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ValueError(
+                f"relaxation rate must be positive and finite, got {self.rate!r}"
+            )
+        if not math.isfinite(self.scale):
+            raise ValueError(f"relaxation scale must be finite, got {self.scale!r}")
 
     def value_and_derivative(self, t):
         arr = np.asarray(t, dtype=float)
@@ -413,14 +418,8 @@ def bracket_roots(values: np.ndarray, times: np.ndarray, f, xtol: float):
     return roots
 
 
-def validate_mixture(spec: MixtureSpec, grid) -> MixtureValidation:
-    """Check the weight simplex, dimension consistency, and ``p`` ranges.
-
-    Range violations are located to the first offending time (refined between
-    the bracketing grid points).  The report never raises; domain errors during
-    evaluation become issues.
-    """
-    times = np.asarray(getattr(grid, "times", grid), dtype=float)
+def structural_issues(spec: MixtureSpec) -> list[ValidationIssue]:
+    """The weight-simplex and dimension issues of a mixture, in report order."""
     issues: list[ValidationIssue] = []
     weights = [c.weight for c in spec.components]
     if not spec.components:
@@ -447,6 +446,24 @@ def validate_mixture(spec: MixtureSpec, grid) -> MixtureValidation:
                     i,
                 )
             )
+    return issues
+
+
+def range_violations(p) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks of the samples of ``p`` above 1 and below 0 (beyond a 1e-12 slack)."""
+    p = np.atleast_1d(p)
+    return p > 1.0 + _RANGE_SLACK, p < -_RANGE_SLACK
+
+
+def validate_mixture(spec: MixtureSpec, grid) -> MixtureValidation:
+    """Check the weight simplex, dimension consistency, and ``p`` ranges.
+
+    Range violations are located to the first offending time (refined between
+    the bracketing grid points).  The report never raises; domain errors during
+    evaluation become issues.
+    """
+    times = np.asarray(getattr(grid, "times", grid), dtype=float)
+    issues = structural_issues(spec)
     structural_ok = not issues
 
     p_in_range = True
@@ -460,9 +477,7 @@ def validate_mixture(spec: MixtureSpec, grid) -> MixtureValidation:
                 ValidationIssue("p-domain", f"component {i}: {err}", i, err.t)
             )
             continue
-        p = np.atleast_1d(p)
-        low = p < -_RANGE_SLACK
-        high = p > 1.0 + _RANGE_SLACK
+        high, low = range_violations(p)
         for bad, threshold, label in ((high, 1.0, "above 1"), (low, 0.0, "below 0")):
             if not np.any(bad):
                 continue

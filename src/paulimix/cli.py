@@ -437,19 +437,6 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_points(n: int, divisions: int):
-    def rec(k: int, remaining: int):
-        if k == 1:
-            yield (remaining,)
-            return
-        for i in range(remaining + 1):
-            for rest in rec(k - 1, remaining - i):
-                yield (i,) + rest
-
-    for combo in rec(n, divisions):
-        yield tuple(c / divisions for c in combo)
-
-
 def cmd_scan(args) -> int:
     d = args.dimension
     if args.divisions is not None:
@@ -462,73 +449,12 @@ def cmd_scan(args) -> int:
         divisions = 10
     if divisions < 1:
         raise ConfigError(f"--divisions must be positive, got {divisions}")
-    c = args.rate
     grid = default_grid(args.t_max, args.points)
-    bound = semigroupforge.weight_lower_bound(d)
-    semigroup_form = ExpRelax((d - 1) / d, c)
-
-    header = (
-        [f"x_{i}" for i in range(1, d + 2)]
-        + ["status", "is_semigroup", "is_cp_divisible", "min_rate", "noninvertible_inputs"]
-    )
-    lines = [",".join(header)]
-    n_points = n_invalid = n_corner = n_proper = 0
-    n_semi = n_cpdiv = n_cpindiv = 0
-    corner_semi = 0
-    for x in _simplex_points(d + 1, divisions):
-        n_points += 1
-        support = [i for i, xi in enumerate(x) if xi > 0.0]
-        prefix = [reportio.fmt_float(v) for v in x]
-        if args.family == "matched":
-            if any(xi < bound - 1e-12 for xi in x):
-                n_invalid += 1
-                lines.append(",".join(prefix + ["invalid", "", "", "", ""]))
-                continue
-            spec = build_all_channels_mix(AllChannelsRequest(d, c, tuple(x)))
-        else:
-            spec = MixtureSpec(
-                d, [(x[i], ChannelSpec(d, i + 1, semigroup_form)) for i in support]
-            )
-        report = dynamics.classify(spec, grid)
-        n_noninv = sum(1 for v in report.inputs if v.verdict == "noninvertible")
-        lines.append(
-            ",".join(
-                prefix
-                + [
-                    "ok",
-                    "true" if report.is_semigroup else "false",
-                    "true" if report.is_cp_divisible else "false",
-                    reportio.fmt_float(report.min_rate),
-                    str(n_noninv),
-                ]
-            )
-        )
-        if len(support) == 1:
-            n_corner += 1
-            corner_semi += int(report.is_semigroup)
-        else:
-            n_proper += 1
-            n_semi += int(report.is_semigroup)
-            n_cpdiv += int(report.is_cp_divisible)
-            n_cpindiv += int(not report.is_cp_divisible)
-
+    scan = semigroupforge.simplex_scan(d, divisions, args.family, args.rate, grid)
     csv_path = _resolve_out(args.out, f"scan_d{d}_{args.family}.csv")
-    _write_text(csv_path, "\n".join(lines) + "\n")
-    summary = {
-        "dimension": d,
-        "family": args.family,
-        "rate": c,
-        "divisions": divisions,
-        "points": n_points,
-        "invalid_points": n_invalid,
-        "corner_points": n_corner,
-        "corner_semigroups": corner_semi,
-        "proper_points": n_proper,
-        "semigroup_fraction": (n_semi / n_proper) if n_proper else None,
-        "cp_divisible_fraction": (n_cpdiv / n_proper) if n_proper else None,
-        "cp_indivisible_fraction": (n_cpindiv / n_proper) if n_proper else None,
-        "csv": csv_path,
-    }
+    _write_text(csv_path, reportio.simplex_scan_csv(scan))
+    summary = reportio.simplex_scan_dict(scan)
+    summary["csv"] = csv_path
     sys.stdout.write(reportio.to_json(summary))
     return EXIT_OK
 

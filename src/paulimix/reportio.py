@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import ClassificationReport, RateTrajectory, SpectralTrajectory
 from .mubgen import MubFamily, MubReport
-from .semigroupforge import InvertibilityForecast, ScanReport
+from .semigroupforge import InvertibilityForecast, ScanReport, SimplexScan
 
 __all__ = [
     "fmt_float",
@@ -30,9 +30,11 @@ __all__ = [
     "trajectory_csv",
     "matrix_csv",
     "mub_bases_csv",
+    "simplex_scan_csv",
     "classification_dict",
     "forecast_dict",
     "scan_report_dict",
+    "simplex_scan_dict",
     "mub_report_dict",
 ]
 
@@ -131,6 +133,36 @@ def mub_bases_csv(family: MubFamily) -> str:
     return _csv_block("basis,vector,component,re,im", _complex_columns(bases), index)
 
 
+def simplex_scan_csv(scan: SimplexScan) -> str:
+    """One row per lattice point: weights, status and verdicts ('invalid'
+    rows leave the verdict cells empty)."""
+    d = scan.dimension
+    header = [f"x_{i}" for i in range(1, d + 2)] + [
+        "status",
+        "is_semigroup",
+        "is_cp_divisible",
+        "min_rate",
+        "noninvertible_inputs",
+    ]
+    spelled = [fmt_float(k / scan.divisions) for k in range(scan.divisions + 1)]
+    flag = ("false", "true")
+    lines = [",".join(header)]
+    for counts, ok, semi, cpdiv, rate, noninv in zip(
+        map(np.ndarray.tolist, scan.counts),
+        scan.valid.tolist(),
+        scan.is_semigroup.tolist(),
+        scan.is_cp_divisible.tolist(),
+        scan.min_rate.tolist(),
+        scan.noninvertible_inputs.tolist(),
+    ):
+        weights = ",".join([spelled[k] for k in counts])
+        if ok:
+            lines.append(f"{weights},ok,{flag[semi]},{flag[cpdiv]},{fmt_float(rate)},{noninv}")
+        else:
+            lines.append(f"{weights},invalid,,,,")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # JSON-ready dictionaries
 # ---------------------------------------------------------------------------
@@ -188,6 +220,30 @@ def scan_report_dict(report: ScanReport) -> dict:
         "counterexamples": [dict(c) for c in report.counterexamples],
         "pass": report.passed,
         "details": dict(report.details),
+    }
+
+
+def simplex_scan_dict(scan: SimplexScan) -> dict:
+    """Summary counts of a simplex scan; fractions are over proper points."""
+    proper = scan.proper
+    n_proper = int(proper.sum())
+
+    def fraction(mask):
+        return int((mask & proper).sum()) / n_proper if n_proper else None
+
+    return {
+        "dimension": scan.dimension,
+        "family": scan.family,
+        "rate": scan.rate,
+        "divisions": scan.divisions,
+        "points": len(scan.counts),
+        "invalid_points": int((~scan.valid).sum()),
+        "corner_points": int(scan.corner.sum()),
+        "corner_semigroups": int((scan.is_semigroup & scan.corner).sum()),
+        "proper_points": n_proper,
+        "semigroup_fraction": fraction(scan.is_semigroup),
+        "cp_divisible_fraction": fraction(scan.is_cp_divisible),
+        "cp_indivisible_fraction": fraction(~scan.is_cp_divisible),
     }
 
 

@@ -25,6 +25,7 @@ which keeps every p_i within [0, 1] iff x_i >= (d-1)/d^2.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -43,6 +44,7 @@ from .channelcore import (
 )
 from .dynamics import (
     TimeGrid,
+    classify_many,
     default_grid,
     detect_semigroup,
     mixture_eigenvalues,
@@ -58,9 +60,12 @@ __all__ = [
     "ChannelForecast",
     "InvertibilityForecast",
     "ScanReport",
+    "SimplexScan",
     "build_same_channel_mix",
     "build_all_channels_mix",
     "forecast_invertibility",
+    "simplex_lattice",
+    "simplex_scan",
     "weight_lower_bound",
     "random_decoherence_function",
     "theorem1_scan",
@@ -70,6 +75,9 @@ __all__ = [
 _SIMPLEX_TOL = 1e-12
 _TIE_TOL = 1e-12
 _MIN_TRIALS = 100
+# simplex_scan builds and classifies this many lattice points at a time, so
+# only that many mixtures and reports are alive at once.
+_SCAN_SLICE = 512
 
 
 class ConstructionError(ValueError):
@@ -298,6 +306,118 @@ def forecast_invertibility(req: AllChannelsRequest) -> InvertibilityForecast:
             verdict, t_star = "noninvertible", float(np.log(1.0 / (1.0 - prod)) / c)
         channels.append(ChannelForecast(i, float(x), verdict, t_star))
     return InvertibilityForecast(d, c, tuple(channels))
+
+
+# ---------------------------------------------------------------------------
+# Simplex sweep
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class SimplexScan:
+    """Verdicts at every point of the weight lattice ``counts / divisions``.
+
+    Rows follow :func:`simplex_lattice`.  ``valid`` is False where the
+    matched family is undefined (a weight below ``(d-1)/d^2``); the verdict
+    arrays hold False, NaN and 0 there.
+    """
+
+    dimension: int
+    family: str  # 'semigroup' | 'matched'
+    rate: float
+    divisions: int
+    counts: np.ndarray  # (points, d+1) integer lattice
+    valid: np.ndarray
+    is_semigroup: np.ndarray
+    is_cp_divisible: np.ndarray
+    min_rate: np.ndarray
+    noninvertible_inputs: np.ndarray
+
+    @property
+    def corner(self) -> np.ndarray:
+        """Valid points supported on a single label."""
+        return self.valid & (np.count_nonzero(self.counts, axis=1) == 1)
+
+    @property
+    def proper(self) -> np.ndarray:
+        """Valid points supported on two labels or more."""
+        return self.valid & ~self.corner
+
+
+def simplex_lattice(parts: int, divisions: int) -> np.ndarray:
+    """Every split of ``divisions`` into ``parts`` nonnegative integers, as
+    rows in lexicographic order."""
+    # Stars and bars: the bar positions, in lexicographic order, give the
+    # splits in lexicographic order.
+    end = divisions + parts - 1
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(end), parts - 1)),
+        dtype=np.int64,
+    ).reshape(-1, parts - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=end) - 1
+
+
+def simplex_scan(
+    d: int,
+    divisions: int,
+    family: str = "semigroup",
+    rate: float = 1.0,
+    grid: Optional[TimeGrid] = None,
+) -> SimplexScan:
+    """Classify mixtures at every point of the weight-simplex lattice.
+
+    ``family='semigroup'`` gives each supported label the semigroup input
+    ``p = ((d-1)/d)(1 - e^{-ct})``; ``family='matched'`` uses
+    :func:`build_all_channels_mix`, defined where every weight is at least
+    ``(d-1)/d^2``.  Points are classified with
+    :func:`~paulimix.dynamics.classify_many`, a slice of the lattice at a
+    time.
+    """
+    if divisions < 1:
+        raise ValueError(f"divisions must be positive, got {divisions}")
+    if family not in ("semigroup", "matched"):
+        raise ValueError(f"unknown family {family!r} (expected semigroup or matched)")
+    grid = grid if grid is not None else default_grid(5.0, 128)
+    semigroup_form = ExpRelax((d - 1) / d, rate)
+    channels = [ChannelSpec(d, b, semigroup_form) for b in range(1, d + 2)]
+    counts = simplex_lattice(d + 1, divisions)
+    weights = counts / divisions
+    if family == "matched":
+        valid = ~np.any(weights < weight_lower_bound(d) - _TIE_TOL, axis=1)
+    else:
+        valid = np.ones(len(counts), dtype=bool)
+    is_semigroup = np.zeros(len(counts), dtype=bool)
+    is_cp_divisible = np.zeros(len(counts), dtype=bool)
+    min_rate = np.full(len(counts), np.nan)
+    noninvertible = np.zeros(len(counts), dtype=np.int64)
+    rows = np.flatnonzero(valid)
+    for start in range(0, rows.size, _SCAN_SLICE):
+        chunk = rows[start : start + _SCAN_SLICE]
+        specs = []
+        for x in weights[chunk].tolist():
+            if family == "matched":
+                specs.append(build_all_channels_mix(AllChannelsRequest(d, rate, tuple(x))))
+            else:
+                specs.append(
+                    MixtureSpec(d, [(xi, channels[i]) for i, xi in enumerate(x) if xi > 0.0])
+                )
+        for row, report in zip(chunk.tolist(), classify_many(specs, grid)):
+            is_semigroup[row] = report.is_semigroup
+            is_cp_divisible[row] = report.is_cp_divisible
+            min_rate[row] = report.min_rate
+            noninvertible[row] = sum(1 for v in report.inputs if v.verdict == "noninvertible")
+    return SimplexScan(
+        dimension=d,
+        family=family,
+        rate=rate,
+        divisions=divisions,
+        counts=counts,
+        valid=valid,
+        is_semigroup=is_semigroup,
+        is_cp_divisible=is_cp_divisible,
+        min_rate=min_rate,
+        noninvertible_inputs=noninvertible,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,15 @@ def test_exp_relax_values():
 
 
 def test_exp_relax_rejects_nonpositive_rate():
-    with pytest.raises(ValueError):
-        ExpRelax(0.5, 0.0)
-    with pytest.raises(ValueError):
-        ExpRelax(0.5, -1.0)
+    for rate in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            ExpRelax(0.5, rate)
+
+
+def test_exp_relax_rejects_nonfinite_scale():
+    for scale in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale must be finite"):
+            ExpRelax(scale, 1.0)
 
 
 def test_exp_relax_expression_round_trip():

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import textwrap
+import warnings
 
 import pytest
 
@@ -321,6 +322,47 @@ def test_scan_semigroup_family_corners_and_fractions(out_dir, capsys):
 def test_scan_rejects_bad_step(capsys):
     rc = main(["scan", "2", "--step", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("family", ["semigroup", "matched"])
+def test_scan_rejects_infinite_rate(out_dir, capsys, family):
+    rc = main(["scan", "2", "--rate", "inf", "--divisions", "2", "--family", family])
+    assert rc == 2
+    assert "relaxation rate must be positive and finite" in capsys.readouterr().err
+    assert not list(out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("t_max", ["inf", "nan", "0", "-1"])
+def test_scan_rejects_bad_window_without_warnings(capsys, t_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["scan", "2", "--t-max", t_max, "--divisions", "2"])
+    assert rc == 2
+    assert "t_max must be finite and positive" in capsys.readouterr().err
+
+
+def test_analyze_rejects_infinite_rate(out_dir, capsys):
+    cfg = out_dir / "inf.ini"
+    write_config(
+        cfg,
+        """
+        [run]
+        dimension = 2
+
+        [component.1]
+        weight = 1.0
+        basis = 1
+        kind = exp_relax
+        scale = 0.5
+        rate = inf
+        """,
+    )
+    assert main(["analyze", str(cfg)]) == 2
+    assert "[component.1]" in capsys.readouterr().err
+
+
+def test_construct_rejects_infinite_rate(capsys):
+    assert main(["construct", "2", "inf", "0.4", "0.3", "0.3"]) == 2
 
 
 # ---------------------------------------------------------------------------

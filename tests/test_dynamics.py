@@ -1,6 +1,8 @@
 """Eigenvalue flows, decay rates, semigroup detection, classification."""
 
 import math
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from paulimix import (
     AllChannelsRequest,
     ChannelSpec,
+    DecoherenceFunction,
     ExpRelax,
     Expression,
     MixtureSpec,
@@ -20,6 +23,7 @@ from paulimix import (
     analyze_mixture,
     build_all_channels_mix,
     classify,
+    classify_many,
     default_grid,
     detect_semigroup,
     intermediate_map_check,
@@ -28,6 +32,7 @@ from paulimix import (
     refine_grid,
     single_channel_eigenvalues,
 )
+from paulimix import dynamics
 from paulimix.channelcore import bracket_roots
 from paulimix.dynamics import SpectralTrajectory
 from util import qubit_rates_abc, rk4_path
@@ -524,3 +529,151 @@ def test_analyze_refines_grid_around_singularities():
     result = analyze_mixture(spec, coarse)
     assert len(result.spectral.grid) > 64
     assert np.abs(result.spectral.grid.times - LN2).min() < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# classify_many: the batched classifier equals classify, row by row
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class NanTail(DecoherenceFunction):
+    """``0.3 (1 - e^{-t})`` up to ``t = 3``, NaN (value and slope) after.
+
+    A plain dataclass, so unhashable: batches key it by identity.
+    """
+
+    kind = "nan_tail"
+
+    def value_and_derivative(self, t):
+        arr = np.asarray(t, dtype=float)
+        decay = np.exp(-arr)
+        late = arr > 3.0
+        p = np.where(late, np.nan, 0.3 * (1.0 - decay))
+        dp = np.where(late, np.nan, 0.3 * decay)
+        if arr.ndim == 0:
+            return float(p), float(dp)
+        return p, dp
+
+
+_BATCH_GRID = default_grid(5.0, 48)
+_SAMPLE_TIMES = np.linspace(0.0, 5.0, 11)
+_SHARED = ExpRelax(0.5, 1.0)
+_SAMPLED = SampledGrid(_SAMPLE_TIMES, 0.6 * (1.0 - np.exp(-1.3 * _SAMPLE_TIMES)))
+# Shared (one object, and equal objects), sampled, NaN on part of the grid,
+# and expressions whose zeros make inputs noninvertible and, mixed, make
+# the output singular so that its row is refined.
+_POOL = (
+    _SHARED,
+    ExpRelax(0.5, 1.0),
+    ExpRelax(0.9, 2.5),
+    _SAMPLED,
+    NanTail(),
+    Expression("0.8*sin(t)^2"),
+    Expression("1-exp(-2*t)"),
+    Expression("0.5*t"),
+)
+
+
+@st.composite
+def mixtures(draw):
+    d = draw(st.sampled_from([2, 3]))
+    size = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    if not any(weights):
+        weights[0] = 1
+    total = sum(weights)
+    components = [
+        (
+            w / total,
+            ChannelSpec(d, draw(st.integers(1, d + 1)), draw(st.sampled_from(_POOL))),
+        )
+        for w in weights
+    ]
+    return MixtureSpec(d, components)
+
+
+def assert_batch_matches(specs, grid=_BATCH_GRID, tolerances=None):
+    single = [repr(classify(s, grid, tolerances)) for s in specs]
+    batched = [repr(r) for r in classify_many(specs, grid, tolerances)]
+    assert batched == single
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(mixtures(), min_size=1, max_size=12), st.integers(1, 5))
+def test_classify_many_equals_classify_on_mixed_batches(specs, rows_per_block):
+    # Blocks of a few rows: batches cross block boundaries and dimensions.
+    values = rows_per_block * 4 * len(_BATCH_GRID)
+    with mock.patch.object(dynamics, "_BLOCK_VALUES", values):
+        assert_batch_matches(specs)
+
+
+def test_classify_many_batch_covers_the_edge_cases():
+    # Explicit rows for each edge case, around two rows that refine.
+    q = ChannelSpec(2, 2, Expression("0.8*sin(t)^2"))
+    singular = MixtureSpec(2, [(0.6, ChannelSpec(2, 1, Expression("1-exp(-2*t)"))), (0.4, q)])
+    specs = [
+        MixtureSpec(2, [(0.0, ChannelSpec(2, 1, NanTail())), (1.0, ChannelSpec(2, 2, _SHARED))]),
+        MixtureSpec(2, [(0.5, ChannelSpec(2, 3, _SHARED)), (0.5, ChannelSpec(2, 3, _SHARED))]),
+        singular,
+        MixtureSpec(2, [(0.5, ChannelSpec(2, 1, NanTail())), (0.5, ChannelSpec(2, 2, _SHARED))]),
+        MixtureSpec(2, [(0.5, ChannelSpec(2, 1, _SAMPLED)), (0.5, ChannelSpec(2, 2, _SHARED))]),
+        MixtureSpec(2, [(1 / 3, ChannelSpec(2, b, _SHARED)) for b in (1, 2, 3)]),
+        singular,
+    ]
+    reports = classify_many(specs, _BATCH_GRID)
+    assert reports[2].singular_times and repr(reports[6]) == repr(reports[2])
+    assert np.isnan(reports[3].min_rate) and not np.isnan(reports[5].min_rate)
+    assert reports[4].semigroup_tolerance == 1e-5 and reports[5].semigroup_tolerance == 1e-8
+    assert_batch_matches(specs)
+
+
+def test_classify_many_crosses_a_real_block_boundary():
+    grid = default_grid(5.0, 32)
+    per_block = dynamics._BLOCK_VALUES // (3 * len(grid))
+    f = ExpRelax(0.5, 1.0)
+    specs = [
+        MixtureSpec(2, [(x, ChannelSpec(2, 1, f)), (1.0 - x, ChannelSpec(2, 2, f))])
+        for x in np.linspace(0.0, 1.0, per_block + 7)
+    ]
+    assert_batch_matches(specs, grid)
+
+
+@pytest.mark.parametrize("tolerances", [Tolerances(semigroup=1e-3, cp=1e-6), Tolerances()])
+def test_classify_many_respects_tolerances(tolerances):
+    assert_batch_matches(
+        [three_semigroup_mix(), equal_thirds_mix(), two_semigroup_mix()], tolerances=tolerances
+    )
+
+
+def test_classify_many_of_nothing_is_empty():
+    assert classify_many([]) == []
+
+
+def test_classify_many_raises_what_classify_raises_first():
+    good = three_semigroup_mix()
+    bad_weights = MixtureSpec(2, [(0.7, ChannelSpec(2, 1, _SHARED))])
+    short = SampledGrid(np.linspace(0.0, 2.0, 5), np.linspace(0.0, 0.4, 5))
+    uncovered = MixtureSpec(2, [(1.0, ChannelSpec(2, 1, short))])
+    for batch in ([good, bad_weights, uncovered], [good, uncovered, bad_weights]):
+        first = batch[1]
+        with pytest.raises(Exception) as single:
+            classify(first)
+        with pytest.raises(type(single.value)) as batched:
+            classify_many(batch)
+        assert str(batched.value) == str(single.value)
+    with pytest.raises(MixtureValidationError, match="weights sum to 0.7"):
+        classify_many([good, bad_weights])
+
+
+def test_analyze_mixture_is_the_one_spec_case():
+    spec = MixtureSpec(2, [(0.6, ChannelSpec(2, 1, Expression("1-exp(-2*t)"))),
+                           (0.4, ChannelSpec(2, 2, Expression("0.8*sin(t)^2")))])
+    grid = default_grid(5.0, 128)
+    result = analyze_mixture(spec, grid)
+    assert repr(result.report) == repr(classify_many([spec], grid)[0])
+    assert len(result.spectral.grid) > len(grid)  # refined around the poles
+    traj = mixture_eigenvalues(spec, result.spectral.grid)
+    np.testing.assert_array_equal(traj.eigenvalues, result.spectral.eigenvalues)
+    rates = rates_from_spectrum(traj)
+    np.testing.assert_array_equal(rates.gamma, result.rates.gamma)

@@ -94,6 +94,34 @@ SAMPLES_SINGULAR = """\
             "efe103067f6765db099a7a3e1cdae2abefe4828ba0fa931bb756cc8cbcf2f000",
             "26fa5f9faba744c7810f91ee3454ed725caa015a70f304101951b84bc2e005c9",
         ),
+        # The four below were captured while scan still classified one
+        # lattice point at a time; the batched classifier must match them.
+        (
+            ["scan", "7", "--divisions", "3"],
+            "scan_d7_semigroup.csv",
+            "02f456ab8f676dd16a5bb7bea9a67363ea7fa64cdb2dfa49086ebddde0928eca",
+            "aaee9dd8df6bed40e6bf2404be287c46cf3029a57436f1ddebd0ae37e382fc14",
+        ),
+        (
+            ["scan", "31", "--divisions", "2"],
+            "scan_d31_semigroup.csv",
+            "e77d0c3a9f7511bd4e849835811e6b8983812cb103c33cca5c904f0ef144172f",
+            "91eabc99c6df649fe57580513908254407b170d375ae8945c6c9057d0f9cadd8",
+        ),
+        (
+            ["scan", "5", "--family", "matched", "--divisions", "30", "--rate", "0.3"],
+            "scan_d5_matched.csv",
+            "11a4ab6d52f19b06f39d3abbd6a310f63d9f464eef7caa4b0a9087f8c0c70c0a",
+            "576b9f5b4f8b317891d8b98aad4a7431b05af91bcc0f9fd24b823175aefc6d90",
+        ),
+        # At rate 40 the eigenvalues of points off some label fall below the
+        # pole tolerance, so these rows have pole columns.
+        (
+            ["scan", "3", "--divisions", "6", "--rate", "40"],
+            "scan_d3_semigroup.csv",
+            "13269ed1bd8a2bd35621d0834fb4193fb1bef3daae068cbf482bc4a712c6aef8",
+            "178a296cf368dee0e5bbd0a72560dd1268984e682b8d64a06c1e1ed192addd34",
+        ),
     ],
 )
 def test_scan_outputs_are_byte_identical(

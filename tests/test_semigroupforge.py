@@ -23,6 +23,8 @@ from paulimix import (
     default_grid,
     forecast_invertibility,
     random_decoherence_function,
+    simplex_lattice,
+    simplex_scan,
     theorem1_scan,
     theorem2_scan,
     weight_lower_bound,
@@ -373,3 +375,41 @@ def test_prime_dimension_scan_passes():
 def test_prime_dimension_scan_rejects_nonprime():
     with pytest.raises(ValueError):
         theorem2_scan(4, 120, 5)
+
+
+# ---------------------------------------------------------------------------
+# Simplex sweep
+# ---------------------------------------------------------------------------
+
+
+def _compositions(parts, total):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(parts - 1, total - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("parts, divisions", [(2, 1), (3, 4), (4, 6), (8, 3), (32, 2)])
+def test_simplex_lattice_lists_compositions_in_lexicographic_order(parts, divisions):
+    expected = list(_compositions(parts, divisions))
+    assert simplex_lattice(parts, divisions).tolist() == [list(c) for c in expected]
+
+
+def test_simplex_scan_matches_pointwise_classification():
+    grid = default_grid(5.0, 64)
+    scan = simplex_scan(2, 12, "matched", 1.5, grid)
+    bound = weight_lower_bound(2)
+    for counts, valid, semi, cpdiv, rate, noninv in zip(
+        scan.counts, scan.valid, scan.is_semigroup, scan.is_cp_divisible,
+        scan.min_rate, scan.noninvertible_inputs,
+    ):
+        x = tuple((counts / 12).tolist())
+        assert valid == all(xi >= bound - 1e-12 for xi in x)
+        if not valid:
+            continue
+        report = classify(build_all_channels_mix(AllChannelsRequest(2, 1.5, x)), grid)
+        assert (semi, cpdiv, rate) == (report.is_semigroup, report.is_cp_divisible, report.min_rate)
+        assert noninv == sum(v.verdict == "noninvertible" for v in report.inputs)
+    assert scan.valid.sum() == scan.proper.sum() > 0 and not scan.corner.any()
