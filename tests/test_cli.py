@@ -115,6 +115,15 @@ def test_construct_same_requires_q(capsys):
     assert "--q" in err
 
 
+def test_construct_same_exits_2_when_the_partner_leaves_the_unit_interval(capsys):
+    # The partner p(t) of q = 0.8*sin(t)^2 turns negative near t = 1.2167.
+    rc = main(["construct", "2", "1.0", "--same", "0.5", "--q", "0.8*sin(t)^2"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: constructed p(t) leaves [0, 1]")
+
+
 # ---------------------------------------------------------------------------
 # analyze error paths
 # ---------------------------------------------------------------------------
@@ -404,6 +413,15 @@ def test_verify_cptp_passes(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr()[0])
     assert doc["pass"] is True
+
+
+def test_verify_report_under_a_regular_file_exits_2(out_dir, capsys):
+    (out_dir / "taken").write_text("not a directory\n")
+    rc = main(["verify", "mub", "--report", "taken/report.json"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "taken" in err
 
 
 # ---------------------------------------------------------------------------

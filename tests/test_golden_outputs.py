@@ -195,6 +195,23 @@ def test_verify_cptp_output_is_byte_identical(capsys, d, digest):
     assert sha256(capsys.readouterr().out) == digest
 
 
+# Captured while ``choi`` still called ``apply_channel`` once per matrix
+# unit; building it from one action on the stack of units must match them.
+@pytest.mark.parametrize(
+    "d, seed, digest",
+    [
+        (2, 0, "a147a9d39607a9d76652b050c2088d7fd8aeb8aab0663efcd3a067b03f3afbe8"),
+        (7, 0, "4b5db051f461ffbadaf5ae438e21fb20a5aa6b19ae1d49768bb8b22649e7f2d9"),
+        (2, 1, "202a990d2756f2e680713f521cac8ebbe5571229946ba5b5cc36be4ced6830dd"),
+        (7, 2, "a024a921353b1231f9f3a121d47f885dd29a5f2460bd1fd166a95da4eb66a391"),
+    ],
+)
+def test_verify_cptp_seeded_output_is_byte_identical(capsys, d, seed, digest):
+    argv = ["verify", "cptp", "--d", str(d), "--trials", "4", "--seed", str(seed)]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
 # Captured while the scanners' product and difference draws were still
 # formatted into expression strings and parsed; the closed-form templates
 # must replay every draw, verdict and number of those reports.

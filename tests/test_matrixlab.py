@@ -21,6 +21,7 @@ from paulimix import (
     mixture_eigenvalues,
     partial_trace_first,
     psd_check,
+    random_decoherence_function,
     superoperator,
 )
 
@@ -84,6 +85,25 @@ def test_equal_thirds_mix_contracts_everything_to_maximally_mixed():
     rho /= np.trace(rho).real
     out = apply_channel(equal_thirds_mix(), 20.0, rho)
     np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-6)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_apply_channel_on_a_stack_matches_each_slice_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    spec = random_mixture(rng, d)
+    stack = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
+    out = apply_channel(spec, 0.9, stack)
+    assert out.shape == stack.shape
+    for i in range(2):
+        for j in range(3):
+            assert out[i, j].tobytes() == apply_channel(spec, 0.9, stack[i, j]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 4), (4, 3), (2, 3, 4), (3, 3, 2)])
+def test_apply_channel_rejects_a_wrong_trailing_shape(shape):
+    spec = random_mixture(np.random.default_rng(0), 3)
+    with pytest.raises(ValueError):
+        apply_channel(spec, 0.5, np.zeros(shape))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -154,6 +174,49 @@ def test_dephasing_choi_eigenvalues():
     np.testing.assert_allclose(vals, [0.0, 0.0, 2 * p, 2 * (1 - p)], atol=1e-12)
 
 
+def choi_by_matrix_units(spec, t):
+    """Reference Choi matrix: one channel action per matrix unit, summed as
+    ``kron(E(E_ij), E_ij)``."""
+    d = spec.dimension
+    c = np.zeros((d * d, d * d), dtype=complex)
+    unit = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit[i, j] = 1.0
+            c += np.kron(apply_channel(spec, t, unit), unit)
+            unit[i, j] = 0.0
+    return c
+
+
+def scanner_mixture(rng, d):
+    """A mixture drawn as the scanners draw theirs."""
+    size = int(rng.integers(1, d + 2))
+    bases = rng.choice(d + 1, size=size, replace=False) + 1
+    weights = rng.dirichlet(np.ones(size))
+    return MixtureSpec(
+        d,
+        [
+            (float(w), ChannelSpec(d, int(b), random_decoherence_function(rng)))
+            for b, w in zip(bases, weights)
+        ],
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_choi_matches_per_unit_reference_bit_for_bit(d):
+    rng = np.random.default_rng(50 + d)
+    kinds = set()
+    draws = 0
+    # At least three mixtures, and every kind of scanner draw among them.
+    while draws < 3 or len(kinds) < 4:
+        spec = scanner_mixture(rng, d)
+        kinds.update(type(f).__name__ for f in spec.functions)
+        draws += 1
+        for t in (0.0, 0.7, float(rng.uniform(0.0, 5.0))):
+            assert choi(spec, t).tobytes() == choi_by_matrix_units(spec, t).tobytes()
+    assert kinds == {"ExpRelax", "ProductTemplate", "DifferenceTemplate", "SampledGrid"}
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_choi_partial_trace_and_trace(d):
     rng = np.random.default_rng(10 + d)
@@ -163,7 +226,7 @@ def test_choi_partial_trace_and_trace(d):
     np.testing.assert_allclose(partial_trace_first(c, d), np.eye(d), atol=1e-10)
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 31])
 def test_closed_form_choi_minimum_matches_dense_choi(d):
     from util import min_eig_by_inertia
 

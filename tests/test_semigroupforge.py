@@ -20,6 +20,7 @@ from paulimix import (
     build_all_channels_mix,
     build_same_channel_mix,
     classify,
+    cptp_scan,
     default_grid,
     forecast_invertibility,
     random_decoherence_function,
@@ -375,6 +376,34 @@ def test_prime_dimension_scan_passes():
 def test_prime_dimension_scan_rejects_nonprime():
     with pytest.raises(ValueError):
         theorem2_scan(4, 120, 5)
+
+
+def test_cptp_scan_passes_and_is_reproducible():
+    first = cptp_scan(3, 6, 4, 1e-10)
+    assert isinstance(first, ScanReport)
+    assert first.passed and not first.counterexamples
+    assert first == cptp_scan(3, 6, 4, 1e-10)
+    assert first.details == {"dimension": 3, "times_per_trial": 3, "tolerance": 1e-10}
+
+
+def test_cptp_scan_lists_every_failing_check():
+    # A negative tolerance fails every partial-trace check.
+    report = cptp_scan(2, 2, 0, -1.0)
+    assert not report.passed
+    assert [c["trial"] for c in report.counterexamples] == [0, 0, 0, 1, 1, 1]
+    assert list(report.counterexamples[0]) == [
+        "trial",
+        "t",
+        "hermiticity_deviation",
+        "partial_trace_deviation",
+        "min_choi_eigenvalue",
+    ]
+    assert all(0.0 <= c["t"] <= 5.0 for c in report.counterexamples)
+
+
+def test_cptp_scan_rejects_nonprime():
+    with pytest.raises(ValueError):
+        cptp_scan(4, 1, 0, 1e-10)
 
 
 # ---------------------------------------------------------------------------
