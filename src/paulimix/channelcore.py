@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from . import exprcalc
 from .exprcalc import DomainError
@@ -236,7 +236,9 @@ class SampledGrid(DecoherenceFunction):
 
     Interpolation is shape-preserving cubic (PCHIP); the derivative comes from
     the interpolant itself, not from finite differences of the samples.
-    Evaluation outside the sampled range is a domain error.
+    Evaluation outside the sampled range is a domain error.  The samples are
+    validated on construction; the interpolant is built on first evaluation,
+    or for many grids at once by :func:`build_interpolants`.
     """
 
     kind = "samples"
@@ -262,9 +264,7 @@ class SampledGrid(DecoherenceFunction):
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        interp = PchipInterpolator(times, values, extrapolate=False)
-        object.__setattr__(self, "_interp", interp)
-        object.__setattr__(self, "_dinterp", interp.derivative())
+        object.__setattr__(self, "_interp", None)
 
     def value_and_derivative(self, t):
         arr = np.asarray(t, dtype=float)
@@ -273,6 +273,8 @@ class SampledGrid(DecoherenceFunction):
         if np.any(out):
             bad = float(np.atleast_1d(arr)[np.atleast_1d(out)][0])
             raise DomainError("time outside sampled range", bad)
+        if self._interp is None:  # type: ignore[attr-defined]
+            build_interpolants([self])
         clipped = np.clip(arr, lo, hi)
         p = self._interp(clipped)  # type: ignore[attr-defined]
         dp = self._dinterp(clipped)  # type: ignore[attr-defined]
@@ -286,6 +288,31 @@ class SampledGrid(DecoherenceFunction):
             "times": [float(x) for x in self.times],
             "values": [float(x) for x in self.values],
         }
+
+
+def build_interpolants(functions) -> None:
+    """Build the interpolants of the sampled grids among ``functions`` that
+    have none yet.
+
+    Grids with the same sample times share one PCHIP build, with their values
+    stacked on axis 1, and one derivative; each grid gets its own column of
+    the coefficients.  PCHIP works column by column, so every column equals,
+    bit for bit, the interpolant built from that grid alone.
+    """
+    groups: dict = {}
+    for f in functions:
+        if isinstance(f, SampledGrid) and f._interp is None:  # type: ignore[attr-defined]
+            groups.setdefault(f.times.tobytes(), {})[id(f)] = f
+    for members in groups.values():
+        grids = list(members.values())
+        times = grids[0].times
+        stacked = np.stack([g.values for g in grids], axis=1)
+        interp = PchipInterpolator(times, stacked, extrapolate=False)
+        coeffs = np.moveaxis(interp.c, 2, 0).copy()
+        dcoeffs = np.moveaxis(interp.derivative().c, 2, 0).copy()
+        for g, c, dc in zip(grids, coeffs, dcoeffs):
+            object.__setattr__(g, "_dinterp", PPoly.construct_fast(dc, interp.x, False))
+            object.__setattr__(g, "_interp", PPoly.construct_fast(c, interp.x, False))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import math
 import os
 import re
 import sys
@@ -347,6 +348,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     what = args.what
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol!r}")
     if what == "mub":
         d = args.d if args.d is not None else 2
         tol = args.tol if args.tol is not None else 1e-12

@@ -19,8 +19,9 @@ derivatives (dual numbers / interpolant derivatives), never from numerical
 differencing of the trajectory.
 
 Every formula is written once, as a kernel over a leading mixture axis
-(arrays of shape ``(B, d+1, n)``); :func:`classify_many` runs the kernels on
-blocks of mixtures, and the one-mixture functions run them with ``B = 1``.
+(arrays of shape ``(B, d+1, n)``); :func:`classify_many` and
+:func:`semigroup_verdicts` run the kernels on blocks of mixtures, and the
+one-mixture functions run them with ``B = 1``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .channelcore import (
     MixtureSpec,
     MixtureValidationError,
     bracket_roots,
+    build_interpolants,
     range_violations,
     structural_issues,
 )
@@ -55,6 +57,7 @@ __all__ = [
     "mixture_eigenvalues",
     "rates_from_spectrum",
     "detect_semigroup",
+    "semigroup_verdicts",
     "classify",
     "classify_many",
     "analyze_mixture",
@@ -281,6 +284,7 @@ class _Functions:
     def evaluate(self, times: np.ndarray):
         """Values ``[p, p']`` of every function, shape ``(2, F, n)``, and the
         error of each function whose evaluation raised, by index."""
+        build_interpolants(self.functions)
         values = np.zeros((2, len(self.functions), times.size))
         failures = {}
         for i, f in enumerate(self.functions):
@@ -320,8 +324,19 @@ def _as_index(entries: list):
 
 
 def _encode(specs: Sequence[MixtureSpec], ids: Sequence[Sequence[int]]) -> _Mixtures:
-    """``specs`` with component ``j`` of ``specs[b]`` using function ``ids[b][j]``."""
+    """``specs`` with component ``j`` of ``specs[b]`` using function ``ids[b][j]``.
+
+    A basis label above ``d+1`` would address another mixture's row, so it
+    raises ``ValueError``.
+    """
     d = specs[0].dimension
+    for spec in specs:
+        for c in spec.components:
+            if c.channel.basis > d + 1:
+                raise ValueError(
+                    f"basis label {c.channel.basis} lies outside 1..{d + 1} "
+                    f"for dimension {d}"
+                )
     size = len(specs)
     if size == 1:
         # One mixture: every index selects one entry, so slices throughout.
@@ -392,6 +407,21 @@ def _rates(lam: np.ndarray, dlam: np.ndarray, pole_tol: float):
         signs[signs == 0.0] = 1.0
         gamma[b, :, k] = signs * np.inf
     return gamma, pole
+
+
+def _blocks(specs: Sequence[MixtureSpec], points: int):
+    """``(start, stop)`` of consecutive runs of mixtures of one dimension,
+    each of at most ``_BLOCK_VALUES`` eigenvalues on ``points`` grid points
+    (and at least one mixture)."""
+    start = 0
+    while start < len(specs):
+        d = specs[start].dimension
+        size = max(1, _BLOCK_VALUES // (max(d + 1, 1) * points))
+        stop = start + 1
+        while stop < len(specs) and stop - start < size and specs[stop].dimension == d:
+            stop += 1
+        yield start, stop
+        start = stop
 
 
 class _Fit(NamedTuple):
@@ -503,15 +533,59 @@ def detect_semigroup(
     fit = _fit(
         traj.eigenvalues[None], rates.gamma[None], rates.pole_mask[None], traj.grid.times
     )
-    max_dev = float(fit.deviation[0])
-    rate_var = float(fit.spread[0])
+    return _verdict(fit, 0, tol)
+
+
+def _verdict(fit: _Fit, b: int, tol: float) -> SemigroupVerdict:
+    """The semigroup verdict of row ``b`` of ``fit``."""
+    max_dev = float(fit.deviation[b])
+    rate_var = float(fit.spread[b])
     return SemigroupVerdict(
-        is_semigroup=bool(not fit.nonpositive[0] and max_dev <= tol and rate_var <= tol),
-        exponents=fit.exponents[0],
+        is_semigroup=bool(not fit.nonpositive[b] and max_dev <= tol and rate_var <= tol),
+        exponents=fit.exponents[b],
         max_eigenvalue_deviation=max_dev,
         max_rate_variation=rate_var,
         tolerance=tol,
     )
+
+
+def semigroup_verdicts(
+    specs: Iterable[MixtureSpec],
+    grid: TimeGrid,
+    tolerances: Optional[Tolerances] = None,
+) -> List[SemigroupVerdict]:
+    """The semigroup verdict of each mixture, in one batched pass.
+
+    Equals ``[detect_semigroup(tr, rates_from_spectrum(tr, pole_tol=tol.pole),
+    tol.semigroup_for(s)) for s in specs]`` with ``tr = mixture_eigenvalues(s,
+    grid)``, field for field (exponents bit for bit), and raises the first
+    exception that this would raise (a basis label above ``d+1`` is reported
+    ahead of the other errors of its block).  Blocks of mixtures, of at most
+    ``_BLOCK_VALUES`` eigenvalues, evaluate each distinct decoherence
+    function once and compute spectra, rates and fits as arrays over a
+    leading mixture axis.
+    """
+    tol = tolerances if tolerances is not None else Tolerances()
+    specs = list(specs)
+    times = grid.times
+    verdicts: list = []
+    for start, stop in _blocks(specs, times.size):
+        block = specs[start:stop]
+        funcs = _Functions()
+        ids = [[funcs.index(c.channel.p) for c in spec.components] for spec in block]
+        values, failures = funcs.evaluate(times)
+        lam, dlam = _spectrum(_encode(block, ids), values)
+        not_identity = np.abs(lam[:, :, 0] - 1.0).max(axis=1) > _INITIAL_EIG_TOL
+        for row, off in zip(ids, not_identity.tolist()):
+            for j in row:
+                if j in failures:
+                    raise failures[j]
+            if off:
+                raise ValueError(_NOT_IDENTITY)
+        gamma, pole = _rates(lam, dlam, tol.pole)
+        fit = _fit(lam, gamma, pole, times)
+        verdicts.extend(_verdict(fit, b, tol.semigroup_for(s)) for b, s in enumerate(block))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -729,19 +803,12 @@ def _analyze(specs, grid, tolerances, refine: bool, keep: bool) -> list:
     specs = list(specs)
     cache = _InputCache(grid.times, tol.singularity)
     results: list = []
-    start = 0
-    while start < len(specs):
-        d = specs[start].dimension
-        size = max(1, _BLOCK_VALUES // (max(d + 1, 1) * len(grid)))
-        stop = start + 1
-        while stop < len(specs) and stop - start < size and specs[stop].dimension == d:
-            stop += 1
+    for start, stop in _blocks(specs, len(grid)):
         block = _analyze_block(specs[start:stop], grid, tol, refine, keep, cache)
         for result in block:
             if isinstance(result, Exception):
                 raise result
         results.extend(block)
-        start = stop
     return results
 
 

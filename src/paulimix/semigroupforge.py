@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,9 +49,10 @@ from .dynamics import (
     Tolerances,
     classify_many,
     default_grid,
-    detect_semigroup,
-    mixture_eigenvalues,
-    rates_from_spectrum,
+    # Not called here: perfbench/test_perfbench.py checks that the tracer
+    # also wraps module-level copies of a public function, such as this one.
+    mixture_eigenvalues,  # noqa: F401
+    semigroup_verdicts,
 )
 from .mubgen import check_dimension, weyl_set
 
@@ -82,6 +83,10 @@ _MIN_TRIALS = 100
 # simplex_scan builds and classifies this many lattice points at a time, so
 # only that many mixtures and reports are alive at once.
 _SCAN_SLICE = 512
+# The theorem scanners draw this many trials at a time and give their
+# proper-subset mixtures one batched semigroup verdict, so only that many
+# mixtures (and sampled interpolants) are alive at once.
+_TRIAL_SLICE = 32
 
 
 class ConstructionError(ValueError):
@@ -476,7 +481,45 @@ def _valid_full_weights(rng: np.random.Generator, d: int) -> np.ndarray:
     return (d - 1) / d**2 + w / d**2
 
 
+class _Trial(NamedTuple):
+    """The draws of one scanner trial."""
+
+    subset: MixtureSpec  # phase (i): proper-subset mixture
+    bases: np.ndarray
+    weights: np.ndarray
+    functions: list  # the config kind of each input
+    full_weights: np.ndarray  # phase (ii): valid full-support construction
+    noninvertible: int  # its noninvertible inputs
+
+
+def _draw_trial(d: int, seed: int, trial: int) -> _Trial:
+    rng = np.random.default_rng([seed, trial])
+    size = int(rng.integers(2, d + 1))  # 2..d of the d+1 labels
+    bases = rng.choice(d + 1, size=size, replace=False) + 1
+    weights = _subset_weights(rng, size)
+    components = []
+    fams = []
+    for basis, weight in zip(bases, weights):
+        f = random_decoherence_function(rng)
+        fams.append(f.kind)
+        components.append((float(weight), ChannelSpec(d, int(basis), f)))
+    x = _valid_full_weights(rng, d)
+    forecast = forecast_invertibility(
+        AllChannelsRequest(d, float(rng.uniform(0.5, 2.0)), tuple(x))
+    )
+    return _Trial(
+        MixtureSpec(d, components), bases, weights, fams, x, forecast.noninvertible_count
+    )
+
+
 def _scan(d: int, trials: int, seed: int) -> ScanReport:
+    """Phase (i): a proper-subset mixture must never be a semigroup.  Phase
+    (ii): a valid full-support construction needs >= d noninvertible inputs.
+
+    Trial ``k`` draws from ``default_rng([seed, k])``.  Trials are drawn
+    ``_TRIAL_SLICE`` at a time, and the slice's phase (i) mixtures get one
+    :func:`~paulimix.dynamics.semigroup_verdicts` call.
+    """
     if trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {trials}")
     check_dimension(d)
@@ -485,51 +528,32 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
     counterexamples = []
     subset_semigroups = 0
     min_noninvertible = d + 1
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        # Phase (i): proper-subset mixture — must never be a semigroup.
-        size = int(rng.integers(2, d + 1))  # 2..d of the d+1 labels
-        bases = rng.choice(d + 1, size=size, replace=False) + 1
-        weights = _subset_weights(rng, size)
-        components = []
-        fams = []
-        for basis, weight in zip(bases, weights):
-            f = random_decoherence_function(rng)
-            fams.append(f.kind)
-            components.append((float(weight), ChannelSpec(d, int(basis), f)))
-        spec = MixtureSpec(d, components)
-        traj = mixture_eigenvalues(spec, grid)
-        rates = rates_from_spectrum(traj)
-        verdict = detect_semigroup(traj, rates, tolerances.semigroup_for(spec))
-        if verdict.is_semigroup:
-            subset_semigroups += 1
-            counterexamples.append(
-                {
-                    "phase": "subset",
-                    "trial": trial,
-                    "bases": [int(b) for b in bases],
-                    "weights": [float(w) for w in weights],
-                    "functions": fams,
-                    "max_eigenvalue_deviation": verdict.max_eigenvalue_deviation,
-                }
-            )
-        # Phase (ii): valid full-support construction — needs >= d
-        # noninvertible inputs.
-        x = _valid_full_weights(rng, d)
-        forecast = forecast_invertibility(
-            AllChannelsRequest(d, float(rng.uniform(0.5, 2.0)), tuple(x))
-        )
-        n_noninv = forecast.noninvertible_count
-        min_noninvertible = min(min_noninvertible, n_noninv)
-        if n_noninv < d:
-            counterexamples.append(
-                {
-                    "phase": "full",
-                    "trial": trial,
-                    "weights": [float(v) for v in x],
-                    "noninvertible": n_noninv,
-                }
-            )
+    for start in range(0, trials, _TRIAL_SLICE):
+        drawn = [_draw_trial(d, seed, k) for k in range(start, min(start + _TRIAL_SLICE, trials))]
+        verdicts = semigroup_verdicts([t.subset for t in drawn], grid, tolerances)
+        for trial, t, verdict in zip(itertools.count(start), drawn, verdicts):
+            if verdict.is_semigroup:
+                subset_semigroups += 1
+                counterexamples.append(
+                    {
+                        "phase": "subset",
+                        "trial": trial,
+                        "bases": [int(b) for b in t.bases],
+                        "weights": [float(w) for w in t.weights],
+                        "functions": t.functions,
+                        "max_eigenvalue_deviation": verdict.max_eigenvalue_deviation,
+                    }
+                )
+            min_noninvertible = min(min_noninvertible, t.noninvertible)
+            if t.noninvertible < d:
+                counterexamples.append(
+                    {
+                        "phase": "full",
+                        "trial": trial,
+                        "weights": [float(v) for v in t.full_weights],
+                        "noninvertible": t.noninvertible,
+                    }
+                )
     # Deterministic extra case: d+1 semigroup inputs, equal weights — the
     # mixture must not be a semigroup (its rates decay in time).
     semi = ExpRelax((d - 1) / d, 1.0)
@@ -537,8 +561,7 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
         d,
         [(1.0 / (d + 1), ChannelSpec(d, b, semi)) for b in range(1, d + 2)],
     )
-    traj = mixture_eigenvalues(equal, grid)
-    equal_verdict = detect_semigroup(traj, rates_from_spectrum(traj), 1e-8)
+    (equal_verdict,) = semigroup_verdicts([equal], grid, tolerances)
     if equal_verdict.is_semigroup:
         counterexamples.append(
             {"phase": "equal-semigroup-inputs", "trial": -1, "weights": []}
@@ -580,6 +603,8 @@ def cptp_scan(d: int, trials: int, seed: int, tol: float) -> ScanReport:
     random times each, the Choi matrix is Hermitian (to 1e-12), its partial
     trace is the identity (to ``tol``) and no eigenvalue is below ``-tol``.
     Reproducible from (seed, trials); every failing check is listed."""
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
     weyl = weyl_set(d)
     eye = np.eye(d)
     counterexamples = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from paulimix import (
     ChannelSpec,
@@ -19,6 +20,7 @@ from paulimix import (
     single_channel_eigenvalues,
     validate_mixture,
 )
+from paulimix.channelcore import build_interpolants
 from paulimix.exprcalc import DomainError
 
 
@@ -103,6 +105,63 @@ def test_sampled_grid_domain_error_outside_range():
     assert f.value(2.0) == pytest.approx(0.5 * (1 - math.exp(-2.0)), abs=1e-8)
 
 
+def _bits(pair):
+    return tuple(np.asarray(x, dtype=float).tobytes() for x in pair)
+
+
+# Stacked interpolant builds: every grid's column replays its own PCHIP build.
+
+# Flat runs, sign changes and mixed slopes reach PCHIP's edge cases.
+_SAMPLE_VALUE = st.one_of(
+    st.sampled_from([0.0, 0.5, -0.5, 1.0]),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+
+
+@st.composite
+def _sample_times(draw, size):
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=2.0), min_size=size - 1,
+                          max_size=size - 1))
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+@st.composite
+def _sampled_batch(draw):
+    """Grids on two different sample-time arrays, and one built beforehand."""
+    size = draw(st.integers(3, 12))
+    times = [draw(_sample_times(size)), draw(_sample_times(draw(st.integers(3, 12))))]
+    grids = []
+    for k in draw(st.lists(st.sampled_from([0, 1]), max_size=6)) + [0, 1]:
+        tail = st.lists(_SAMPLE_VALUE, min_size=times[k].size - 1, max_size=times[k].size - 1)
+        grids.append(SampledGrid(times[k], [0.0] + draw(tail)))
+    built = grids.pop(draw(st.integers(0, len(grids) - 1)))
+    built.value(0.0)
+    grids.insert(draw(st.integers(0, len(grids))), built)
+    return grids
+
+
+# Slopes near the smallest doubles overflow inside PCHIP's harmonic mean, in
+# the reference build as much as in the stacked one.
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(_sampled_batch(), st.floats(min_value=0.0, max_value=1.0))
+def test_stacked_interpolants_replay_per_grid_builds(grids, fraction):
+    build_interpolants(grids + grids[:1])
+    for g in grids:
+        ref = PchipInterpolator(g.times, g.values, extrapolate=False)
+        dref = ref.derivative()
+        end = float(g.times[-1])
+        probe = np.concatenate([g.times, np.linspace(0.0, end, 29)])
+        assert _bits(g.value_and_derivative(probe)) == _bits((ref(probe), dref(probe)))
+        t = fraction * end
+        got = g.value_and_derivative(t)
+        assert all(type(x) is float for x in got)
+        assert _bits(got) == _bits((float(ref(t)), float(dref(t))))
+        with pytest.raises(DomainError) as exc:
+            g.value(np.array([0.0, end + 1.0]))
+        assert exc.value.t == end + 1.0
+
+
 # Closed-form templates: each replays its parsed formula bit for bit.
 
 _PARAM = st.floats(min_value=0.0, max_value=10.0)
@@ -110,10 +169,6 @@ _TEMPLATES = st.one_of(
     st.builds(ProductTemplate, _PARAM, _PARAM, _PARAM, _PARAM),
     st.builds(DifferenceTemplate, _PARAM, _PARAM, _PARAM, _PARAM),
 )
-
-
-def _bits(pair):
-    return tuple(np.asarray(x, dtype=float).tobytes() for x in pair)
 
 
 @settings(max_examples=300, deadline=None)

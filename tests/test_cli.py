@@ -415,6 +415,31 @@ def test_verify_cptp_passes(capsys):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_cptp_without_trials_exits_2(capsys, trials):
+    assert main(["verify", "cptp", "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "need at least 1 trial" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mub", "--tol", "nan"],
+        ["mub", "--tol", "-1"],
+        ["cptp", "--tol", "nan"],
+        ["cptp", "--tol", "-1"],
+        ["cptp", "--tol", "inf"],
+    ],
+)
+def test_verify_rejects_a_nonfinite_or_negative_tolerance(capsys, argv):
+    assert main(["verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--tol must be finite and nonnegative" in err
+
+
 def test_verify_report_under_a_regular_file_exits_2(out_dir, capsys):
     (out_dir / "taken").write_text("not a directory\n")
     rc = main(["verify", "mub", "--report", "taken/report.json"])

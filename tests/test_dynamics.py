@@ -677,3 +677,96 @@ def test_analyze_mixture_is_the_one_spec_case():
     np.testing.assert_array_equal(traj.eigenvalues, result.spectral.eigenvalues)
     rates = rates_from_spectrum(traj)
     np.testing.assert_array_equal(rates.gamma, result.rates.gamma)
+
+
+# ---------------------------------------------------------------------------
+# semigroup_verdicts: the batched verdict equals the one-mixture composition
+# ---------------------------------------------------------------------------
+
+
+def _verdict_fields(v):
+    return (
+        v.is_semigroup,
+        v.exponents.shape,
+        v.exponents.tobytes(),
+        v.max_eigenvalue_deviation.hex(),
+        v.max_rate_variation.hex(),
+        v.tolerance,
+    )
+
+
+def assert_verdicts_match(specs, grid=_BATCH_GRID, tolerances=None):
+    tol = tolerances if tolerances is not None else Tolerances()
+    single = []
+    for s in specs:
+        traj = mixture_eigenvalues(s, grid)
+        rates = rates_from_spectrum(traj, pole_tol=tol.pole)
+        single.append(_verdict_fields(detect_semigroup(traj, rates, tol.semigroup_for(s))))
+    batched = dynamics.semigroup_verdicts(specs, grid, tolerances)
+    assert [_verdict_fields(v) for v in batched] == single
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(mixtures(), min_size=1, max_size=12), st.integers(1, 5))
+def test_semigroup_verdicts_equal_the_one_mixture_path(specs, rows_per_block):
+    values = rows_per_block * 4 * len(_BATCH_GRID)
+    with mock.patch.object(dynamics, "_BLOCK_VALUES", values):
+        assert_verdicts_match(specs)
+
+
+@pytest.mark.parametrize(
+    "tolerances", [None, Tolerances(semigroup=1e-3, pole=1e-2), Tolerances(semigroup=0.5)]
+)
+def test_semigroup_verdicts_respect_tolerances(tolerances):
+    specs = [three_semigroup_mix(), equal_thirds_mix(), two_semigroup_mix()]
+    assert_verdicts_match(specs, default_grid(5.0, 64), tolerances)
+
+
+def test_semigroup_verdicts_cross_a_real_block_boundary():
+    grid = default_grid(5.0, 32)
+    per_block = dynamics._BLOCK_VALUES // (3 * len(grid))
+    f = ExpRelax(0.5, 1.0)
+    specs = [
+        MixtureSpec(2, [(x, ChannelSpec(2, 1, f)), (1.0 - x, ChannelSpec(2, 2, f))])
+        for x in np.linspace(0.0, 1.0, per_block + 7)
+    ]
+    assert_verdicts_match(specs, grid)
+    assert dynamics.semigroup_verdicts([], grid) == []
+
+
+@dataclass(frozen=True)
+class Constant(DecoherenceFunction):
+    """``p(t) = 0.5`` for every ``t``, so the map does not start at the identity."""
+
+    kind = "constant"
+
+    def value_and_derivative(self, t):
+        arr = np.asarray(t, dtype=float)
+        if arr.ndim == 0:
+            return 0.5, 0.0
+        return np.full(arr.shape, 0.5), np.zeros(arr.shape)
+
+
+def test_semigroup_verdicts_raise_what_the_one_mixture_path_raises_first():
+    good = three_semigroup_mix()
+    shifted = MixtureSpec(2, [(1.0, ChannelSpec(2, 1, Constant()))])
+    short = SampledGrid(np.linspace(0.0, 2.0, 5), np.linspace(0.0, 0.4, 5))
+    uncovered = MixtureSpec(2, [(0.5, ChannelSpec(2, 2, _SHARED)), (0.5, ChannelSpec(2, 1, short))])
+    for batch in ([good, shifted, uncovered], [good, uncovered, shifted]):
+        with pytest.raises(Exception) as single:
+            mixture_eigenvalues(batch[1], _BATCH_GRID)
+        with pytest.raises(type(single.value)) as batched:
+            dynamics.semigroup_verdicts(batch, _BATCH_GRID)
+        assert str(batched.value) == str(single.value)
+
+
+def test_a_basis_label_beyond_the_mixture_dimension_raises():
+    # A qutrit channel on label 4 in a qubit mixture (labels 1..3).
+    beyond = MixtureSpec(2, [(1.0, ChannelSpec(3, 4, _SHARED))])
+    good = three_semigroup_mix()
+    message = "basis label 4 lies outside 1..3 for dimension 2"
+    with pytest.raises(ValueError, match=message):
+        mixture_eigenvalues(beyond, _BATCH_GRID)
+    for batch in ([beyond, good], [good, beyond]):
+        with pytest.raises(ValueError, match=message):
+            dynamics.semigroup_verdicts(batch, _BATCH_GRID)

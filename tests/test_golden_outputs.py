@@ -226,6 +226,17 @@ def test_verify_cptp_seeded_output_is_byte_identical(capsys, d, seed, digest):
             ["theorem2", "--d", "5", "--trials", "100", "--seed", "3"],
             "fa048477fa1d422977d79e9666ebbdd6141ea007723639c6955529acafb24c67",
         ),
+        # These two were captured while every trial still got its own
+        # one-mixture semigroup verdict; the sliced, batched scanner must
+        # match them.
+        (
+            ["theorem1", "--trials", "1000", "--seed", "0"],
+            "0b2f49e45869742adc0e78b064f3249665bde087440224d3d22341cd0ea2034c",
+        ),
+        (
+            ["theorem2", "--d", "31", "--trials", "100", "--seed", "0"],
+            "f35003823a505eee523e7be0abc90d27a52d710bef48bf04e42e567d40b587df",
+        ),
     ],
 )
 def test_verify_scanner_output_is_byte_identical(capsys, argv, digest):

@@ -8,28 +8,36 @@ from scipy.optimize import brentq
 
 from paulimix import (
     AllChannelsRequest,
+    ChannelSpec,
     ConstructionError,
     DecoherenceFunction,
     ExpRelax,
     Expression,
+    MixtureSpec,
     ProductTemplate,
     SameChannelRequest,
     SampledGrid,
     ScanReport,
+    Tolerances,
     WeightBoundError,
     build_all_channels_mix,
     build_same_channel_mix,
     classify,
     cptp_scan,
     default_grid,
+    detect_semigroup,
     forecast_invertibility,
+    mixture_eigenvalues,
     random_decoherence_function,
+    rates_from_spectrum,
+    semigroup_verdicts,
     simplex_lattice,
     simplex_scan,
     theorem1_scan,
     theorem2_scan,
     weight_lower_bound,
 )
+from paulimix import semigroupforge
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -378,6 +386,147 @@ def test_prime_dimension_scan_rejects_nonprime():
         theorem2_scan(4, 120, 5)
 
 
+def _per_trial_scan(d, trials, seed):
+    """The scanner as it was when every trial got its own one-mixture
+    semigroup verdict; also returns each trial's subset mixture and verdict."""
+    sf = semigroupforge
+    if trials < sf._MIN_TRIALS:
+        raise ValueError(f"need at least {sf._MIN_TRIALS} trials, got {trials}")
+    grid = default_grid(5.0, 128)
+    tolerances = sf.Tolerances()
+    counterexamples = []
+    subset_semigroups = 0
+    min_noninvertible = d + 1
+    phase_one = []
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        size = int(rng.integers(2, d + 1))
+        bases = rng.choice(d + 1, size=size, replace=False) + 1
+        weights = sf._subset_weights(rng, size)
+        components = []
+        fams = []
+        for basis, weight in zip(bases, weights):
+            f = random_decoherence_function(rng)
+            fams.append(f.kind)
+            components.append((float(weight), ChannelSpec(d, int(basis), f)))
+        spec = MixtureSpec(d, components)
+        traj = mixture_eigenvalues(spec, grid)
+        rates = rates_from_spectrum(traj)
+        verdict = detect_semigroup(traj, rates, tolerances.semigroup_for(spec))
+        phase_one.append((spec, verdict))
+        if verdict.is_semigroup:
+            subset_semigroups += 1
+            counterexamples.append(
+                {
+                    "phase": "subset",
+                    "trial": trial,
+                    "bases": [int(b) for b in bases],
+                    "weights": [float(w) for w in weights],
+                    "functions": fams,
+                    "max_eigenvalue_deviation": verdict.max_eigenvalue_deviation,
+                }
+            )
+        x = sf._valid_full_weights(rng, d)
+        forecast = forecast_invertibility(
+            AllChannelsRequest(d, float(rng.uniform(0.5, 2.0)), tuple(x))
+        )
+        n_noninv = forecast.noninvertible_count
+        min_noninvertible = min(min_noninvertible, n_noninv)
+        if n_noninv < d:
+            counterexamples.append(
+                {
+                    "phase": "full",
+                    "trial": trial,
+                    "weights": [float(v) for v in x],
+                    "noninvertible": n_noninv,
+                }
+            )
+    semi = ExpRelax((d - 1) / d, 1.0)
+    equal = MixtureSpec(
+        d,
+        [(1.0 / (d + 1), ChannelSpec(d, b, semi)) for b in range(1, d + 2)],
+    )
+    traj = mixture_eigenvalues(equal, grid)
+    equal_verdict = detect_semigroup(traj, rates_from_spectrum(traj), 1e-8)
+    if equal_verdict.is_semigroup:
+        counterexamples.append(
+            {"phase": "equal-semigroup-inputs", "trial": -1, "weights": []}
+        )
+    details = {
+        "dimension": d,
+        "subset_semigroups": subset_semigroups,
+        "min_noninvertible_inputs": min_noninvertible,
+        "required_noninvertible_inputs": d,
+        "equal_semigroup_mix_is_semigroup": bool(equal_verdict.is_semigroup),
+        "all_semigroup_inputs_feasible": False,
+    }
+    report = ScanReport(
+        seed=seed,
+        trials=trials,
+        family=sf._FAMILY_DESCRIPTION,
+        counterexamples=tuple(counterexamples),
+        passed=not counterexamples,
+        details=details,
+    )
+    return report, phase_one
+
+
+def _fields(verdict):
+    return (
+        verdict.is_semigroup,
+        verdict.exponents.shape,
+        verdict.exponents.tobytes(),
+        verdict.max_eigenvalue_deviation.hex(),
+        verdict.max_rate_variation.hex(),
+        verdict.tolerance,
+    )
+
+
+def _assert_scan_matches(d, trials, seed):
+    report, phase_one = _per_trial_scan(d, trials, seed)
+    assert repr(semigroupforge._scan(d, trials, seed)) == repr(report)
+    specs = [spec for spec, _ in phase_one]
+    batched = semigroup_verdicts(specs, default_grid(5.0, 128), semigroupforge.Tolerances())
+    assert [_fields(v) for v in batched] == [_fields(v) for _, v in phase_one]
+    return report
+
+
+_SLICE = semigroupforge._TRIAL_SLICE
+
+
+@pytest.mark.parametrize("d, seed", [(2, 0), (2, 11), (3, 4), (5, 9), (7, 1), (31, 0)])
+def test_sliced_scan_equals_the_per_trial_loop(monkeypatch, d, seed):
+    # Trial counts below the public minimum test the slice arithmetic.
+    monkeypatch.setattr(semigroupforge, "_MIN_TRIALS", 1)
+    for trials in (100, _SLICE + 1, 3 * _SLICE + 5):
+        assert _assert_scan_matches(d, trials, seed).trials == trials
+
+
+class _LooseSubsets(Tolerances):
+    """Accepts proper-subset mixtures as semigroups far too easily."""
+
+    def semigroup_for(self, spec):
+        if len(spec.components) <= spec.dimension:
+            return 0.5
+        return super().semigroup_for(spec)
+
+
+@pytest.mark.parametrize("d, seed", [(3, 1), (5, 3), (7, 2)])
+def test_sliced_scan_keeps_the_counterexample_order(monkeypatch, d, seed):
+    # Loose subset tolerances and unconstrained full weights make both
+    # phases fail in some trials, so counterexamples of both kinds interleave.
+    monkeypatch.setattr(semigroupforge, "Tolerances", _LooseSubsets)
+    monkeypatch.setattr(
+        semigroupforge, "_valid_full_weights", lambda rng, d: rng.dirichlet(np.ones(d + 1))
+    )
+    report = _assert_scan_matches(d, 3 * _SLICE + 5, seed)
+    phases = [c["phase"] for c in report.counterexamples]
+    assert "subset" in phases and "full" in phases
+    assert [c["trial"] for c in report.counterexamples] == sorted(
+        c["trial"] for c in report.counterexamples
+    )
+
+
 def test_cptp_scan_passes_and_is_reproducible():
     first = cptp_scan(3, 6, 4, 1e-10)
     assert isinstance(first, ScanReport)
@@ -404,6 +553,12 @@ def test_cptp_scan_lists_every_failing_check():
 def test_cptp_scan_rejects_nonprime():
     with pytest.raises(ValueError):
         cptp_scan(4, 1, 0, 1e-10)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_cptp_scan_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        cptp_scan(2, trials, 0, 1e-10)
 
 
 # ---------------------------------------------------------------------------
