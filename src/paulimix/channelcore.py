@@ -413,6 +413,18 @@ def bisect_root(f, lo: float, hi: float, flo: float, xtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def range_exit(value, times: np.ndarray, k: int, bound: float) -> float:
+    """Where ``value(t)`` crosses ``bound`` (0 or 1) into the first sample
+    ``k`` of ``times`` that lies outside [0, 1]: ``times[0]`` for ``k = 0``,
+    else bisected between ``times[k-1]`` and ``times[k]`` down to 1e-12."""
+    t = float(times[k])
+    if k == 0:
+        return t
+    g = lambda s: float(value(s)) - bound
+    lo = float(times[k - 1])
+    return bisect_root(g, lo, t, g(lo), 1e-12)
+
+
 def bracket_roots(values: np.ndarray, times: np.ndarray, f, xtol: float):
     """Zeros of each row of ``values`` (shape ``(rows, n)``, sampled at ``times``).
 
@@ -505,16 +517,11 @@ def validate_mixture(spec: MixtureSpec, grid) -> MixtureValidation:
             )
             continue
         high, low = range_violations(p)
-        for bad, threshold, label in ((high, 1.0, "above 1"), (low, 0.0, "below 0")):
+        for bad, bound, label in ((high, 1.0, "above 1"), (low, 0.0, "below 0")):
             if not np.any(bad):
                 continue
             p_in_range = False
-            k = int(np.argmax(bad))
-            t_bad = float(times[k])
-            if k > 0:
-                scalar = lambda s: float(func.value(s)) - threshold
-                lo = float(times[k - 1])
-                t_bad = bisect_root(scalar, lo, t_bad, scalar(lo), 1e-12)
+            t_bad = range_exit(func.value, times, int(np.argmax(bad)), bound)
             issues.append(
                 ValidationIssue(
                     "p-range",

@@ -178,7 +178,10 @@ def parse_run_config(path: str) -> RunConfig:
         for key in cp.options("tolerances"):
             if key not in ("semigroup", "cp", "pole", "singularity"):
                 raise ConfigError(f"{path}: [tolerances]: unknown key {key!r}")
-    tolerances = Tolerances(**kwargs)
+    try:
+        tolerances = Tolerances(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [tolerances]: {exc}") from None
 
     sections = []
     for section in cp.sections():
@@ -305,6 +308,7 @@ def cmd_construct(args) -> int:
     d = args.dimension
     c = args.rate
     t_max = args.t_max if args.t_max is not None else 5.0 / c
+    grid = default_grid(t_max, args.points)
     if args.same is not None:
         if args.weights:
             raise ConfigError("give either positional weights or --same, not both")
@@ -327,7 +331,7 @@ def cmd_construct(args) -> int:
         spec = build_all_channels_mix(req)
         forecast_doc = reportio.forecast_dict(forecast_invertibility(req))
 
-    config_text = _render_config(spec, t_max, args.points)
+    config_text = _render_config(spec, grid.t_max, len(grid))
     forecast_json = reportio.to_json(forecast_doc)
     if args.out:
         path = _resolve_out(args.out, args.out)

@@ -141,6 +141,11 @@ class Tolerances:
     pole: float = 1e-12
     singularity: float = 1e-10
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"tolerance {name} must be finite and nonnegative, got {value!r}")
+
     def semigroup_for(self, spec: MixtureSpec) -> float:
         return _tolerance_for(self.semigroup, spec)
 
@@ -197,7 +202,7 @@ class RateTrajectory:
         object.__setattr__(self, "pole_mask", mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemigroupVerdict:
     is_semigroup: bool
     exponents: np.ndarray  # fitted r_beta, one per label (nan if unfittable)
@@ -434,14 +439,21 @@ class _Fit(NamedTuple):
     nonpositive: np.ndarray  # some eigenvalue <= 0 on the grid
 
 
-def _fit(lam: np.ndarray, gamma: np.ndarray, pole: np.ndarray, times: np.ndarray) -> _Fit:
+def _exponential(lam: np.ndarray, times: np.ndarray):
+    """Midpoint fit of rows ``lam`` (shape ``(..., n)``): ``r = -ln lambda(t_mid)
+    / t_mid`` (nan if ``lambda(t_mid) <= 0``) and ``|lambda - exp(-r t)|``."""
     mid = times.size // 2
-    lam_ref = lam[:, :, mid]
+    lam_ref = lam[..., mid]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         exponents = np.where(lam_ref > 0, -np.log(np.abs(lam_ref)) / times[mid], np.nan)
-        work = np.exp(-exponents[:, :, None] * times)
+        work = np.exp(-exponents[..., None] * times)
     np.subtract(lam, work, out=work)
-    deviation = np.abs(work, out=work).max(axis=(1, 2))
+    return exponents, np.abs(work, out=work)
+
+
+def _fit(lam: np.ndarray, gamma: np.ndarray, pole: np.ndarray, times: np.ndarray) -> _Fit:
+    exponents, work = _exponential(lam, times)
+    deviation = work.max(axis=(1, 2))
     if pole.any():
         # Pole columns masked by +inf for the minimum, -inf for the maximum;
         # a mixture with no other column has no spread and least rate -inf.
@@ -466,28 +478,58 @@ def _fit(lam: np.ndarray, gamma: np.ndarray, pole: np.ndarray, times: np.ndarray
     return _Fit(exponents, deviation, spread, least, nonpositive)
 
 
+def _table(specs: Sequence[MixtureSpec]):
+    """The distinct functions of ``specs``, each mixture's function index per
+    component, and the mixtures' encoding."""
+    funcs = _Functions()
+    ids = [[funcs.index(c.channel.p) for c in spec.components] for spec in specs]
+    return funcs, ids, _encode(specs, ids)
+
+
+def _front(table, times: np.ndarray):
+    """The function values ``[p, p']``, ``(lambda, lambda')`` and each
+    mixture's first error (that of its first failed function, else None)
+    of the mixtures of ``table`` on ``times``."""
+    funcs, ids, mixtures = table
+    values, failures = funcs.evaluate(times)
+    lam, dlam = _spectrum(mixtures, values)
+    if not failures:
+        return values, lam, dlam, [None] * len(ids)
+    errors = [next((failures[j] for j in row if j in failures), None) for row in ids]
+    return values, lam, dlam, errors
+
+
+class _Block(NamedTuple):
+    """Spectra, rates and fits of B mixtures on one grid."""
+
+    funcs: _Functions
+    ids: list  # per mixture, the function index of each component
+    values: np.ndarray  # [p, p'] of each function, shape (2, F, n)
+    lam: np.ndarray
+    dlam: np.ndarray
+    gamma: np.ndarray
+    pole: np.ndarray
+    fit: _Fit
+    errors: list  # per mixture, the first error of :func:`mixture_eigenvalues`, or None
+
+
+def _block(specs: Sequence[MixtureSpec], times: np.ndarray, pole_tol: float) -> _Block:
+    """The one spectral stage: ``specs`` on the grid ``times``, each row with
+    the first error that its own ``mixture_eigenvalues`` would raise (a
+    basis label above ``d+1`` raises here, for the whole block)."""
+    table = _table(specs)
+    values, lam, dlam, errors = _front(table, times)
+    for b in np.flatnonzero(np.abs(lam[:, :, 0] - 1.0).max(axis=1) > _INITIAL_EIG_TOL).tolist():
+        if errors[b] is None:
+            errors[b] = ValueError(_NOT_IDENTITY)
+    gamma, pole = _rates(lam, dlam, pole_tol)
+    fit = _fit(lam, gamma, pole, times)
+    return _Block(table[0], table[1], values, lam, dlam, gamma, pole, fit, errors)
+
+
 # ---------------------------------------------------------------------------
 # Eigenvalue trajectories and rates
 # ---------------------------------------------------------------------------
-
-
-def _one(spec: MixtureSpec):
-    """``spec`` alone: its functions (one entry per component, keyed by
-    position), their index per component, and its encoding."""
-    funcs = _Functions()
-    funcs.functions = [c.channel.p for c in spec.components]
-    funcs.keys = ids = list(range(len(funcs.functions)))
-    return funcs, ids, _encode([spec], [ids])
-
-
-def _evaluated(funcs: _Functions, ids: Sequence[int], times: np.ndarray):
-    """The values of ``funcs.evaluate(times)``, raising the error of the
-    first component (with function indices ``ids``) whose function failed."""
-    values, failures = funcs.evaluate(times)
-    for i in ids:
-        if i in failures:
-            raise failures[i]
-    return values
 
 
 def mixture_eigenvalues(spec: MixtureSpec, grid: TimeGrid) -> SpectralTrajectory:
@@ -495,8 +537,9 @@ def mixture_eigenvalues(spec: MixtureSpec, grid: TimeGrid) -> SpectralTrajectory
 
     Domain errors from decoherence functions propagate with their time stamp.
     """
-    funcs, ids, one = _one(spec)
-    lam, dlam = _spectrum(one, _evaluated(funcs, ids, grid.times))
+    _, lam, dlam, (error,) = _front(_table([spec]), grid.times)
+    if error is not None:
+        raise error
     return SpectralTrajectory(
         dimension=spec.dimension, grid=grid, eigenvalues=lam[0], derivatives=dlam[0]
     )
@@ -538,10 +581,10 @@ def detect_semigroup(
 
 def _verdict(fit: _Fit, b: int, tol: float) -> SemigroupVerdict:
     """The semigroup verdict of row ``b`` of ``fit``."""
-    max_dev = float(fit.deviation[b])
-    rate_var = float(fit.spread[b])
+    max_dev = fit.deviation.item(b)
+    rate_var = fit.spread.item(b)
     return SemigroupVerdict(
-        is_semigroup=bool(not fit.nonpositive[b] and max_dev <= tol and rate_var <= tol),
+        is_semigroup=bool(not fit.nonpositive.item(b) and max_dev <= tol and rate_var <= tol),
         exponents=fit.exponents[b],
         max_eigenvalue_deviation=max_dev,
         max_rate_variation=rate_var,
@@ -567,24 +610,14 @@ def semigroup_verdicts(
     """
     tol = tolerances if tolerances is not None else Tolerances()
     specs = list(specs)
-    times = grid.times
     verdicts: list = []
-    for start, stop in _blocks(specs, times.size):
+    for start, stop in _blocks(specs, len(grid)):
         block = specs[start:stop]
-        funcs = _Functions()
-        ids = [[funcs.index(c.channel.p) for c in spec.components] for spec in block]
-        values, failures = funcs.evaluate(times)
-        lam, dlam = _spectrum(_encode(block, ids), values)
-        not_identity = np.abs(lam[:, :, 0] - 1.0).max(axis=1) > _INITIAL_EIG_TOL
-        for row, off in zip(ids, not_identity.tolist()):
-            for j in row:
-                if j in failures:
-                    raise failures[j]
-            if off:
-                raise ValueError(_NOT_IDENTITY)
-        gamma, pole = _rates(lam, dlam, tol.pole)
-        fit = _fit(lam, gamma, pole, times)
-        verdicts.extend(_verdict(fit, b, tol.semigroup_for(s)) for b, s in enumerate(block))
+        done = _block(block, grid.times, tol.pole)
+        for error in done.errors:
+            if error is not None:
+                raise error
+        verdicts.extend(_verdict(done.fit, b, tol.semigroup_for(s)) for b, s in enumerate(block))
     return verdicts
 
 
@@ -604,11 +637,8 @@ def _input_verdict(
     )
     if crossings:
         return "noninvertible", tuple(crossings)
-    mid = times.size // 2
-    if lam[mid] > 0.0 and np.all(lam > 0.0):
-        r = -np.log(lam[mid]) / times[mid]
-        if np.abs(lam - np.exp(-r * times)).max() <= sg_tol:
-            return "semigroup", ()
+    if np.all(lam > 0.0) and _exponential(lam, times)[1].max() <= sg_tol:
+        return "semigroup", ()
     return "invertible", ()
 
 
@@ -665,41 +695,17 @@ def _output_singularities(lam: np.ndarray, times: np.ndarray, point, xtol: float
     return found
 
 
-class _Assessed(NamedTuple):
-    """Spectra, rates and fits of B mixtures on one grid."""
-
-    lam: np.ndarray
-    dlam: np.ndarray
-    gamma: np.ndarray
-    pole: np.ndarray
-    fit: list  # per mixture: (exponents, deviation, spread, least rate, nonpositive)
-
-
-def _assess(mixtures: _Mixtures, values: np.ndarray, times, pole_tol) -> _Assessed:
-    lam, dlam = _spectrum(mixtures, values)
-    gamma, pole = _rates(lam, dlam, pole_tol)
-    fit = _fit(lam, gamma, pole, times)
-    per_row = list(
-        zip(
-            map(tuple, fit.exponents.tolist()),
-            fit.deviation.tolist(),
-            fit.spread.tolist(),
-            fit.least.tolist(),
-            fit.nonpositive.tolist(),
-        )
-    )
-    return _Assessed(lam, dlam, gamma, pole, per_row)
-
-
-def _report(spec, fit, singular, inputs, p_in_range, sg_tol, cp_tol) -> ClassificationReport:
-    exponents, deviation, spread, least, nonpositive = fit
+def _report(spec, fit: _Fit, b: int, singular, inputs, p_in_range, sg_tol, cp_tol):
+    """The report of row ``b`` of ``fit``: its semigroup verdict, which
+    also needs CP divisibility (least rate ``>= -cp_tol``)."""
+    verdict = _verdict(fit, b, sg_tol)
+    least = fit.least.item(b)
     is_cp_divisible = bool(least >= -cp_tol)
-    fits = not nonpositive and deviation <= sg_tol and spread <= sg_tol
     return ClassificationReport(
         dimension=spec.dimension,
-        is_semigroup=bool(fits and is_cp_divisible),
-        semigroup_exponents=exponents,
-        max_semigroup_deviation=deviation,
+        is_semigroup=verdict.is_semigroup and is_cp_divisible,
+        semigroup_exponents=tuple(verdict.exponents.tolist()),
+        max_semigroup_deviation=verdict.max_eigenvalue_deviation,
         is_cp_divisible=is_cp_divisible,
         min_rate=least,
         singular_times=singular,
@@ -716,79 +722,70 @@ def _analyze_block(specs, grid: TimeGrid, tol: Tolerances, refine: bool, keep: b
     exception in its place, the first one that its own analysis would raise."""
     times = grid.times
     out: list = [None] * len(specs)
-    funcs = _Functions()
-    block, ids = [], []
     for pos, spec in enumerate(specs):
         try:
             issues = structural_issues(spec)
-            if issues:
-                raise MixtureValidationError(issues)
-            row = [funcs.index(c.channel.p) for c in spec.components]
         except Exception as exc:
             out[pos] = exc
         else:
-            block.append(pos)
-            ids.append(row)
-    values, failures = funcs.evaluate(times)
-    if failures:
-        for pos, row in zip(block, ids):
-            out[pos] = next((failures[j] for j in row if j in failures), None)
-        kept = [b for b, pos in enumerate(block) if out[pos] is None]
-        block = [block[b] for b in kept]
-        ids = [ids[b] for b in kept]
+            if issues:
+                out[pos] = MixtureValidationError(issues)
+    block = [pos for pos, result in enumerate(out) if result is None]
     if not block:
         return out
-    d = specs[block[0]].dimension
-    assessed = _assess(_encode([specs[pos] for pos in block], ids), values, times, tol.pole)
-    lam = assessed.lam
-    for b in np.flatnonzero(np.abs(lam[:, :, 0] - 1.0).max(axis=1) > _INITIAL_EIG_TOL):
-        out[block[b]] = ValueError(_NOT_IDENTITY)
-    high, low = range_violations(values[0])
+    done = _block([specs[pos] for pos in block], times, tol.pole)
+    for pos, error in zip(block, done.errors):
+        out[pos] = error
+    high, low = range_violations(done.values[0])
     in_range = (~(high.any(axis=1) | low.any(axis=1))).tolist()
-    points: dict = {}
+    clean = [b for b, error in enumerate(done.errors) if error is None]
+    tables: dict = {}
 
-    def point(b: int, beta: int, t: float) -> float:
-        # lambda_beta(t) of block row b, bisected as for the mixture alone.
-        if b not in points:
-            points[b] = _one(specs[block[b]])
-        one_funcs, one_ids, one = points[b]
-        try:
-            value, _ = _spectrum(one, _evaluated(one_funcs, one_ids, np.asarray([t])))
-        except Exception as exc:
-            if out[block[b]] is None:
-                out[block[b]] = exc
+    def point(row: int, beta: int, t: float) -> float:
+        # lambda_beta(t) of block row clean[row], bisected as for the mixture alone.
+        pos = block[clean[row]]
+        if pos not in tables:
+            tables[pos] = _table([specs[pos]])
+        _, value, _, (error,) = _front(tables[pos], np.asarray([t]))
+        if error is not None:
+            if out[pos] is None:
+                out[pos] = error
             return np.nan
         return float(value[0, beta, 0])
 
-    singular = _output_singularities(lam, times, point, tol.singularity)
+    singular = dict(
+        zip(clean, _output_singularities(done.lam[clean], times, point, tol.singularity))
+    )
     made: dict = {}
     tolerances: dict = {}  # by function indices, which decide sampled or not
     for b, pos in enumerate(block):
         if out[pos] is not None:
             continue
         spec = specs[pos]
-        uses = tuple(ids[b])
+        uses = tuple(done.ids[b])
         if uses not in tolerances:
             tolerances[uses] = (tol.semigroup_for(spec), tol.cp_for(spec))
         sg_tol, cp_tol = tolerances[uses]
-        p_in_range = all(in_range[j] for j in ids[b])
-        row_grid, row, r = grid, assessed, b
+        p_in_range = all(in_range[j] for j in uses)
+        row_grid, row, r = grid, done, b
         try:
             if singular[b] and refine:
+                # The row alone, as a block of one on its refined grid.
                 row_grid = refine_grid(grid, [t for _, t in singular[b]])
-                one_funcs, one_ids, one = _one(spec)
-                row_values = _evaluated(one_funcs, one_ids, row_grid.times)
-                row, r = _assess(one, row_values, row_grid.times, tol.pole), 0
+                row, r = _block([spec], row_grid.times, tol.pole), 0
+                if row.errors[0] is not None:
+                    raise row.errors[0]
                 inputs = _InputCache(row_grid.times, tol.singularity).inputs(
-                    spec, one_ids, one_funcs, row_values, sg_tol, {}
+                    spec, row.ids[0], row.funcs, row.values, sg_tol, {}
                 )
             else:
-                inputs = cache.inputs(spec, ids[b], funcs, values, sg_tol, made)
+                inputs = cache.inputs(spec, uses, done.funcs, done.values, sg_tol, made)
         except Exception as exc:
             out[pos] = exc
             continue
-        report = _report(spec, row.fit[r], singular[b], inputs, p_in_range, sg_tol, cp_tol)
+        report = _report(spec, row.fit, r, singular[b], inputs, p_in_range, sg_tol, cp_tol)
         if keep:
+            d = spec.dimension
             spectral = SpectralTrajectory(d, row_grid, row.lam[r], row.dlam[r])
             rates = RateTrajectory(d, row_grid, row.gamma[r], row.pole[r])
             out[pos] = AnalysisResult(spectral=spectral, rates=rates, report=report)

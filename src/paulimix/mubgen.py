@@ -20,6 +20,7 @@ dephasing channels studied elsewhere in the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -143,6 +144,8 @@ def verify_mub(family: MubFamily, tolerance: float = 1e-12) -> MubReport:
     Orthonormality: ``|<phi_i^(a)|phi_j^(a)> - delta_ij|`` within each basis.
     Unbiasedness: ``||<phi_i^(a)|phi_j^(b)>|^2 - 1/d|`` across distinct bases.
     """
+    if math.isnan(tolerance):
+        raise ValueError("tolerance must not be NaN")
     d = family.dimension
     bases = family.bases
     ortho_dev = 0.0

@@ -27,6 +27,7 @@ which keeps every p_i within [0, 1] iff x_i >= (d-1)/d^2.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
 
@@ -41,7 +42,8 @@ from .channelcore import (
     MixtureSpec,
     ProductTemplate,
     SampledGrid,
-    bisect_root,
+    range_exit,
+    range_violations,
 )
 from . import matrixlab
 from .dynamics import (
@@ -194,20 +196,6 @@ def weight_lower_bound(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _first_range_violation(f, times: np.ndarray, values: np.ndarray, slack: float):
-    """(first violating time, bound crossed) or None; bisection-refined."""
-    bad = (values < -slack) | (values > 1.0 + slack)
-    if not np.any(bad):
-        return None
-    k = int(np.argmax(bad))
-    bound = 0.0 if values[k] < -slack else 1.0
-    if k == 0:
-        return float(times[0]), bound
-    lo = float(times[k - 1])
-    g = lambda t: f(t) - bound
-    return bisect_root(g, lo, float(times[k]), g(lo), 1e-12), bound
-
-
 def build_same_channel_mix(
     req: SameChannelRequest, grid: Optional[TimeGrid] = None
 ) -> MixtureSpec:
@@ -225,44 +213,37 @@ def build_same_channel_mix(
     f_scale = (d - 1) / d / (1.0 - a)
     q_coeff = a / (1.0 - a)
 
-    if isinstance(req.q, SampledGrid):
+    sampled = isinstance(req.q, SampledGrid)
+    if sampled:
         t_max = float(req.q.times[-1])
         times = np.union1d(req.q.times, np.linspace(0.0, t_max, 513))
         q_vals = np.asarray(req.q.value(times), dtype=float)
         p_vals = f_scale * (1.0 - np.exp(-c * times)) - q_coeff * q_vals
 
-        def p_scalar(t: float) -> float:
+        def p_value(t: float) -> float:
             return f_scale * (1.0 - np.exp(-c * t)) - q_coeff * float(req.q.value(t))
-
-        hit = _first_range_violation(p_scalar, times, p_vals, 1e-12)
-        if hit is not None:
-            t_bad, bound = hit
-            raise ConstructionError(
-                f"constructed p(t) leaves [0, 1] (crosses {bound:g}) "
-                f"first at t = {t_bad!r}",
-                first_violation=t_bad,
-            )
-        p: DecoherenceFunction = SampledGrid(times, p_vals)
-        check_grid = TimeGrid(times)
     else:
         q_src = req.q.as_expression()
-        p = Expression(
+        p: DecoherenceFunction = Expression(
             f"{f_scale!r}*(1-exp(-{c!r}*t)) - {q_coeff!r}*({q_src})"
         )
-        check_grid = grid if grid is not None else default_grid(5.0 / c, 1024)
-        times = check_grid.times
-        vals, _ = p.value_and_derivative(times)
-        hit = _first_range_violation(
-            lambda t: float(p.value(t)), times, np.asarray(vals), 1e-12
-        )
-        if hit is not None:
-            t_bad, bound = hit
-            raise ConstructionError(
-                f"constructed p(t) leaves [0, 1] (crosses {bound:g}) "
-                f"first at t = {t_bad!r}",
-                first_violation=t_bad,
-            )
+        times = (grid if grid is not None else default_grid(5.0 / c, 1024)).times
+        p_vals, _ = p.value_and_derivative(times)
+        p_value = p.value
 
+    high, low = range_violations(p_vals)
+    outside = high | low
+    if outside.any():
+        k = int(np.argmax(outside))
+        bound = 0.0 if low[k] else 1.0
+        t_bad = range_exit(p_value, times, k, bound)
+        raise ConstructionError(
+            f"constructed p(t) leaves [0, 1] (crosses {bound:g}) "
+            f"first at t = {t_bad!r}",
+            first_violation=t_bad,
+        )
+    if sampled:
+        p = SampledGrid(times, p_vals)
     return MixtureSpec(
         d,
         [
@@ -605,6 +586,8 @@ def cptp_scan(d: int, trials: int, seed: int, tol: float) -> ScanReport:
     Reproducible from (seed, trials); every failing check is listed."""
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
+    if math.isnan(tol):
+        raise ValueError("tolerance must not be NaN")
     weyl = weyl_set(d)
     eye = np.eye(d)
     counterexamples = []

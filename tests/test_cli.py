@@ -242,6 +242,33 @@ def test_analyze_rejects_unknown_tolerance_key(tmp_path, capsys):
     assert "fuzz" in err
 
 
+@pytest.mark.parametrize(
+    "key, raw", [("semigroup", "nan"), ("cp", "-1e-8"), ("pole", "inf"), ("singularity", "-inf")]
+)
+def test_analyze_rejects_a_nonfinite_or_negative_tolerance(tmp_path, capsys, key, raw):
+    cfg = write_config(
+        tmp_path / "tol.ini",
+        f"""\
+        [run]
+        dimension = 2
+
+        [tolerances]
+        {key} = {raw}
+
+        [component.1]
+        weight = 1.0
+        basis = 1
+        kind = exp_relax
+        scale = 0.5
+        rate = 1.0
+        """,
+    )
+    assert main(["analyze", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"tol.ini: [tolerances]: tolerance {key} must be finite and nonnegative" in err
+
+
 def test_analyze_missing_config_exits_2(capsys):
     rc = main(["analyze", "no_such_file.ini"])
     assert rc == 2
@@ -372,6 +399,21 @@ def test_analyze_rejects_infinite_rate(out_dir, capsys):
 
 def test_construct_rejects_infinite_rate(capsys):
     assert main(["construct", "2", "inf", "0.4", "0.3", "0.3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--t-max", "-1"], "grid t_max must be finite and positive"),
+        (["--points", "5"], "grid needs at least 32 points"),
+    ],
+)
+def test_construct_rejects_a_bad_grid_before_writing(out_dir, capsys, flags, message):
+    argv = ["construct", "2", "1.0", "0.3", "0.3", "0.4", *flags, "--out", "c.ini"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    assert not (out_dir / "c.ini").exists()
 
 
 # ---------------------------------------------------------------------------

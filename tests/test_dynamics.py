@@ -336,6 +336,18 @@ def test_classify_keeps_going_when_p_leaves_range():
     assert not report.is_semigroup
 
 
+@pytest.mark.parametrize("field", ["semigroup", "cp", "pole", "singularity"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-12])
+def test_tolerances_reject_a_nonfinite_or_negative_field(field, value):
+    with pytest.raises(ValueError, match=f"tolerance {field} must be finite and nonnegative"):
+        Tolerances(**{field: value})
+
+
+def test_tolerances_keep_none_as_auto_and_accept_zero():
+    assert Tolerances(semigroup=None, cp=None).semigroup_for(equal_thirds_mix()) == 1e-8
+    assert Tolerances(semigroup=0.0, cp=0.0, pole=0.0, singularity=0.0).pole == 0.0
+
+
 def test_classify_semigroup_tolerance_auto_selection():
     closed = classify(equal_thirds_mix())
     assert closed.semigroup_tolerance == 1e-8
@@ -677,6 +689,11 @@ def test_analyze_mixture_is_the_one_spec_case():
     np.testing.assert_array_equal(traj.eigenvalues, result.spectral.eigenvalues)
     rates = rates_from_spectrum(traj)
     np.testing.assert_array_equal(rates.gamma, result.rates.gamma)
+    # The refined report's fit is the public composition's, bit for bit.
+    verdict = detect_semigroup(traj, rates)
+    report = result.report
+    assert np.array(report.semigroup_exponents).tobytes() == verdict.exponents.tobytes()
+    assert report.max_semigroup_deviation.hex() == verdict.max_eigenvalue_deviation.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +775,14 @@ def test_semigroup_verdicts_raise_what_the_one_mixture_path_raises_first():
         with pytest.raises(type(single.value)) as batched:
             dynamics.semigroup_verdicts(batch, _BATCH_GRID)
         assert str(batched.value) == str(single.value)
+
+
+def test_semigroup_verdicts_compare_by_identity():
+    # A verdict holds an ndarray, so == must not compare fields element-wise.
+    first, second = dynamics.semigroup_verdicts([equal_thirds_mix()] * 2, _BATCH_GRID)
+    assert first == first
+    assert first != second
+    assert _verdict_fields(first) == _verdict_fields(second)
 
 
 def test_a_basis_label_beyond_the_mixture_dimension_raises():

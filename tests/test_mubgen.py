@@ -27,6 +27,11 @@ def test_largest_supported_prime():
     assert report.passed
 
 
+def test_verify_mub_rejects_a_nan_tolerance():
+    with pytest.raises(ValueError, match="tolerance must not be NaN"):
+        mubgen.verify_mub(mubgen.construct_mub(3), float("nan"))
+
+
 @pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 32, 100])
 def test_out_of_scope_dimensions_rejected(bad):
     with pytest.raises(ValueError):

@@ -550,6 +550,12 @@ def test_cptp_scan_lists_every_failing_check():
     assert all(0.0 <= c["t"] <= 5.0 for c in report.counterexamples)
 
 
+def test_cptp_scan_rejects_a_nan_tolerance():
+    # NaN compares false, so every check would fail on valid channels.
+    with pytest.raises(ValueError, match="tolerance must not be NaN"):
+        cptp_scan(2, 1, 0, math.nan)
+
+
 def test_cptp_scan_rejects_nonprime():
     with pytest.raises(ValueError):
         cptp_scan(4, 1, 0, 1e-10)
