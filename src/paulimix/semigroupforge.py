@@ -1,11 +1,11 @@
 """Constructions that mix noninvertible dephasing channels into exact
 semigroups, closed-form invertibility forecasts for their inputs, a dense
-Choi-matrix check of random mixtures (``cptp_scan``), and randomized
-scanners corroborating the two structural claims behind the constructions:
+Choi-matrix check of random mixtures (``cptp_scan``), and scanners for the
+two structural claims behind the constructions:
 
 * qubits: a mixture supported on fewer than all 3 dephasing directions is
-  never a semigroup, and any semigroup-yielding weight triple leaves at
-  least 2 inputs noninvertible;
+  never a semigroup (randomized), and any semigroup-yielding weight triple
+  leaves at least 2 inputs noninvertible (proven in exact arithmetic);
 * general prime d: the analogous statements with all d+1 directions and at
   least d noninvertible inputs.
 
@@ -29,7 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple
+from fractions import Fraction
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -418,22 +419,18 @@ _FAMILY_DESCRIPTION = (
     "exp_relax(scale,rate) | product/difference expression templates | "
     "257-point sampled grids of the same shapes"
 )
+_KINDS = ("exp_relax", "product", "difference", "sampled")
+_SAMPLE_TIMES = np.linspace(0.0, 5.0, 257)
+_SAMPLE_TIMES.setflags(write=False)
 
 
-def random_decoherence_function(
-    rng: np.random.Generator,
-    t_max: float = 5.0,
-    allow_sampled: bool = True,
-) -> DecoherenceFunction:
+def random_decoherence_function(rng: np.random.Generator) -> DecoherenceFunction:
     """Draw one decoherence function from the scanners' declared family.
 
-    All members are smooth, start at 0, and stay within [0, 1] on
-    ``[0, t_max]`` (and beyond, by construction).
+    All members are smooth, start at 0, and stay within [0, 1]; the sampled
+    grids cover ``[0, 5]``.
     """
-    kinds = ["exp_relax", "product", "difference"]
-    if allow_sampled:
-        kinds.append("sampled")
-    kind = kinds[rng.integers(len(kinds))]
+    kind = _KINDS[rng.integers(len(_KINDS))]
     scale = float(rng.uniform(0.2, 1.0))
     rate = float(rng.uniform(0.2, 2.0))
     if kind == "exp_relax":
@@ -446,59 +443,48 @@ def random_decoherence_function(
         m = scale * float(rng.uniform(0.0, 0.8))
         r2 = rate * float(rng.uniform(0.2, 1.0))
         return DifferenceTemplate(scale, rate, m, r2)
-    times = np.linspace(0.0, t_max, 257)
-    vals = scale * (1.0 - np.exp(-rate * times))
-    return SampledGrid(times, vals)
+    return SampledGrid(_SAMPLE_TIMES, scale * (1.0 - np.exp(-rate * _SAMPLE_TIMES)))
 
 
-def _subset_weights(rng: np.random.Generator, size: int, floor: float = 0.05):
-    raw = rng.dirichlet(np.ones(size))
-    return floor + (1.0 - floor * size) * raw
-
-
-def _valid_full_weights(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Uniform draw over the admissible region x_i >= (d-1)/d^2, sum = 1."""
-    w = rng.dirichlet(np.ones(d + 1))
-    return (d - 1) / d**2 + w / d**2
-
-
-class _Trial(NamedTuple):
-    """The draws of one scanner trial."""
-
-    subset: MixtureSpec  # phase (i): proper-subset mixture
-    bases: np.ndarray
-    weights: np.ndarray
-    functions: list  # the config kind of each input
-    full_weights: np.ndarray  # phase (ii): valid full-support construction
-    noninvertible: int  # its noninvertible inputs
-
-
-def _draw_trial(d: int, seed: int, trial: int) -> _Trial:
-    rng = np.random.default_rng([seed, trial])
-    size = int(rng.integers(2, d + 1))  # 2..d of the d+1 labels
+def _random_mixture(
+    rng: np.random.Generator, d: int, low: int, high: int, floor: float
+) -> MixtureSpec:
+    """A mixture over ``low..high-1`` distinct random basis labels, each with
+    a random decoherence function.  The weights are ``floor`` plus a uniform
+    (Dirichlet) share of the remaining ``1 - floor * size``."""
+    size = int(rng.integers(low, high))
     bases = rng.choice(d + 1, size=size, replace=False) + 1
-    weights = _subset_weights(rng, size)
-    components = []
-    fams = []
-    for basis, weight in zip(bases, weights):
-        f = random_decoherence_function(rng)
-        fams.append(f.kind)
-        components.append((float(weight), ChannelSpec(d, int(basis), f)))
-    x = _valid_full_weights(rng, d)
-    forecast = forecast_invertibility(
-        AllChannelsRequest(d, float(rng.uniform(0.5, 2.0)), tuple(x))
+    weights = floor + (1.0 - floor * size) * rng.dirichlet(np.ones(size))
+    return MixtureSpec(
+        d,
+        [
+            (float(w), ChannelSpec(d, int(b), random_decoherence_function(rng)))
+            for b, w in zip(bases, weights)
+        ],
     )
-    return _Trial(
-        MixtureSpec(d, components), bases, weights, fams, x, forecast.noninvertible_count
-    )
+
+
+def _noninvertible_bound(d: int) -> Tuple[int, bool]:
+    """Exact floor on the noninvertible inputs of a valid all-channels
+    construction, and whether all ``d+1`` inputs could be semigroups.
+
+    Input i stays invertible (or is a semigroup) iff ``x_i >= 1/d``, and every
+    weight is at least ``(d-1)/d^2``.  So ``k`` inputs can stay invertible iff
+    ``k/d + (d+1-k)(d-1)/d^2 <= 1``; all ``d+1`` are semigroups iff
+    ``(d+1)/d = 1``.
+    """
+    low, high = Fraction(d - 1, d**2), Fraction(1, d)
+    invertible = max(k for k in range(d + 2) if k * high + (d + 1 - k) * low <= 1)
+    return d + 1 - invertible, (d + 1) * high == 1
 
 
 def _scan(d: int, trials: int, seed: int) -> ScanReport:
-    """Phase (i): a proper-subset mixture must never be a semigroup.  Phase
-    (ii): a valid full-support construction needs >= d noninvertible inputs.
+    """Random proper-subset mixtures must never be semigroups; the floor on
+    a valid full construction's noninvertible inputs is proven exactly by
+    :func:`_noninvertible_bound`.
 
     Trial ``k`` draws from ``default_rng([seed, k])``.  Trials are drawn
-    ``_TRIAL_SLICE`` at a time, and the slice's phase (i) mixtures get one
+    ``_TRIAL_SLICE`` at a time, and the slice's mixtures get one
     :func:`~paulimix.dynamics.semigroup_verdicts` call.
     """
     if trials < _MIN_TRIALS:
@@ -508,33 +494,30 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
     tolerances = Tolerances()
     counterexamples = []
     subset_semigroups = 0
-    min_noninvertible = d + 1
     for start in range(0, trials, _TRIAL_SLICE):
-        drawn = [_draw_trial(d, seed, k) for k in range(start, min(start + _TRIAL_SLICE, trials))]
-        verdicts = semigroup_verdicts([t.subset for t in drawn], grid, tolerances)
-        for trial, t, verdict in zip(itertools.count(start), drawn, verdicts):
+        drawn = [
+            _random_mixture(np.random.default_rng([seed, k]), d, 2, d + 1, 0.05)
+            for k in range(start, min(start + _TRIAL_SLICE, trials))
+        ]
+        verdicts = semigroup_verdicts(drawn, grid, tolerances)
+        for trial, spec, verdict in zip(itertools.count(start), drawn, verdicts):
             if verdict.is_semigroup:
                 subset_semigroups += 1
                 counterexamples.append(
                     {
                         "phase": "subset",
                         "trial": trial,
-                        "bases": [int(b) for b in t.bases],
-                        "weights": [float(w) for w in t.weights],
-                        "functions": t.functions,
+                        "bases": [c.channel.basis for c in spec.components],
+                        "weights": [c.weight for c in spec.components],
+                        "functions": [c.channel.p.kind for c in spec.components],
                         "max_eigenvalue_deviation": verdict.max_eigenvalue_deviation,
                     }
                 )
-            min_noninvertible = min(min_noninvertible, t.noninvertible)
-            if t.noninvertible < d:
-                counterexamples.append(
-                    {
-                        "phase": "full",
-                        "trial": trial,
-                        "weights": [float(v) for v in t.full_weights],
-                        "noninvertible": t.noninvertible,
-                    }
-                )
+    min_noninvertible, all_semigroup_feasible = _noninvertible_bound(d)
+    if min_noninvertible < d:
+        counterexamples.append(
+            {"phase": "full", "trial": -1, "weights": [], "noninvertible": min_noninvertible}
+        )
     # Deterministic extra case: d+1 semigroup inputs, equal weights — the
     # mixture must not be a semigroup (its rates decay in time).
     semi = ExpRelax((d - 1) / d, 1.0)
@@ -553,7 +536,7 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
         "min_noninvertible_inputs": min_noninvertible,
         "required_noninvertible_inputs": d,
         "equal_semigroup_mix_is_semigroup": bool(equal_verdict.is_semigroup),
-        "all_semigroup_inputs_feasible": False,  # needs (d+1)/d = 1, impossible
+        "all_semigroup_inputs_feasible": all_semigroup_feasible,
     }
     return ScanReport(
         seed=seed,
@@ -566,16 +549,17 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
 
 
 def theorem1_scan(trials: int, seed: int) -> ScanReport:
-    """Qubit scan: random two-direction mixtures are never semigroups, and
-    every valid three-direction construction leaves >= 2 inputs
-    noninvertible.  Reproducible from (seed, trials); counterexamples, if
-    any, are listed verbatim."""
+    """Qubit scan: random two-direction mixtures are never semigroups.  The
+    floor of 2 noninvertible inputs in every valid three-direction
+    construction is proven in exact arithmetic, not sampled.  Reproducible
+    from (seed, trials); counterexamples, if any, are listed verbatim."""
     return _scan(2, trials, seed)
 
 
 def theorem2_scan(d: int, trials: int, seed: int) -> ScanReport:
-    """Dimension-d scan: random proper-subset mixtures are never semigroups,
-    and every valid full construction leaves >= d inputs noninvertible."""
+    """Dimension-d scan: random proper-subset mixtures are never semigroups.
+    The floor of d noninvertible inputs in every valid full construction is
+    proven in exact arithmetic, not sampled."""
     return _scan(d, trials, seed)
 
 
@@ -586,21 +570,14 @@ def cptp_scan(d: int, trials: int, seed: int, tol: float) -> ScanReport:
     Reproducible from (seed, trials); every failing check is listed."""
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
-    if math.isnan(tol):
-        raise ValueError("tolerance must not be NaN")
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must not be NaN or infinite, got {tol!r}")
     weyl = weyl_set(d)
     eye = np.eye(d)
     counterexamples = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        size = int(rng.integers(1, d + 2))
-        bases = rng.choice(d + 1, size=size, replace=False) + 1
-        weights = rng.dirichlet(np.ones(size))
-        components = []
-        for b, w in zip(bases, weights):
-            f = random_decoherence_function(rng)
-            components.append((float(w), ChannelSpec(d, int(b), f)))
-        spec = MixtureSpec(d, components)
+        spec = _random_mixture(rng, d, 1, d + 2, 0.0)
         for t in rng.uniform(0.0, 5.0, size=3):
             choi = matrixlab.choi(spec, float(t), weyl)
             herm = matrixlab.hermiticity_deviation(choi)

@@ -32,6 +32,11 @@ def test_verify_mub_rejects_a_nan_tolerance():
         mubgen.verify_mub(mubgen.construct_mub(3), float("nan"))
 
 
+def test_verify_mub_rejects_an_infinite_tolerance():
+    with pytest.raises(ValueError, match="infinite"):
+        mubgen.verify_mub(mubgen.construct_mub(3), float("inf"))
+
+
 @pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 32, 100])
 def test_out_of_scope_dimensions_rejected(bad):
     with pytest.raises(ValueError):

@@ -344,13 +344,6 @@ def test_random_function_family_is_admissible_and_diverse():
     assert kinds == {"exp_relax", "expression", "samples"}
 
 
-def test_random_function_can_exclude_sampled_kind():
-    rng = np.random.default_rng(5)
-    for _ in range(60):
-        f = random_decoherence_function(rng, allow_sampled=False)
-        assert f.describe()["kind"] != "samples"
-
-
 # ---------------------------------------------------------------------------
 # Scanners
 # ---------------------------------------------------------------------------
@@ -386,9 +379,30 @@ def test_prime_dimension_scan_rejects_nonprime():
         theorem2_scan(4, 120, 5)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_exact_noninvertible_bound_is_d_and_attained(d):
+    assert semigroupforge._noninvertible_bound(d) == (d, False)
+    # The bound is attained: one weight at 1/d, the other d at (d-1)/d^2.
+    vertex = (1 / d,) + ((d - 1) / d**2,) * d
+    fc = forecast_invertibility(AllChannelsRequest(d, 1.0, vertex))
+    assert fc.noninvertible_count == d
+    assert [c.verdict for c in fc.channels].count("semigroup") == 1
+
+
+def test_a_wrong_bound_fails_the_report(monkeypatch):
+    monkeypatch.setattr(semigroupforge, "_noninvertible_bound", lambda d: (d - 1, False))
+    report = theorem2_scan(3, 100, 0)
+    assert not report.passed
+    assert report.counterexamples == (
+        {"phase": "full", "trial": -1, "weights": [], "noninvertible": 2},
+    )
+    assert report.details["min_noninvertible_inputs"] == 2
+
+
 def _per_trial_scan(d, trials, seed):
     """The scanner as it was when every trial got its own one-mixture
-    semigroup verdict; also returns each trial's subset mixture and verdict."""
+    semigroup verdict, with the noninvertible floor written out by hand;
+    also returns each trial's subset mixture and verdict."""
     sf = semigroupforge
     if trials < sf._MIN_TRIALS:
         raise ValueError(f"need at least {sf._MIN_TRIALS} trials, got {trials}")
@@ -396,13 +410,12 @@ def _per_trial_scan(d, trials, seed):
     tolerances = sf.Tolerances()
     counterexamples = []
     subset_semigroups = 0
-    min_noninvertible = d + 1
     phase_one = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         size = int(rng.integers(2, d + 1))
         bases = rng.choice(d + 1, size=size, replace=False) + 1
-        weights = sf._subset_weights(rng, size)
+        weights = 0.05 + (1.0 - 0.05 * size) * rng.dirichlet(np.ones(size))
         components = []
         fams = []
         for basis, weight in zip(bases, weights):
@@ -426,21 +439,6 @@ def _per_trial_scan(d, trials, seed):
                     "max_eigenvalue_deviation": verdict.max_eigenvalue_deviation,
                 }
             )
-        x = sf._valid_full_weights(rng, d)
-        forecast = forecast_invertibility(
-            AllChannelsRequest(d, float(rng.uniform(0.5, 2.0)), tuple(x))
-        )
-        n_noninv = forecast.noninvertible_count
-        min_noninvertible = min(min_noninvertible, n_noninv)
-        if n_noninv < d:
-            counterexamples.append(
-                {
-                    "phase": "full",
-                    "trial": trial,
-                    "weights": [float(v) for v in x],
-                    "noninvertible": n_noninv,
-                }
-            )
     semi = ExpRelax((d - 1) / d, 1.0)
     equal = MixtureSpec(
         d,
@@ -455,7 +453,9 @@ def _per_trial_scan(d, trials, seed):
     details = {
         "dimension": d,
         "subset_semigroups": subset_semigroups,
-        "min_noninvertible_inputs": min_noninvertible,
+        # Two weights of at least 1/d leave the other d-1 at least
+        # (d-1)/d^2 each: a total of (d^2+1)/d^2 > 1.
+        "min_noninvertible_inputs": d,
         "required_noninvertible_inputs": d,
         "equal_semigroup_mix_is_semigroup": bool(equal_verdict.is_semigroup),
         "all_semigroup_inputs_feasible": False,
@@ -513,15 +513,10 @@ class _LooseSubsets(Tolerances):
 
 @pytest.mark.parametrize("d, seed", [(3, 1), (5, 3), (7, 2)])
 def test_sliced_scan_keeps_the_counterexample_order(monkeypatch, d, seed):
-    # Loose subset tolerances and unconstrained full weights make both
-    # phases fail in some trials, so counterexamples of both kinds interleave.
+    # Loose subset tolerances make many trials fail across every slice.
     monkeypatch.setattr(semigroupforge, "Tolerances", _LooseSubsets)
-    monkeypatch.setattr(
-        semigroupforge, "_valid_full_weights", lambda rng, d: rng.dirichlet(np.ones(d + 1))
-    )
     report = _assert_scan_matches(d, 3 * _SLICE + 5, seed)
-    phases = [c["phase"] for c in report.counterexamples]
-    assert "subset" in phases and "full" in phases
+    assert {c["phase"] for c in report.counterexamples} == {"subset"}
     assert [c["trial"] for c in report.counterexamples] == sorted(
         c["trial"] for c in report.counterexamples
     )
@@ -554,6 +549,12 @@ def test_cptp_scan_rejects_a_nan_tolerance():
     # NaN compares false, so every check would fail on valid channels.
     with pytest.raises(ValueError, match="tolerance must not be NaN"):
         cptp_scan(2, 1, 0, math.nan)
+
+
+def test_cptp_scan_rejects_an_infinite_tolerance():
+    # An infinite tolerance would pass every partial-trace and PSD check.
+    with pytest.raises(ValueError, match="infinite"):
+        cptp_scan(2, 1, 0, math.inf)
 
 
 def test_cptp_scan_rejects_nonprime():
