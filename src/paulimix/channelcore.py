@@ -95,6 +95,11 @@ class ExpRelax(DecoherenceFunction):
             return float(p), float(dp)
         return p, dp
 
+    def value(self, t):
+        # p alone, by the same operations: bisection evaluates only values.
+        p = self.scale * (1.0 - np.exp(-self.rate * np.asarray(t, dtype=float)))
+        return float(p) if p.ndim == 0 else p
+
     def as_expression(self) -> str:
         return f"{self.scale!r}*(1-exp(-{self.rate!r}*t))"
 
@@ -393,36 +398,43 @@ class MixtureValidationError(ValueError):
         self.issues = tuple(issues)
 
 
-def bisect_root(f, lo: float, hi: float, flo: float, xtol: float) -> float:
-    """Bisect ``f`` for a sign change on [lo, hi]; ``flo = f(lo)``.
-
-    Stops at an exact zero of ``f``, once ``hi - lo <= xtol``, or after 200
-    halvings, and returns the midpoint of the last bracket.
-    """
+def _bisect(f, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, xtol: float):
+    """Bisect the brackets ``[lo, hi]`` of ``rows`` (``flo = f(rows, lo)``;
+    all three are overwritten) together: each step calls ``f(rows, mids)``
+    once for the live brackets, in order.  A bracket stops at an exact zero
+    of ``f``, once ``hi - lo <= xtol``, or after 200 halvings, at the
+    midpoint of its last bracket, as if it were bisected alone."""
+    roots = np.empty(lo.size)
+    live = np.arange(lo.size)
     for _ in range(200):
-        if hi - lo <= xtol:
-            break
+        wide = hi - lo > xtol
+        if np.count_nonzero(wide) < live.size:
+            roots[live[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
+            live, rows, lo, hi, flo = live[wide], rows[wide], lo[wide], hi[wide], flo[wide]
+        if not live.size:
+            return roots
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        fmid = np.asarray(f(rows, mid), dtype=float)
+        # An exact zero collapses its bracket onto mid, whose midpoint is mid.
+        zero = fmid == 0.0
+        up = (flo < 0.0) == (fmid < 0.0)
+        np.copyto(lo, mid, where=up | zero)
+        np.copyto(flo, fmid, where=up)
+        np.copyto(hi, mid, where=~up | zero)
+    roots[live] = 0.5 * (lo + hi)
+    return roots
 
 
 def range_exit(value, times: np.ndarray, k: int, bound: float) -> float:
-    """Where ``value(t)`` crosses ``bound`` (0 or 1) into the first sample
-    ``k`` of ``times`` that lies outside [0, 1]: ``times[0]`` for ``k = 0``,
+    """Where ``value(t)`` (``t`` an array) crosses ``bound`` (0 or 1) into the
+    first sample ``k`` of ``times`` outside [0, 1]: ``times[0]`` for ``k = 0``,
     else bisected between ``times[k-1]`` and ``times[k]`` down to 1e-12."""
-    t = float(times[k])
     if k == 0:
-        return t
-    g = lambda s: float(value(s)) - bound
-    lo = float(times[k - 1])
-    return bisect_root(g, lo, t, g(lo), 1e-12)
+        return float(times[0])
+    g = lambda _rows, t: np.asarray(value(t), dtype=float) - bound
+    row = np.zeros(1, dtype=np.intp)
+    lo, hi = np.array(times[k - 1 : k + 1], dtype=float).reshape(2, 1)
+    return float(_bisect(g, row, lo, hi, g(row, lo), 1e-12)[0])
 
 
 def bracket_roots(values: np.ndarray, times: np.ndarray, f, xtol: float):
@@ -435,23 +447,27 @@ def bracket_roots(values: np.ndarray, times: np.ndarray, f, xtol: float):
     - an exact zero ``a == 0`` with ``k > 0`` is reported at ``times[k]`` and
       the interval is not bisected (the first column is never a root);
     - a sign change from a nonzero ``a`` (``(a < 0) != (b < 0)``, so also
-      ``a < 0, b == 0``) is bisected with ``f(row, t)`` down to ``xtol``;
+      ``a < 0, b == 0``) is bisected down to ``xtol``, all brackets together:
+      ``f(rows, t)`` returns the values at the midpoints ``t`` of the live
+      brackets, whose ``rows`` come in (row, interval) order;
     - ``values[row, -1] == 0`` reports ``times[-1]``, after any root of the
       last interval;
     - NaN compares false everywhere: it is never a zero, counts as
       nonnegative, and a bracket from a NaN ``a`` is bisected from it.
     """
     a = values[:, :-1]
+    below = values < 0.0
     zero = a == 0.0
     zero[:, 0] = False
-    flip = (a != 0.0) & ((a < 0.0) != (values[:, 1:] < 0.0))
+    flip = (a != 0.0) & (below[:, :-1] != below[:, 1:])
+    rows, ks = np.nonzero(zero | flip)
+    found = times[ks]
+    cut = flip[rows, ks]
+    lo, hi = times[ks[cut]], times[ks[cut] + 1]
+    found[cut] = _bisect(f, rows[cut], lo, hi, a[rows[cut], ks[cut]], xtol)
     roots = [[] for _ in range(values.shape[0])]
-    for row, k in np.argwhere(zero | flip).tolist():
-        if zero[row, k]:
-            roots[row].append(float(times[k]))
-        else:
-            lo, hi = float(times[k]), float(times[k + 1])
-            roots[row].append(bisect_root(lambda t: f(row, t), lo, hi, a[row, k], xtol))
+    for row, t in zip(rows.tolist(), found.tolist()):
+        roots[row].append(t)
     for row in np.flatnonzero(values[:, -1] == 0.0).tolist():
         roots[row].append(float(times[-1]))
     return roots

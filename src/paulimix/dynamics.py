@@ -111,19 +111,13 @@ def default_grid(t_max: float = 5.0, points: int = 512) -> TimeGrid:
 def refine_grid(grid: TimeGrid, centers: Sequence[float], levels: int = 12) -> TimeGrid:
     """Add geometrically clustered points around each center (e.g. a pole)."""
     t_max = grid.t_max
-    extras = []
-    for center in centers:
-        for k in range(levels):
-            step = t_max / 64.0 * 2.0**-k
-            for t in (center - step, center + step):
-                if 0.0 < t < t_max:
-                    extras.append(t)
-        if 0.0 < center < t_max:
-            extras.append(center)
-    if not extras:
+    steps = t_max / 64.0 * 2.0 ** -np.arange(levels)
+    centers = np.asarray(centers, dtype=float)[:, None]
+    extras = np.concatenate([centers - steps, centers + steps, centers], axis=None)
+    extras = extras[(0.0 < extras) & (extras < t_max)]
+    if not extras.size:
         return grid
-    times = np.unique(np.concatenate([grid.times, np.asarray(extras)]))
-    return TimeGrid(times)
+    return TimeGrid(np.unique(np.concatenate([grid.times, extras])))
 
 
 @dataclass(frozen=True)
@@ -266,7 +260,6 @@ class _Functions:
 
     def __init__(self):
         self.functions: list = []
-        self.keys: list = []
         self._index: dict = {}
         self._by_id: dict = {}
 
@@ -282,7 +275,6 @@ class _Functions:
             if i is None:
                 i = self._index[key] = len(self.functions)
                 self.functions.append(f)
-                self.keys.append(key)
             self._by_id[id(f)] = i
         return i
 
@@ -626,73 +618,76 @@ def semigroup_verdicts(
 # ---------------------------------------------------------------------------
 
 
-def _input_verdict(
-    f: DecoherenceFunction, p: np.ndarray, times: np.ndarray, d: int, sg_tol: float, xtol: float
-) -> Tuple[str, Tuple[float, ...]]:
-    """Verdict and zeros of one input's off-label eigenvalue ``1 - (d/(d-1)) p``."""
-    factor = d / (d - 1.0)
-    lam = 1.0 - factor * p
-    (crossings,) = bracket_roots(
-        lam[None, :], times, lambda _row, t: 1.0 - factor * float(f.value(t)), xtol
-    )
-    if crossings:
-        return "noninvertible", tuple(crossings)
-    if np.all(lam > 0.0) and _exponential(lam, times)[1].max() <= sg_tol:
-        return "semigroup", ()
-    return "invertible", ()
-
-
-class _InputCache:
-    """Input verdicts on one grid, each computed once per distinct
-    ``(function, dimension, semigroup tolerance)``."""
-
-    def __init__(self, times: np.ndarray, xtol: float):
-        self.times = times
-        self.xtol = xtol
-        self._verdicts: dict = {}
-
-    def inputs(self, spec, ids, funcs: _Functions, values: np.ndarray, sg_tol, made: dict):
-        """The input verdicts of ``spec``; ``made`` keeps the verdict objects
-        already built for ``funcs``."""
-        out = []
-        for i, (comp, j) in enumerate(zip(spec.components, ids), start=1):
-            memo = (j, sg_tol, i, comp.channel.basis)
-            verdict = made.get(memo)
-            if verdict is None:
-                key = (funcs.keys[j], spec.dimension, sg_tol)
-                found = self._verdicts.get(key)
-                if found is None:
-                    try:
-                        found = _input_verdict(
-                            funcs.functions[j], values[0, j], self.times, spec.dimension,
-                            sg_tol, self.xtol,
-                        )
-                    except Exception as exc:
-                        found = exc
-                    self._verdicts[key] = found
-                if isinstance(found, Exception):
-                    raise found
-                verdict = made[memo] = InputVerdict(i, comp.channel.basis, *found)
-            out.append(verdict)
-        return tuple(out)
-
-
-def _output_singularities(lam: np.ndarray, times: np.ndarray, point, xtol: float):
-    """Sorted ``(label, t*)`` zeros of each mixture's eigenvalues; intervals
-    are bisected with ``point(b, beta, t) = lambda_beta(t)`` of mixture b."""
+def _zeros(done: _Block, specs, clean: list, inputs: list, times: np.ndarray, xtol: float):
+    """Zeros of the rows ``clean`` of ``done`` (mixtures ``specs`` on
+    ``times``) and of the off-label row ``1 - (d/(d-1)) p`` of each function
+    ``inputs``, in one :func:`bracket_roots` pass.  Each step evaluates each
+    owner once at its live midpoints: a mixture on its own table, as if it
+    were alone, an input through its function.  Returns each row's sorted
+    ``(label, t*)`` zeros by row, and each function's zeros and midpoint-fit
+    deviation (inf unless positive) by index; an owner whose evaluation
+    raised gets its error instead."""
+    lam = done.lam[clean]
     size, labels, n = lam.shape
-    roots = bracket_roots(
-        lam.reshape(size * labels, n),
-        times,
-        lambda row, t: point(*divmod(row, labels), t),
-        xtol,
-    )
-    found = [()] * size
-    for b in sorted({row // labels for row, ts in enumerate(roots) if ts}):
-        found[b] = tuple(
-            sorted((beta + 1, t) for beta in range(labels) for t in roots[b * labels + beta])
+    factor = (labels - 1) / (labels - 2.0)  # d/(d-1)
+    rows_in = 1.0 - factor * done.values[0, inputs]
+    owner = np.concatenate([np.repeat(np.arange(size), labels), size + np.arange(len(inputs))])
+    tables: dict = {}
+    errors: dict = {}
+
+    def f(rows, t):
+        out = np.full(t.size, np.nan)
+        who = owner[rows]
+        # Rows come in ascending order, so each owner's midpoints are contiguous.
+        cuts = (np.flatnonzero(who[1:] != who[:-1]) + 1).tolist()
+        for a, b in zip([0] + cuts, cuts + [t.size]):
+            o = who.item(a)
+            if o in errors:
+                continue
+            try:
+                if o < size:
+                    if o not in tables:
+                        tables[o] = _table([specs[clean[o]]])
+                    _, value, _, (error,) = _front(tables[o], t[a:b])
+                    if error is not None:
+                        raise error
+                    out[a:b] = value[0, rows[a:b] % labels, np.arange(b - a)]
+                else:
+                    out[a:b] = done.funcs.functions[inputs[o - size]].value(t[a:b])
+            except Exception as exc:
+                errors[o] = exc
+        # The input rows hold p so far.
+        first = int(np.searchsorted(rows, size * labels))
+        out[first:] = 1.0 - factor * out[first:]
+        return out
+
+    roots = bracket_roots(np.concatenate([lam.reshape(size * labels, n), rows_in]), times, f, xtol)
+    positive = (rows_in > 0.0).all(axis=1)
+    fits = np.where(positive, _exponential(rows_in, times)[1].max(axis=1), np.inf).tolist()
+    found = [()] * size + [(tuple(ts), fit) for ts, fit in zip(roots[size * labels :], fits)]
+    for c in {row // labels for row, ts in enumerate(roots[: size * labels]) if ts}:
+        found[c] = tuple(
+            sorted((beta + 1, t) for beta in range(labels) for t in roots[c * labels + beta])
         )
-    return found
+    for o, exc in errors.items():
+        found[o] = exc
+    return dict(zip(clean, found)), dict(zip(inputs, found[size:]))
+
+
+def _inputs(spec, ids, found: dict, sg_tol: float, made: dict):
+    """The input verdicts of ``spec``, whose components use the functions
+    ``ids`` of ``found`` (from :func:`_zeros`); ``made`` keeps those built."""
+    out = []
+    for i, (comp, j) in enumerate(zip(spec.components, ids), start=1):
+        memo = (j, sg_tol, i, comp.channel.basis)
+        if memo not in made:
+            if isinstance(found[j], Exception):
+                raise found[j]
+            zeros, fit = found[j]
+            kind = "noninvertible" if zeros else "semigroup" if fit <= sg_tol else "invertible"
+            made[memo] = InputVerdict(i, comp.channel.basis, kind, zeros)
+        out.append(made[memo])
+    return tuple(out)
 
 
 def _report(spec, fit: _Fit, b: int, singular, inputs, p_in_range, sg_tol, cp_tol):
@@ -716,7 +711,7 @@ def _report(spec, fit: _Fit, b: int, singular, inputs, p_in_range, sg_tol, cp_to
     )
 
 
-def _analyze_block(specs, grid: TimeGrid, tol: Tolerances, refine: bool, keep: bool, cache):
+def _analyze_block(specs, grid: TimeGrid, tol: Tolerances, refine: bool, keep: bool):
     """:func:`analyze_mixture` of mixtures of one dimension, in order (only
     the reports unless ``keep``).  A mixture whose analysis raises gets the
     exception in its place, the first one that its own analysis would raise."""
@@ -733,32 +728,22 @@ def _analyze_block(specs, grid: TimeGrid, tol: Tolerances, refine: bool, keep: b
     block = [pos for pos, result in enumerate(out) if result is None]
     if not block:
         return out
-    done = _block([specs[pos] for pos in block], times, tol.pole)
+    members = [specs[pos] for pos in block]
+    done = _block(members, times, tol.pole)
     for pos, error in zip(block, done.errors):
         out[pos] = error
     high, low = range_violations(done.values[0])
     in_range = (~(high.any(axis=1) | low.any(axis=1))).tolist()
     clean = [b for b, error in enumerate(done.errors) if error is None]
-    tables: dict = {}
-
-    def point(row: int, beta: int, t: float) -> float:
-        # lambda_beta(t) of block row clean[row], bisected as for the mixture alone.
-        pos = block[clean[row]]
-        if pos not in tables:
-            tables[pos] = _table([specs[pos]])
-        _, value, _, (error,) = _front(tables[pos], np.asarray([t]))
-        if error is not None:
-            if out[pos] is None:
-                out[pos] = error
-            return np.nan
-        return float(value[0, beta, 0])
-
-    singular = dict(
-        zip(clean, _output_singularities(done.lam[clean], times, point, tol.singularity))
-    )
+    # A row has output zeros iff some eigenvalue is <= 0 (its first is 1); if
+    # refined, its inputs get their pass on its refined grid, not this one.
+    coarse = {j for b in clean if not (refine and done.fit.nonpositive[b]) for j in done.ids[b]}
+    singular, found = _zeros(done, members, clean, sorted(coarse), times, tol.singularity)
     made: dict = {}
     tolerances: dict = {}  # by function indices, which decide sampled or not
     for b, pos in enumerate(block):
+        if out[pos] is None and isinstance(singular[b], Exception):
+            out[pos] = singular[b]
         if out[pos] is not None:
             continue
         spec = specs[pos]
@@ -770,16 +755,17 @@ def _analyze_block(specs, grid: TimeGrid, tol: Tolerances, refine: bool, keep: b
         row_grid, row, r = grid, done, b
         try:
             if singular[b] and refine:
-                # The row alone, as a block of one on its refined grid.
+                # The row alone, as a block of one on its refined grid, whose
+                # inputs get their own pass there.
                 row_grid = refine_grid(grid, [t for _, t in singular[b]])
                 row, r = _block([spec], row_grid.times, tol.pole), 0
                 if row.errors[0] is not None:
                     raise row.errors[0]
-                inputs = _InputCache(row_grid.times, tol.singularity).inputs(
-                    spec, row.ids[0], row.funcs, row.values, sg_tol, {}
-                )
+                _, own = _zeros(row, [spec], [], sorted(set(row.ids[0])), row_grid.times,
+                                tol.singularity)
+                inputs = _inputs(spec, row.ids[0], own, sg_tol, {})
             else:
-                inputs = cache.inputs(spec, uses, done.funcs, done.values, sg_tol, made)
+                inputs = _inputs(spec, uses, found, sg_tol, made)
         except Exception as exc:
             out[pos] = exc
             continue
@@ -798,10 +784,9 @@ def _analyze(specs, grid, tolerances, refine: bool, keep: bool) -> list:
     grid = grid if grid is not None else default_grid()
     tol = tolerances if tolerances is not None else Tolerances()
     specs = list(specs)
-    cache = _InputCache(grid.times, tol.singularity)
     results: list = []
     for start, stop in _blocks(specs, len(grid)):
-        block = _analyze_block(specs[start:stop], grid, tol, refine, keep, cache)
+        block = _analyze_block(specs[start:stop], grid, tol, refine, keep)
         for result in block:
             if isinstance(result, Exception):
                 raise result
@@ -820,10 +805,10 @@ def classify_many(
 
     Each block evaluates every distinct decoherence function once on the
     grid, and computes eigenvalues, rates, poles, the semigroup fit and the
-    least rate as arrays over a leading mixture axis.  Each distinct input
-    ``(function, dimension, semigroup tolerance)`` gets its invertibility
-    verdict, bisection included, once per call.  Rows with singular times
-    are refined and recomputed one by one.  Blocks hold at most
+    least rate as arrays over a leading mixture axis.  One bracketing pass
+    finds the zeros of all its output rows and of each distinct input's
+    row, all brackets bisected together.  Rows with singular times are
+    refined and recomputed one by one, their inputs too.  Blocks hold at most
     ``_BLOCK_VALUES`` eigenvalues, so memory does not grow with the batch
     beyond the reports themselves.  The first mixture that ``classify``
     would reject raises the same exception here.

@@ -144,8 +144,8 @@ def verify_mub(family: MubFamily, tolerance: float = 1e-12) -> MubReport:
     Orthonormality: ``|<phi_i^(a)|phi_j^(a)> - delta_ij|`` within each basis.
     Unbiasedness: ``||<phi_i^(a)|phi_j^(b)>|^2 - 1/d|`` across distinct bases.
     """
-    if not math.isfinite(tolerance):
-        raise ValueError(f"tolerance must not be NaN or infinite, got {tolerance!r}")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must not be NaN, infinite or negative, got {tolerance!r}")
     d = family.dimension
     bases = family.bases
     ortho_dev = 0.0

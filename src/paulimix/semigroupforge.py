@@ -218,20 +218,18 @@ def build_same_channel_mix(
     if sampled:
         t_max = float(req.q.times[-1])
         times = np.union1d(req.q.times, np.linspace(0.0, t_max, 513))
-        q_vals = np.asarray(req.q.value(times), dtype=float)
-        p_vals = f_scale * (1.0 - np.exp(-c * times)) - q_coeff * q_vals
 
-        def p_value(t: float) -> float:
-            return f_scale * (1.0 - np.exp(-c * t)) - q_coeff * float(req.q.value(t))
+        def p_value(t: np.ndarray) -> np.ndarray:
+            return f_scale * (1.0 - np.exp(-c * t)) - q_coeff * req.q.value(t)
     else:
         q_src = req.q.as_expression()
         p: DecoherenceFunction = Expression(
             f"{f_scale!r}*(1-exp(-{c!r}*t)) - {q_coeff!r}*({q_src})"
         )
         times = (grid if grid is not None else default_grid(5.0 / c, 1024)).times
-        p_vals, _ = p.value_and_derivative(times)
         p_value = p.value
 
+    p_vals = p_value(times)
     high, low = range_violations(p_vals)
     outside = high | low
     if outside.any():

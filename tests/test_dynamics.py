@@ -505,17 +505,24 @@ def sampled_rows(draw):
 @given(sampled_rows(), st.sampled_from([1e-10, 1e-3]))
 def test_bracket_roots_matches_per_point_scan(sample, xtol):
     values, times = sample
-    calls, ref_calls = [], []
+    # Midpoints per bracket (row, grid interval): every midpoint lies
+    # strictly inside its bracket's grid interval.
+    calls, ref_calls = {}, {}
 
-    def f(row, t):
-        calls.append((row, t))
-        return float(np.interp(t, times, values[row]))
+    def bracket(row, t):
+        return (row, int(np.searchsorted(times, t)) - 1)
+
+    def f(rows, ts):
+        assert list(rows) == sorted(rows)  # (row, interval) order
+        for row, t in zip(rows.tolist(), ts.tolist()):
+            calls.setdefault(bracket(row, t), []).append(t)
+        return np.array([np.interp(t, times, values[row]) for row, t in zip(rows, ts)])
 
     expected = []
     for row in range(values.shape[0]):
 
         def ref_f(t, _row=row):
-            ref_calls.append((_row, t))
+            ref_calls.setdefault(bracket(_row, t), []).append(t)
             return float(np.interp(t, times, values[_row]))
 
         expected.append(reference_zero_crossings(values[row], times, ref_f, xtol))
@@ -620,6 +627,76 @@ def test_classify_many_equals_classify_on_mixed_batches(specs, rows_per_block):
         assert_batch_matches(specs)
 
 
+def scalar_eigenvalues(spec, t):
+    """``lambda_beta(t)`` of a mixture at one time, from scalar evaluations,
+    summed in the batched kernel's order: ``1 - (d/(d-1)) (total - own label)``."""
+    d = spec.dimension
+    total, per_label = 0.0, [0.0] * (d + 1)
+    for c in spec.components:
+        w = c.weight * c.channel.p.value_and_derivative(t)[0]
+        total += w
+        per_label[c.channel.basis - 1] += w
+    return [1.0 - d / (d - 1.0) * (total - x) for x in per_label]
+
+
+def reference_zeros(spec, grid, tol):
+    """Singular times and input verdicts by the per-bracket scalar search that
+    the one-pass bracketing replaced: every bracket bisected on its own, an
+    output at one time per call, an input by ``1 - (d/(d-1)) p(t)``; a
+    singular row's inputs on its refined grid."""
+    d = spec.dimension
+    times = grid.times
+    lam = mixture_eigenvalues(spec, grid).eigenvalues
+    singular = tuple(
+        sorted(
+            (beta + 1, t)
+            for beta in range(d + 1)
+            for t in reference_zero_crossings(
+                lam[beta], times, lambda s, b=beta: scalar_eigenvalues(spec, s)[b],
+                tol.singularity,
+            )
+        )
+    )
+    if singular:
+        times = refine_grid(grid, [t for _, t in singular]).times
+    factor = d / (d - 1.0)
+    inputs = []
+    for c in spec.components:
+        p = c.channel.p
+        row = 1.0 - factor * p.value_and_derivative(times)[0]
+        found = reference_zero_crossings(
+            row, times, lambda s, p=p: 1.0 - factor * p.value_and_derivative(s)[0],
+            tol.singularity,
+        )
+        mid = times.size // 2
+        if found:
+            verdict = "noninvertible"
+        elif np.all(row > 0.0) and np.abs(
+            row - np.exp(-(-np.log(row[mid]) / times[mid]) * times)
+        ).max() <= tol.semigroup_for(spec):
+            verdict = "semigroup"
+        else:
+            verdict = "invertible"
+        inputs.append((verdict, tuple(found)))
+    return singular, inputs
+
+
+def assert_matches_reference(specs, grid=_BATCH_GRID):
+    tol = Tolerances()
+    for spec, report in zip(specs, classify_many(specs, grid, tol)):
+        singular, inputs = reference_zeros(spec, grid, tol)
+        assert report.singular_times == singular
+        assert [(v.verdict, v.singular_times) for v in report.inputs] == inputs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(mixtures(), min_size=1, max_size=8), st.integers(1, 3))
+def test_one_pass_matches_the_per_bracket_scalar_search(specs, rows_per_block):
+    values = rows_per_block * 4 * len(_BATCH_GRID)
+    with mock.patch.object(dynamics, "_BLOCK_VALUES", values):
+        assert_matches_reference(specs)
+
+
 def test_classify_many_batch_covers_the_edge_cases():
     # Explicit rows for each edge case, around two rows that refine.
     q = ChannelSpec(2, 2, Expression("0.8*sin(t)^2"))
@@ -638,6 +715,7 @@ def test_classify_many_batch_covers_the_edge_cases():
     assert np.isnan(reports[3].min_rate) and not np.isnan(reports[5].min_rate)
     assert reports[4].semigroup_tolerance == 1e-5 and reports[5].semigroup_tolerance == 1e-8
     assert_batch_matches(specs)
+    assert_matches_reference(specs)
 
 
 def test_classify_many_crosses_a_real_block_boundary():
@@ -676,6 +754,25 @@ def test_classify_many_raises_what_classify_raises_first():
         assert str(batched.value) == str(single.value)
     with pytest.raises(MixtureValidationError, match="weights sum to 0.7"):
         classify_many([good, bad_weights])
+
+
+def test_a_domain_error_met_only_by_a_bisection_midpoint_names_its_mixture():
+    # sqrt is undefined for |t - 1| < 1e-4, where no grid point lies; the
+    # output and input zero at t = 1 drives the bisection into the hole.
+    grid = default_grid(2.0, 64)
+    hole = Expression("0.5*t + 0*sqrt((t-1)^2-1e-8)")
+    assert np.abs(grid.times - 1.0).min() > 1e-4
+    good = equal_thirds_mix()
+    bad = MixtureSpec(2, [(1.0, ChannelSpec(2, 1, hole))])
+    message = "sqrt of negative argument at t=1.0"
+    with pytest.raises(ArithmeticError) as single:
+        classify(bad, grid)
+    assert str(single.value) == message
+    with pytest.raises(ArithmeticError) as batched:
+        classify_many([good, bad], grid)
+    assert type(batched.value) is type(single.value) and str(batched.value) == message
+    assert repr(classify_many([good], grid)) == repr([classify(good, grid)])
+    assert classify(good, grid).is_semigroup
 
 
 def test_analyze_mixture_is_the_one_spec_case():

@@ -37,6 +37,13 @@ def test_verify_mub_rejects_an_infinite_tolerance():
         mubgen.verify_mub(mubgen.construct_mub(3), float("inf"))
 
 
+def test_verify_mub_rejects_a_negative_tolerance():
+    # A negative tolerance would fail every family, correct ones included.
+    with pytest.raises(ValueError, match="infinite or negative, got -1.0"):
+        mubgen.verify_mub(mubgen.construct_mub(3), -1.0)
+    assert mubgen.verify_mub(mubgen.construct_mub(3), 0.0).tolerance == 0.0
+
+
 @pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 32, 100])
 def test_out_of_scope_dimensions_rejected(bad):
     with pytest.raises(ValueError):

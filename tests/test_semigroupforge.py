@@ -156,24 +156,43 @@ def test_forecast_rate_rescales_singular_times():
     assert fc.channels[0].singular_time == pytest.approx(LN3 / 4.0, abs=1e-15)
 
 
+def assert_forecast_agrees_with_classification(req):
+    fc = forecast_invertibility(req)
+    horizon = max(
+        [5.0] + [1.3 * c.singular_time for c in fc.channels if c.singular_time is not None]
+    )
+    report = classify(build_all_channels_mix(req), default_grid(horizon, 256))
+    assert report.is_semigroup  # the construction's whole point
+    for ch, iv in zip(fc.channels, report.inputs):
+        assert ch.verdict == iv.verdict
+        if ch.verdict == "noninvertible":
+            assert iv.singular_times[0] == pytest.approx(ch.singular_time, abs=1e-9)
+    assert fc.noninvertible_count >= req.dimension  # the structural floor
+    return fc
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_forecast_agrees_with_numerical_classification(d):
+    # Random weights above the lower bound, all below 1/d: every input is
+    # noninvertible.
     rng = np.random.default_rng(100 + d)
     for _ in range(5):
         x = weight_lower_bound(d) + rng.dirichlet(np.ones(d + 1)) / d**2
-        req = AllChannelsRequest(d, 1.0, tuple(float(v) for v in x))
-        fc = forecast_invertibility(req)
-        horizon = max(
-            [5.0]
-            + [1.3 * c.singular_time for c in fc.channels if c.singular_time is not None]
+        assert_forecast_agrees_with_classification(
+            AllChannelsRequest(d, 1.0, tuple(float(v) for v in x))
         )
-        report = classify(build_all_channels_mix(req), default_grid(horizon, 256))
-        assert report.is_semigroup  # the construction's whole point
-        for ch, iv in zip(fc.channels, report.inputs):
-            assert ch.verdict == iv.verdict
-            if ch.verdict == "noninvertible":
-                assert iv.singular_times[0] == pytest.approx(ch.singular_time, abs=1e-9)
-        assert fc.noninvertible_count >= d  # the structural floor
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 31])
+def test_forecast_agrees_with_classification_at_the_attained_corner(d):
+    # At (1/d, (d-1)/d^2, ...) input 1 is a semigroup.  No construction has
+    # an invertible input: that needs x_i > 1/d, while the other d weights,
+    # each at least (d-1)/d^2, sum to at least (d-1)/d, so all the weights
+    # would sum to more than 1.
+    fc = assert_forecast_agrees_with_classification(
+        AllChannelsRequest(d, 1.0, (1 / d,) + ((d - 1) / d**2,) * d)
+    )
+    assert [c.verdict for c in fc.channels] == ["semigroup"] + ["noninvertible"] * d
 
 
 # ---------------------------------------------------------------------------
