@@ -318,11 +318,15 @@ def cmd_construct(args) -> int:
             q = Expression(args.q)
         except ParseError as exc:
             raise ConfigError(f"--q: {exc} (position {exc.position})") from None
-        req = SameChannelRequest(d, c, args.same, q, basis=args.basis)
+        basis = args.basis if args.basis is not None else 1
+        req = SameChannelRequest(d, c, args.same, q, basis=basis)
         spec = build_same_channel_mix(req, grid=default_grid(t_max, 1024))
         report = dynamics.classify(spec, default_grid(t_max, 256))
         forecast_doc = reportio.same_channel_forecast_dict(req, report)
     else:
+        for name, value in (("--q", args.q), ("--basis", args.basis)):
+            if value is not None:
+                raise ConfigError(f"{name} applies only with --same")
         if len(args.weights) != d + 1:
             raise ConfigError(
                 f"need {d + 1} weights for dimension {d}, got {len(args.weights)}"
@@ -349,27 +353,41 @@ def cmd_construct(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+# The options each self-check reads; the others are rejected.
+_VERIFY_OPTIONS = {
+    "mub": ("d", "tol"),
+    "theorem1": ("d", "trials", "seed"),
+    "theorem2": ("d", "trials", "seed"),
+    "cptp": ("d", "trials", "seed", "tol"),
+}
+
 
 def cmd_verify(args) -> int:
     what = args.what
+    for name in ("d", "trials", "seed", "tol"):
+        if getattr(args, name) is not None and name not in _VERIFY_OPTIONS[what]:
+            raise ConfigError(f"verify {what} takes no --{name}")
+    if what == "theorem1" and args.d not in (None, 2):
+        raise ConfigError(f"verify theorem1 is the qubit scan: --d must be 2, got {args.d}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol!r}")
+    seed = args.seed if args.seed is not None else 0
     if what == "mub":
         d = args.d if args.d is not None else 2
         tol = args.tol if args.tol is not None else 1e-12
         doc = reportio.mub_report_dict(mubgen.verify_mub(mubgen.construct_mub(d), tol))
     elif what == "theorem1":
         trials = args.trials if args.trials is not None else 1000
-        doc = reportio.scan_report_dict(semigroupforge.theorem1_scan(trials, args.seed))
+        doc = reportio.scan_report_dict(semigroupforge.theorem1_scan(trials, seed))
     elif what == "theorem2":
         d = args.d if args.d is not None else 3
         trials = args.trials if args.trials is not None else 500
-        doc = reportio.scan_report_dict(semigroupforge.theorem2_scan(d, trials, args.seed))
+        doc = reportio.scan_report_dict(semigroupforge.theorem2_scan(d, trials, seed))
     else:  # cptp
         d = args.d if args.d is not None else 2
         trials = args.trials if args.trials is not None else 20
         tol = args.tol if args.tol is not None else 1e-10
-        doc = reportio.scan_report_dict(semigroupforge.cptp_scan(d, trials, args.seed, tol))
+        doc = reportio.scan_report_dict(semigroupforge.cptp_scan(d, trials, seed, tol))
     passed = bool(doc["pass"])
     text = reportio.to_json(doc)
     if args.report:
@@ -388,6 +406,8 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     d = args.dimension
+    if args.divisions is not None and args.step is not None:
+        raise ConfigError("give either --divisions or --step, not both")
     if args.divisions is not None:
         divisions = args.divisions
     elif args.step is not None:
@@ -473,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument("--same", type=float, metavar="A", help="same-basis variant, a in (0,1)")
     pc.add_argument("--q", metavar="EXPR", help="free decoherence function q(t)")
-    pc.add_argument("--basis", type=int, default=1, help="basis label for --same")
+    pc.add_argument("--basis", type=int, default=None, help="basis label for --same (default 1)")
     pc.add_argument("--t-max", type=float, default=None, help="analysis window (default 5/c)")
     pc.add_argument("--points", type=int, default=512, help="grid points for the config")
     pc.add_argument("--out", help="write the config here instead of stdout")
@@ -483,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("what", choices=["mub", "theorem1", "theorem2", "cptp"])
     pv.add_argument("--d", type=int, default=None, help="dimension (prime)")
     pv.add_argument("--trials", type=int, default=None)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=int, default=None, help="scanner seed (default 0)")
     pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--report", metavar="PATH", help="write the JSON report here")
     pv.set_defaults(handler=cmd_verify)

@@ -70,6 +70,7 @@ _NOT_IDENTITY = "eigenvalues must equal 1 at t=0 (map starts at identity)"
 # classify_many works on blocks of at most this many eigenvalues
 # (mixtures x (d+1) x grid points), which bounds its working memory.
 _BLOCK_VALUES = 1 << 16
+_REFINE_LEVELS = 12  # refine_grid halves its step this many times
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +109,10 @@ def default_grid(t_max: float = 5.0, points: int = 512) -> TimeGrid:
     return TimeGrid(np.linspace(0.0, t_max, int(points)))
 
 
-def refine_grid(grid: TimeGrid, centers: Sequence[float], levels: int = 12) -> TimeGrid:
+def refine_grid(grid: TimeGrid, centers: Sequence[float]) -> TimeGrid:
     """Add geometrically clustered points around each center (e.g. a pole)."""
     t_max = grid.t_max
-    steps = t_max / 64.0 * 2.0 ** -np.arange(levels)
+    steps = t_max / 64.0 * 2.0 ** -np.arange(_REFINE_LEVELS)
     centers = np.asarray(centers, dtype=float)[:, None]
     extras = np.concatenate([centers - steps, centers + steps, centers], axis=None)
     extras = extras[(0.0 < extras) & (extras < t_max)]
@@ -278,18 +279,13 @@ class _Functions:
             self._by_id[id(f)] = i
         return i
 
-    def evaluate(self, times: np.ndarray):
-        """Values ``[p, p']`` of every function, shape ``(2, F, n)``, and the
-        error of each function whose evaluation raised, by index."""
+    def evaluate(self, times: np.ndarray) -> np.ndarray:
+        """Values ``[p, p']`` of every function, shape ``(2, F, n)``."""
         build_interpolants(self.functions)
         values = np.zeros((2, len(self.functions), times.size))
-        failures = {}
         for i, f in enumerate(self.functions):
-            try:
-                values[0, i], values[1, i] = f.value_and_derivative(times)
-            except Exception as exc:
-                failures[i] = exc
-        return values, failures
+            values[0, i], values[1, i] = f.value_and_derivative(times)
+        return values
 
 
 class _Slot(NamedTuple):
@@ -421,6 +417,23 @@ def _blocks(specs: Sequence[MixtureSpec], points: int):
         start = stop
 
 
+def _by_blocks(run, specs: Sequence[MixtureSpec], points: int) -> list:
+    """``run(block)`` on each block of ``specs`` from :func:`_blocks`, its
+    results in order.  A block of several mixtures that raises is run again
+    one mixture at a time, so the first mixture that fails alone raises its
+    own error; if none does, the block's error is raised."""
+    results: list = []
+    for start, stop in _blocks(specs, points):
+        try:
+            results.extend(run(specs[start:stop]))
+        except Exception:
+            if stop - start > 1:
+                for spec in specs[start:stop]:
+                    run([spec])
+            raise
+    return results
+
+
 class _Fit(NamedTuple):
     """Per-mixture semigroup fit and rate extremes of B spectra."""
 
@@ -479,16 +492,11 @@ def _table(specs: Sequence[MixtureSpec]):
 
 
 def _front(table, times: np.ndarray):
-    """The function values ``[p, p']``, ``(lambda, lambda')`` and each
-    mixture's first error (that of its first failed function, else None)
-    of the mixtures of ``table`` on ``times``."""
-    funcs, ids, mixtures = table
-    values, failures = funcs.evaluate(times)
-    lam, dlam = _spectrum(mixtures, values)
-    if not failures:
-        return values, lam, dlam, [None] * len(ids)
-    errors = [next((failures[j] for j in row if j in failures), None) for row in ids]
-    return values, lam, dlam, errors
+    """The function values ``[p, p']`` and ``(lambda, lambda')`` of the
+    mixtures of ``table`` on ``times``."""
+    funcs, _, mixtures = table
+    values = funcs.evaluate(times)
+    return (values, *_spectrum(mixtures, values))
 
 
 class _Block(NamedTuple):
@@ -502,21 +510,19 @@ class _Block(NamedTuple):
     gamma: np.ndarray
     pole: np.ndarray
     fit: _Fit
-    errors: list  # per mixture, the first error of :func:`mixture_eigenvalues`, or None
 
 
 def _block(specs: Sequence[MixtureSpec], times: np.ndarray, pole_tol: float) -> _Block:
-    """The one spectral stage: ``specs`` on the grid ``times``, each row with
-    the first error that its own ``mixture_eigenvalues`` would raise (a
-    basis label above ``d+1`` raises here, for the whole block)."""
+    """The one spectral stage: ``specs`` on the grid ``times``.  Raises what
+    some mixture's own :func:`mixture_eigenvalues` raises."""
     table = _table(specs)
-    values, lam, dlam, errors = _front(table, times)
-    for b in np.flatnonzero(np.abs(lam[:, :, 0] - 1.0).max(axis=1) > _INITIAL_EIG_TOL).tolist():
-        if errors[b] is None:
-            errors[b] = ValueError(_NOT_IDENTITY)
+    values, lam, dlam = _front(table, times)
+    # Per mixture, as SpectralTrajectory checks it: a NaN max passes.
+    if (np.abs(lam[:, :, 0] - 1.0).max(axis=1) > _INITIAL_EIG_TOL).any():
+        raise ValueError(_NOT_IDENTITY)
     gamma, pole = _rates(lam, dlam, pole_tol)
     fit = _fit(lam, gamma, pole, times)
-    return _Block(table[0], table[1], values, lam, dlam, gamma, pole, fit, errors)
+    return _Block(table[0], table[1], values, lam, dlam, gamma, pole, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +535,7 @@ def mixture_eigenvalues(spec: MixtureSpec, grid: TimeGrid) -> SpectralTrajectory
 
     Domain errors from decoherence functions propagate with their time stamp.
     """
-    _, lam, dlam, (error,) = _front(_table([spec]), grid.times)
-    if error is not None:
-        raise error
+    _, lam, dlam = _front(_table([spec]), grid.times)
     return SpectralTrajectory(
         dimension=spec.dimension, grid=grid, eigenvalues=lam[0], derivatives=dlam[0]
     )
@@ -594,23 +598,18 @@ def semigroup_verdicts(
     Equals ``[detect_semigroup(tr, rates_from_spectrum(tr, pole_tol=tol.pole),
     tol.semigroup_for(s)) for s in specs]`` with ``tr = mixture_eigenvalues(s,
     grid)``, field for field (exponents bit for bit), and raises the first
-    exception that this would raise (a basis label above ``d+1`` is reported
-    ahead of the other errors of its block).  Blocks of mixtures, of at most
+    exception that this would raise.  Blocks of mixtures, of at most
     ``_BLOCK_VALUES`` eigenvalues, evaluate each distinct decoherence
     function once and compute spectra, rates and fits as arrays over a
     leading mixture axis.
     """
     tol = tolerances if tolerances is not None else Tolerances()
-    specs = list(specs)
-    verdicts: list = []
-    for start, stop in _blocks(specs, len(grid)):
-        block = specs[start:stop]
-        done = _block(block, grid.times, tol.pole)
-        for error in done.errors:
-            if error is not None:
-                raise error
-        verdicts.extend(_verdict(done.fit, b, tol.semigroup_for(s)) for b, s in enumerate(block))
-    return verdicts
+
+    def run(block):
+        fit = _block(block, grid.times, tol.pole).fit
+        return [_verdict(fit, b, tol.semigroup_for(s)) for b, s in enumerate(block)]
+
+    return _by_blocks(run, list(specs), len(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -618,44 +617,37 @@ def semigroup_verdicts(
 # ---------------------------------------------------------------------------
 
 
-def _zeros(done: _Block, specs, clean: list, inputs: list, times: np.ndarray, xtol: float):
-    """Zeros of the rows ``clean`` of ``done`` (mixtures ``specs`` on
-    ``times``) and of the off-label row ``1 - (d/(d-1)) p`` of each function
+def _zeros(done: _Block, outputs: Sequence[MixtureSpec], inputs: list, times: np.ndarray,
+           xtol: float):
+    """Zeros of the rows of ``outputs``, the first mixtures of ``done`` (on
+    ``times``), and of the off-label row ``1 - (d/(d-1)) p`` of each function
     ``inputs``, in one :func:`bracket_roots` pass.  Each step evaluates each
     owner once at its live midpoints: a mixture on its own table, as if it
-    were alone, an input through its function.  Returns each row's sorted
-    ``(label, t*)`` zeros by row, and each function's zeros and midpoint-fit
-    deviation (inf unless positive) by index; an owner whose evaluation
-    raised gets its error instead."""
-    lam = done.lam[clean]
-    size, labels, n = lam.shape
+    were alone, an input through its function.  Returns each output's
+    sorted ``(label, t*)`` zeros, and each function's zeros and midpoint-fit
+    deviation (inf unless positive) by index."""
+    size = len(outputs)
+    lam = done.lam[:size]
+    labels, n = lam.shape[1:]
     factor = (labels - 1) / (labels - 2.0)  # d/(d-1)
     rows_in = 1.0 - factor * done.values[0, inputs]
     owner = np.concatenate([np.repeat(np.arange(size), labels), size + np.arange(len(inputs))])
     tables: dict = {}
-    errors: dict = {}
 
     def f(rows, t):
-        out = np.full(t.size, np.nan)
+        out = np.empty(t.size)
         who = owner[rows]
         # Rows come in ascending order, so each owner's midpoints are contiguous.
         cuts = (np.flatnonzero(who[1:] != who[:-1]) + 1).tolist()
         for a, b in zip([0] + cuts, cuts + [t.size]):
             o = who.item(a)
-            if o in errors:
-                continue
-            try:
-                if o < size:
-                    if o not in tables:
-                        tables[o] = _table([specs[clean[o]]])
-                    _, value, _, (error,) = _front(tables[o], t[a:b])
-                    if error is not None:
-                        raise error
-                    out[a:b] = value[0, rows[a:b] % labels, np.arange(b - a)]
-                else:
-                    out[a:b] = done.funcs.functions[inputs[o - size]].value(t[a:b])
-            except Exception as exc:
-                errors[o] = exc
+            if o < size:
+                if o not in tables:
+                    tables[o] = _table([outputs[o]])
+                value = _front(tables[o], t[a:b])[1]
+                out[a:b] = value[0, rows[a:b] % labels, np.arange(b - a)]
+            else:
+                out[a:b] = done.funcs.functions[inputs[o - size]].value(t[a:b])
         # The input rows hold p so far.
         first = int(np.searchsorted(rows, size * labels))
         out[first:] = 1.0 - factor * out[first:]
@@ -664,14 +656,13 @@ def _zeros(done: _Block, specs, clean: list, inputs: list, times: np.ndarray, xt
     roots = bracket_roots(np.concatenate([lam.reshape(size * labels, n), rows_in]), times, f, xtol)
     positive = (rows_in > 0.0).all(axis=1)
     fits = np.where(positive, _exponential(rows_in, times)[1].max(axis=1), np.inf).tolist()
-    found = [()] * size + [(tuple(ts), fit) for ts, fit in zip(roots[size * labels :], fits)]
+    singular = [()] * size
     for c in {row // labels for row, ts in enumerate(roots[: size * labels]) if ts}:
-        found[c] = tuple(
+        singular[c] = tuple(
             sorted((beta + 1, t) for beta in range(labels) for t in roots[c * labels + beta])
         )
-    for o, exc in errors.items():
-        found[o] = exc
-    return dict(zip(clean, found)), dict(zip(inputs, found[size:]))
+    found = {j: (tuple(ts), fit) for j, ts, fit in zip(inputs, roots[size * labels :], fits)}
+    return singular, found
 
 
 def _inputs(spec, ids, found: dict, sg_tol: float, made: dict):
@@ -681,8 +672,6 @@ def _inputs(spec, ids, found: dict, sg_tol: float, made: dict):
     for i, (comp, j) in enumerate(zip(spec.components, ids), start=1):
         memo = (j, sg_tol, i, comp.channel.basis)
         if memo not in made:
-            if isinstance(found[j], Exception):
-                raise found[j]
             zeros, fit = found[j]
             kind = "noninvertible" if zeros else "semigroup" if fit <= sg_tol else "invertible"
             made[memo] = InputVerdict(i, comp.channel.basis, kind, zeros)
@@ -711,97 +700,64 @@ def _report(spec, fit: _Fit, b: int, singular, inputs, p_in_range, sg_tol, cp_to
     )
 
 
-def _analyze_block(specs, grid: TimeGrid, tol: Tolerances, refine: bool, keep: bool):
+def _analyze_block(specs, grid: TimeGrid, tol: Tolerances, keep: bool) -> list:
     """:func:`analyze_mixture` of mixtures of one dimension, in order (only
-    the reports unless ``keep``).  A mixture whose analysis raises gets the
-    exception in its place, the first one that its own analysis would raise."""
+    the reports unless ``keep``)."""
+    for spec in specs:
+        issues = structural_issues(spec)
+        if issues:
+            raise MixtureValidationError(issues)
     times = grid.times
-    out: list = [None] * len(specs)
-    for pos, spec in enumerate(specs):
-        try:
-            issues = structural_issues(spec)
-        except Exception as exc:
-            out[pos] = exc
-        else:
-            if issues:
-                out[pos] = MixtureValidationError(issues)
-    block = [pos for pos, result in enumerate(out) if result is None]
-    if not block:
-        return out
-    members = [specs[pos] for pos in block]
-    done = _block(members, times, tol.pole)
-    for pos, error in zip(block, done.errors):
-        out[pos] = error
+    done = _block(specs, times, tol.pole)
     high, low = range_violations(done.values[0])
     in_range = (~(high.any(axis=1) | low.any(axis=1))).tolist()
-    clean = [b for b, error in enumerate(done.errors) if error is None]
-    # A row has output zeros iff some eigenvalue is <= 0 (its first is 1); if
-    # refined, its inputs get their pass on its refined grid, not this one.
-    coarse = {j for b in clean if not (refine and done.fit.nonpositive[b]) for j in done.ids[b]}
-    singular, found = _zeros(done, members, clean, sorted(coarse), times, tol.singularity)
+    # A row has output zeros iff some eigenvalue is <= 0 (its first is 1);
+    # it is refined, and its inputs get their pass on its refined grid.
+    coarse = {j for b, ids in enumerate(done.ids) if not done.fit.nonpositive[b] for j in ids}
+    singular, found = _zeros(done, specs, sorted(coarse), times, tol.singularity)
     made: dict = {}
     tolerances: dict = {}  # by function indices, which decide sampled or not
-    for b, pos in enumerate(block):
-        if out[pos] is None and isinstance(singular[b], Exception):
-            out[pos] = singular[b]
-        if out[pos] is not None:
-            continue
-        spec = specs[pos]
+    out = []
+    for b, spec in enumerate(specs):
         uses = tuple(done.ids[b])
         if uses not in tolerances:
             tolerances[uses] = (tol.semigroup_for(spec), tol.cp_for(spec))
         sg_tol, cp_tol = tolerances[uses]
         p_in_range = all(in_range[j] for j in uses)
         row_grid, row, r = grid, done, b
-        try:
-            if singular[b] and refine:
-                # The row alone, as a block of one on its refined grid, whose
-                # inputs get their own pass there.
-                row_grid = refine_grid(grid, [t for _, t in singular[b]])
-                row, r = _block([spec], row_grid.times, tol.pole), 0
-                if row.errors[0] is not None:
-                    raise row.errors[0]
-                _, own = _zeros(row, [spec], [], sorted(set(row.ids[0])), row_grid.times,
-                                tol.singularity)
-                inputs = _inputs(spec, row.ids[0], own, sg_tol, {})
-            else:
-                inputs = _inputs(spec, uses, found, sg_tol, made)
-        except Exception as exc:
-            out[pos] = exc
-            continue
+        if singular[b]:
+            # The row alone, as a block of one on its refined grid, whose
+            # inputs get their own pass there.
+            row_grid = refine_grid(grid, [t for _, t in singular[b]])
+            row, r = _block([spec], row_grid.times, tol.pole), 0
+            _, own = _zeros(row, [], sorted(set(row.ids[0])), row_grid.times, tol.singularity)
+            inputs = _inputs(spec, row.ids[0], own, sg_tol, {})
+        else:
+            inputs = _inputs(spec, uses, found, sg_tol, made)
         report = _report(spec, row.fit, r, singular[b], inputs, p_in_range, sg_tol, cp_tol)
         if keep:
             d = spec.dimension
             spectral = SpectralTrajectory(d, row_grid, row.lam[r], row.dlam[r])
             rates = RateTrajectory(d, row_grid, row.gamma[r], row.pole[r])
-            out[pos] = AnalysisResult(spectral=spectral, rates=rates, report=report)
+            out.append(AnalysisResult(spectral=spectral, rates=rates, report=report))
         else:
-            out[pos] = report
+            out.append(report)
     return out
 
 
-def _analyze(specs, grid, tolerances, refine: bool, keep: bool) -> list:
+def _analyze(specs, grid, tolerances, keep: bool) -> list:
     grid = grid if grid is not None else default_grid()
     tol = tolerances if tolerances is not None else Tolerances()
-    specs = list(specs)
-    results: list = []
-    for start, stop in _blocks(specs, len(grid)):
-        block = _analyze_block(specs[start:stop], grid, tol, refine, keep)
-        for result in block:
-            if isinstance(result, Exception):
-                raise result
-        results.extend(block)
-    return results
+    return _by_blocks(lambda block: _analyze_block(block, grid, tol, keep), list(specs), len(grid))
 
 
 def classify_many(
     specs: Iterable[MixtureSpec],
     grid: Optional[TimeGrid] = None,
     tolerances: Optional[Tolerances] = None,
-    refine: bool = True,
 ) -> List[ClassificationReport]:
-    """``[classify(s, grid, tolerances, refine) for s in specs]``, equal by
-    ``repr``, in one batched pass over blocks of mixtures.
+    """``[classify(s, grid, tolerances) for s in specs]``, equal by ``repr``,
+    in one batched pass over blocks of mixtures.
 
     Each block evaluates every distinct decoherence function once on the
     grid, and computes eigenvalues, rates, poles, the semigroup fit and the
@@ -813,14 +769,13 @@ def classify_many(
     beyond the reports themselves.  The first mixture that ``classify``
     would reject raises the same exception here.
     """
-    return _analyze(specs, grid, tolerances, refine, keep=False)
+    return _analyze(specs, grid, tolerances, keep=False)
 
 
 def classify(
     spec: MixtureSpec,
     grid: Optional[TimeGrid] = None,
     tolerances: Optional[Tolerances] = None,
-    refine: bool = True,
 ) -> ClassificationReport:
     """Full classification of a mixture's dynamics on a grid.
 
@@ -831,22 +786,20 @@ def classify(
     continues.  Structurally invalid mixtures raise
     :class:`MixtureValidationError`.
 
-    When singular times are found and ``refine`` is set, the grid is
-    geometrically refined around them and the trajectory recomputed, so the
-    reported diagnostics resolve the poles.  This is the one-mixture case of
-    :func:`classify_many`.
+    When singular times are found, the grid is geometrically refined around
+    them and the trajectory recomputed, so the reported diagnostics resolve
+    the poles.  This is the one-mixture case of :func:`classify_many`.
     """
-    return classify_many([spec], grid, tolerances, refine)[0]
+    return classify_many([spec], grid, tolerances)[0]
 
 
 def analyze_mixture(
     spec: MixtureSpec,
     grid: Optional[TimeGrid] = None,
     tolerances: Optional[Tolerances] = None,
-    refine: bool = True,
 ) -> AnalysisResult:
     """Like :func:`classify` but also returns the (possibly refined) trajectories."""
-    return _analyze([spec], grid, tolerances, refine, keep=True)[0]
+    return _analyze([spec], grid, tolerances, keep=True)[0]
 
 
 def intermediate_map_check(

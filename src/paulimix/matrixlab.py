@@ -23,13 +23,10 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import mubgen
 from .channelcore import MixtureSpec
-from .mubgen import WeylSet
 
 __all__ = [
     "PsdCheck",
@@ -113,15 +110,7 @@ def check_density_matrix(
 # ---------------------------------------------------------------------------
 
 
-def _weyl(spec_dim: int, weyl: Optional[WeylSet]) -> WeylSet:
-    if weyl is None:
-        return mubgen.weyl_set(spec_dim)
-    if weyl.dimension != spec_dim:
-        raise ValueError("Weyl set dimension does not match the mixture")
-    return weyl
-
-
-def _unitary_powers(weyl: WeylSet, basis: int) -> list[np.ndarray]:
+def _unitary_powers(weyl: mubgen.WeylSet, basis: int) -> list[np.ndarray]:
     """[U^1, ..., U^(d-1)] for the 1-based basis label."""
     u = weyl.unitaries[basis - 1]
     powers = []
@@ -132,9 +121,7 @@ def _unitary_powers(weyl: WeylSet, basis: int) -> list[np.ndarray]:
     return powers
 
 
-def apply_channel(
-    spec: MixtureSpec, t: float, rho: np.ndarray, weyl: Optional[WeylSet] = None
-) -> np.ndarray:
+def apply_channel(spec: MixtureSpec, t: float, rho: np.ndarray) -> np.ndarray:
     """Apply the mixture at time ``t`` to ``rho`` of shape ``(..., d, d)``;
     each slice of the result is bit for bit the action on that slice alone.
 
@@ -142,7 +129,7 @@ def apply_channel(
     state whenever every component's ``p(t)`` lies in [0, 1].
     """
     d = spec.dimension
-    weyl = _weyl(d, weyl)
+    weyl = mubgen.weyl_set(d)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"operators must have shape (..., {d}, {d}), got {rho.shape}")
@@ -156,12 +143,10 @@ def apply_channel(
     return out
 
 
-def superoperator(
-    spec: MixtureSpec, t: float, weyl: Optional[WeylSet] = None
-) -> np.ndarray:
+def superoperator(spec: MixtureSpec, t: float) -> np.ndarray:
     """Column-stacking superoperator matrix of the mixture at time ``t``."""
     d = spec.dimension
-    weyl = _weyl(d, weyl)
+    weyl = mubgen.weyl_set(d)
     m = np.zeros((d * d, d * d), dtype=complex)
     eye = np.eye(d * d, dtype=complex)
     for comp in spec.components:
@@ -173,11 +158,11 @@ def superoperator(
     return m
 
 
-def choi(spec: MixtureSpec, t: float, weyl: Optional[WeylSet] = None) -> np.ndarray:
+def choi(spec: MixtureSpec, t: float) -> np.ndarray:
     """Choi matrix ``sum_ij E(E_ij) kron E_ij``: the channel action on the
     stack of matrix units, regrouped so entry ``(a*d + i, b*d + j)`` is ``E(E_ij)[a, b]``."""
     d = spec.dimension
-    images = apply_channel(spec, t, np.eye(d * d).reshape(d, d, d, d), weyl)
+    images = apply_channel(spec, t, np.eye(d * d).reshape(d, d, d, d))
     # ``+ 0.0`` maps -0.0 to 0.0: the Choi matrix carries no signed zeros.
     return images.transpose(2, 0, 3, 1).reshape(d * d, d * d) + 0.0
 
@@ -188,14 +173,10 @@ def partial_trace_first(c: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("aiaj->ij", c.reshape(d, d, d, d))
 
 
-def compose_check(
-    spec: MixtureSpec, s: float, t: float, tol: float = 1e-9,
-    weyl: Optional[WeylSet] = None,
-) -> ComposeCheck:
+def compose_check(spec: MixtureSpec, s: float, t: float, tol: float = 1e-9) -> ComposeCheck:
     """Max-norm deviation ``||M(s) M(t) - M(s+t)||_max`` of the superoperators."""
-    weyl = _weyl(spec.dimension, weyl)
-    ms = superoperator(spec, s, weyl)
-    mt = superoperator(spec, t, weyl)
-    mst = superoperator(spec, s + t, weyl)
+    ms = superoperator(spec, s)
+    mt = superoperator(spec, t)
+    mst = superoperator(spec, s + t)
     deviation = float(np.abs(ms @ mt - mst).max())
     return ComposeCheck(passed=deviation <= tol, deviation=deviation, tolerance=tol)

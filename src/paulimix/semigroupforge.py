@@ -57,7 +57,7 @@ from .dynamics import (
     mixture_eigenvalues,  # noqa: F401
     semigroup_verdicts,
 )
-from .mubgen import check_dimension, weyl_set
+from .mubgen import check_dimension
 
 __all__ = [
     "ConstructionError",
@@ -570,14 +570,13 @@ def cptp_scan(d: int, trials: int, seed: int, tol: float) -> ScanReport:
         raise ValueError(f"need at least 1 trial, got {trials}")
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must not be NaN or infinite, got {tol!r}")
-    weyl = weyl_set(d)
     eye = np.eye(d)
     counterexamples = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         spec = _random_mixture(rng, d, 1, d + 2, 0.0)
         for t in rng.uniform(0.0, 5.0, size=3):
-            choi = matrixlab.choi(spec, float(t), weyl)
+            choi = matrixlab.choi(spec, float(t))
             herm = matrixlab.hermiticity_deviation(choi)
             ptr = float(np.abs(matrixlab.partial_trace_first(choi, d) - eye).max())
             psd = matrixlab.psd_check(choi, tol)

@@ -482,6 +482,34 @@ def test_verify_rejects_a_nonfinite_or_negative_tolerance(capsys, argv):
     assert "--tol must be finite and nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "theorem1", "--d", "5", "--trials", "100"], "--d must be 2, got 5"),
+        (["verify", "theorem1", "--tol", "0.5"], "verify theorem1 takes no --tol"),
+        (["verify", "theorem2", "--tol", "0.5"], "verify theorem2 takes no --tol"),
+        (["verify", "mub", "--trials", "7"], "verify mub takes no --trials"),
+        (["verify", "mub", "--seed", "3"], "verify mub takes no --seed"),
+        (["scan", "2", "--divisions", "4", "--step", "0.1"],
+         "give either --divisions or --step, not both"),
+        (["construct", "2", "1.0", "0.3", "0.3", "0.4", "--q", "t"],
+         "--q applies only with --same"),
+        (["construct", "2", "1.0", "0.3", "0.3", "0.4", "--basis", "3"],
+         "--basis applies only with --same"),
+    ],
+)
+def test_an_option_that_the_mode_ignores_exits_2(out_dir, capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    assert not list(out_dir.iterdir())
+
+
+def test_verify_theorem1_accepts_the_qubit_dimension(capsys):
+    assert main(["verify", "theorem1", "--d", "2", "--trials", "100"]) == 0
+    assert json.loads(capsys.readouterr()[0])["details"]["dimension"] == 2
+
+
 def test_verify_report_under_a_regular_file_exits_2(out_dir, capsys):
     (out_dir / "taken").write_text("not a directory\n")
     rc = main(["verify", "mub", "--report", "taken/report.json"])

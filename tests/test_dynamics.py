@@ -35,6 +35,7 @@ from paulimix import (
 from paulimix import dynamics
 from paulimix.channelcore import bracket_roots
 from paulimix.dynamics import SpectralTrajectory
+from paulimix.exprcalc import DomainError
 from util import qubit_rates_abc, rk4_path
 
 LN2 = math.log(2.0)
@@ -892,3 +893,54 @@ def test_a_basis_label_beyond_the_mixture_dimension_raises():
     for batch in ([beyond, good], [good, beyond]):
         with pytest.raises(ValueError, match=message):
             dynamics.semigroup_verdicts(batch, _BATCH_GRID)
+
+
+def test_a_mixture_that_fails_alone_raises_ahead_of_its_blocks_error():
+    # The label beyond d+1 fails the block as a whole; run one at a time, the
+    # first mixture fails first, on its own uncovered sampled grid.
+    grid = default_grid(5.0, 64)
+    short = SampledGrid(np.linspace(0.0, 2.0, 5), np.linspace(0.0, 0.4, 5))
+    uncovered = MixtureSpec(2, [(1.0, ChannelSpec(2, 1, short))])
+    beyond = MixtureSpec(2, [(1.0, ChannelSpec(3, 4, _SHARED))])
+    message = "time outside sampled range at t=2.0634920634920633"
+    with pytest.raises(DomainError) as single:
+        mixture_eigenvalues(uncovered, grid)
+    assert str(single.value) == message
+    with pytest.raises(DomainError) as batched:
+        dynamics.semigroup_verdicts([uncovered, beyond], grid)
+    assert str(batched.value) == message
+
+
+def _record_blocks(monkeypatch, fail_batches=False):
+    """Replace ``dynamics._block`` by one that records each block's size and,
+    if ``fail_batches``, raises on every block of more than one mixture."""
+    sizes = []
+    block = dynamics._block
+
+    def recorded(specs, times, pole_tol):
+        sizes.append(len(specs))
+        if fail_batches and len(specs) > 1:
+            raise RuntimeError("batched kernel failed")
+        return block(specs, times, pole_tol)
+
+    monkeypatch.setattr(dynamics, "_block", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("batched", [classify_many, dynamics.semigroup_verdicts])
+def test_a_clean_batch_runs_each_block_once(monkeypatch, batched):
+    # Four mixtures per block, none with output zeros (so no refined rows).
+    monkeypatch.setattr(dynamics, "_BLOCK_VALUES", 4 * 3 * len(_BATCH_GRID))
+    specs = [three_semigroup_mix(), equal_thirds_mix(), two_semigroup_mix()] * 3
+    sizes = _record_blocks(monkeypatch)
+    assert len(batched(specs, _BATCH_GRID)) == 9
+    assert sizes == [4, 4, 1]
+
+
+@pytest.mark.parametrize("batched", [classify_many, dynamics.semigroup_verdicts])
+def test_a_block_error_that_no_mixture_repeats_alone_is_raised(monkeypatch, batched):
+    specs = [three_semigroup_mix(), equal_thirds_mix()]
+    sizes = _record_blocks(monkeypatch, fail_batches=True)
+    with pytest.raises(RuntimeError, match="batched kernel failed"):
+        batched(specs, _BATCH_GRID)
+    assert sizes == [2, 1, 1]  # the block, then each mixture alone
