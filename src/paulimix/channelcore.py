@@ -117,19 +117,24 @@ class Expression(DecoherenceFunction):
     def __post_init__(self):
         ast = exprcalc.parse(self.source)
         object.__setattr__(self, "_ast", ast)
-        p0 = exprcalc.eval_dual(ast, 0.0).value
+        object.__setattr__(self, "_run", exprcalc.compile_ast(ast))
+        p0 = exprcalc.eval_dual(self._run, 0.0).value  # type: ignore[attr-defined]
         if abs(p0) > _P_INITIAL_TOL:
             raise ValueError(
                 f"decoherence function must vanish at t=0, got p(0)={p0:g} "
                 f"for {self.source!r}"
             )
 
+    def __reduce__(self):
+        # The compiled closures do not pickle; the source rebuilds them.
+        return type(self), (self.source,)
+
     @property
     def ast(self) -> exprcalc.ExprAst:
         return self._ast  # type: ignore[attr-defined]
 
     def value_and_derivative(self, t):
-        dual = exprcalc.eval_dual(self.ast, t)
+        dual = exprcalc.eval_dual(self._run, t)  # type: ignore[attr-defined]
         return dual.value, dual.derivative
 
     def as_expression(self) -> str:
@@ -271,7 +276,9 @@ class SampledGrid(DecoherenceFunction):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_interp", None)
 
-    def value_and_derivative(self, t):
+    def _clipped(self, t) -> np.ndarray:
+        """``t`` as a float array clipped to the sampled range, which it may
+        exceed by the range slack only; builds the interpolant if needed."""
         arr = np.asarray(t, dtype=float)
         lo, hi = self.times[0], self.times[-1]
         out = (arr < lo - _RANGE_SLACK) | (arr > hi + _RANGE_SLACK)
@@ -280,12 +287,21 @@ class SampledGrid(DecoherenceFunction):
             raise DomainError("time outside sampled range", bad)
         if self._interp is None:  # type: ignore[attr-defined]
             build_interpolants([self])
-        clipped = np.clip(arr, lo, hi)
+        return np.clip(arr, lo, hi)
+
+    def value_and_derivative(self, t):
+        clipped = self._clipped(t)
         p = self._interp(clipped)  # type: ignore[attr-defined]
         dp = self._dinterp(clipped)  # type: ignore[attr-defined]
-        if arr.ndim == 0:
+        if clipped.ndim == 0:
             return float(p), float(dp)
         return np.asarray(p, dtype=float), np.asarray(dp, dtype=float)
+
+    def value(self, t):
+        # p alone, from the value interpolant: bisection evaluates only values.
+        clipped = self._clipped(t)
+        p = self._interp(clipped)  # type: ignore[attr-defined]
+        return float(p) if np.ndim(p) == 0 else np.asarray(p, dtype=float)
 
     def describe(self) -> dict:
         return {

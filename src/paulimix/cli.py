@@ -353,20 +353,34 @@ def cmd_construct(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-# The options each self-check reads; the others are rejected.
-_VERIFY_OPTIONS = {
-    "mub": ("d", "tol"),
-    "theorem1": ("d", "trials", "seed"),
-    "theorem2": ("d", "trials", "seed"),
-    "cptp": ("d", "trials", "seed", "tol"),
+# The options that each mode of ``verify`` and ``dump`` reads; a given option
+# that the chosen mode ignores is rejected.
+_MODE_OPTIONS = {
+    "verify": {
+        "mub": ("d", "tol"),
+        "theorem1": ("d", "trials", "seed"),
+        "theorem2": ("d", "trials", "seed"),
+        "cptp": ("d", "trials", "seed", "tol"),
+    },
+    "dump": {
+        "mub-bases": ("d",),
+        "mub-unitaries": ("d",),
+        "choi": ("config", "t"),
+        "superop": ("config", "t"),
+    },
 }
+
+
+def _reject_ignored(args) -> None:
+    modes = _MODE_OPTIONS[args.command]
+    for name in dict.fromkeys(name for reads in modes.values() for name in reads):
+        if getattr(args, name) is not None and name not in modes[args.what]:
+            raise ConfigError(f"{args.command} {args.what} takes no --{name}")
 
 
 def cmd_verify(args) -> int:
     what = args.what
-    for name in ("d", "trials", "seed", "tol"):
-        if getattr(args, name) is not None and name not in _VERIFY_OPTIONS[what]:
-            raise ConfigError(f"verify {what} takes no --{name}")
+    _reject_ignored(args)
     if what == "theorem1" and args.d not in (None, 2):
         raise ConfigError(f"verify theorem1 is the qubit scan: --d must be 2, got {args.d}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
@@ -435,6 +449,7 @@ def cmd_scan(args) -> int:
 
 def cmd_dump(args) -> int:
     what = args.what
+    _reject_ignored(args)
     if what in ("mub-bases", "mub-unitaries"):
         d = args.d if args.d is not None else 2
         family = mubgen.construct_mub(d)
@@ -451,10 +466,11 @@ def cmd_dump(args) -> int:
         if not args.config:
             raise ConfigError(f"dump {what} requires --config")
         cfg = parse_run_config(args.config)
+        t = args.t if args.t is not None else 1.0
         if what == "choi":
-            m = matrixlab.choi(cfg.mixture, args.t)
+            m = matrixlab.choi(cfg.mixture, t)
         else:
-            m = matrixlab.superoperator(cfg.mixture, args.t)
+            m = matrixlab.superoperator(cfg.mixture, t)
         text = reportio.matrix_csv(m)
     if args.out:
         path = _resolve_out(args.out, args.out)
@@ -528,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("what", choices=["mub-bases", "mub-unitaries", "choi", "superop"])
     pd.add_argument("--d", type=int, default=None, help="dimension for MUB dumps")
     pd.add_argument("--config", help="mixture config for choi/superop dumps")
-    pd.add_argument("--t", type=float, default=1.0, help="time for choi/superop dumps")
+    pd.add_argument("--t", type=float, default=None, help="time for choi/superop dumps (default 1)")
     pd.add_argument("--out", help="output path (default stdout)")
     pd.set_defaults(handler=cmd_dump)
     return parser

@@ -287,6 +287,13 @@ class _Functions:
             values[0, i], values[1, i] = f.value_and_derivative(times)
         return values
 
+    def values(self, times: np.ndarray) -> np.ndarray:
+        """Values ``[p]`` of every function, shape ``(1, F, n)``."""
+        values = np.zeros((1, len(self.functions), times.size))
+        for i, f in enumerate(self.functions):
+            values[0, i] = f.value(times)
+        return values
+
 
 class _Slot(NamedTuple):
     """The j-th components of B mixtures, for the mixtures that have one.
@@ -353,32 +360,33 @@ def _encode(specs: Sequence[MixtureSpec], ids: Sequence[Sequence[int]]) -> _Mixt
     return _Mixtures(d, size, tuple(slots))
 
 
-def _spectrum(mixtures: _Mixtures, values: np.ndarray):
-    """``(lambda, lambda')`` of B mixtures, shape ``(B, d+1, n)``, from the
-    values ``[p, p']`` of their functions (shape ``(2, F, n)``).
+def _spectrum(mixtures: _Mixtures, values: np.ndarray) -> np.ndarray:
+    """``[lambda, lambda']`` of B mixtures, shape ``(2, B, d+1, n)``, from the
+    values ``[p, p']`` of their functions (shape ``(2, F, n)``); or the value
+    plane ``[lambda]`` alone, from ``[p]``.
 
     Each mixture sums its components in its own order.  A mixture without a
     j-th component is left out of slot j, never given a zero weight, so a
     NaN in one mixture's function cannot reach another row.
     """
-    d, size, n = mixtures.dimension, mixtures.size, values.shape[2]
+    planes, d, size, n = values.shape[0], mixtures.dimension, mixtures.size, values.shape[2]
     # [p, p'] summed over all components, and over those of each label.
-    total = np.zeros((2, size, n))
-    per_label = np.zeros((2, size * (d + 1), n))
+    total = np.zeros((planes, size, n))
+    per_label = np.zeros((planes, size * (d + 1), n))
     for slot in mixtures.slots:
         weighted = slot.weights * values[:, slot.functions]
         total[:, slot.members] += weighted
         per_label[:, slot.cells] += weighted
     # lambda = 1 - factor (total - per_label) and lambda' = -factor (total'
     # - per_label'), computed in place.
-    per_label = per_label.reshape(2, size, d + 1, n)
+    per_label = per_label.reshape(planes, size, d + 1, n)
     np.subtract(total[:, :, None, :], per_label, out=per_label)
-    lam, dlam = per_label
+    lam = per_label[0]
     factor = d / (d - 1.0)
     lam *= factor
     np.subtract(1.0, lam, out=lam)
-    dlam *= -factor
-    return lam, dlam
+    per_label[1:] *= -factor
+    return per_label
 
 
 def _rates(lam: np.ndarray, dlam: np.ndarray, pole_tol: float):
@@ -622,10 +630,11 @@ def _zeros(done: _Block, outputs: Sequence[MixtureSpec], inputs: list, times: np
     """Zeros of the rows of ``outputs``, the first mixtures of ``done`` (on
     ``times``), and of the off-label row ``1 - (d/(d-1)) p`` of each function
     ``inputs``, in one :func:`bracket_roots` pass.  Each step evaluates each
-    owner once at its live midpoints: a mixture on its own table, as if it
-    were alone, an input through its function.  Returns each output's
-    sorted ``(label, t*)`` zeros, and each function's zeros and midpoint-fit
-    deviation (inf unless positive) by index."""
+    owner once at its live midpoints, through its functions' ``value``: a
+    mixture's value plane on its own table, as if it were alone, an input's
+    ``p``.  Returns each output's sorted ``(label, t*)`` zeros, and each
+    function's zeros and midpoint-fit deviation (inf unless positive) by
+    index."""
     size = len(outputs)
     lam = done.lam[:size]
     labels, n = lam.shape[1:]
@@ -644,8 +653,9 @@ def _zeros(done: _Block, outputs: Sequence[MixtureSpec], inputs: list, times: np
             if o < size:
                 if o not in tables:
                     tables[o] = _table([outputs[o]])
-                value = _front(tables[o], t[a:b])[1]
-                out[a:b] = value[0, rows[a:b] % labels, np.arange(b - a)]
+                funcs, _, mixtures = tables[o]
+                lam = _spectrum(mixtures, funcs.values(t[a:b]))[0, 0]
+                out[a:b] = lam[rows[a:b] % labels, np.arange(b - a)]
             else:
                 out[a:b] = done.funcs.functions[inputs[o - size]].value(t[a:b])
         # The input rows hold p so far.

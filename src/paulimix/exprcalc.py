@@ -14,8 +14,9 @@ which bind tighter than ``+``/``-`` (``-t^2`` is ``-(t^2)``).
 
 Trees are evaluated as dual numbers ``(value, d/dt)``: forward-mode automatic
 differentiation, so first derivatives are exact to rounding and no symbolic
-manipulation happens anywhere.  Evaluation works elementwise on numpy arrays
-of times as well as on scalars.
+manipulation happens anywhere.  A tree is compiled once into nested closures
+(:func:`compile_ast`); evaluation works elementwise on numpy arrays of times
+as well as on scalars.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "ExprAst",
     "DualValue",
     "parse",
+    "compile_ast",
     "eval_dual",
 ]
 
@@ -241,150 +243,147 @@ class DualValue:
     value: Union[float, np.ndarray]
     derivative: Union[float, np.ndarray]
 
-    def __add__(self, other: "DualValue") -> "DualValue":
-        return DualValue(self.value + other.value, self.derivative + other.derivative)
 
-    def __sub__(self, other: "DualValue") -> "DualValue":
-        return DualValue(self.value - other.value, self.derivative - other.derivative)
-
-    def __neg__(self) -> "DualValue":
-        return DualValue(-self.value, -self.derivative)
-
-    def __mul__(self, other: "DualValue") -> "DualValue":
-        return DualValue(
-            self.value * other.value,
-            self.derivative * other.value + self.value * other.derivative,
-        )
+def _check(bad, t: np.ndarray, message: str) -> None:
+    # Raise at the first t where ``bad`` (t's shape, or one flag) holds.
+    if np.any(bad) and t.size:
+        flags = np.broadcast_to(bad, t.shape).reshape(-1)
+        raise DomainError(message, float(t.reshape(-1)[flags.argmax()]))
 
 
-def _first_bad_time(t: np.ndarray, bad: np.ndarray) -> float:
-    flat_t = np.broadcast_to(t, bad.shape).ravel()
-    return float(flat_t[bad.ravel().argmax()])
+def _ln(v, d, t):
+    _check(v <= 0, t, "ln of non-positive argument")
+    return np.log(v), d / v
 
 
-def _contains_var(node: ExprAst) -> bool:
+def _sqrt(v, d, t):
+    _check(v < 0, t, "sqrt of negative argument")
+    root = np.sqrt(v)
+    _check(root == 0, t, "sqrt derivative singular at zero argument")
+    return root, d / (2.0 * root)
+
+
+def _div(av, ad, bv, bd, t):
+    _check(bv == 0, t, "division by zero")
+    val = av / bv
+    return val, (ad - val * bd) / bv
+
+
+def _pow(bv, bd, ev, ed, t):
+    _check(bv <= 0, t, "non-positive base with variable exponent")
+    bv = np.full_like(ev, bv)  # a constant base too is a full array, as in a tree walk
+    val = bv**ev
+    return val, val * (ed * np.log(bv) + ev * bd / bv)
+
+
+# Each rule maps the (value, d/dt) of its operands, and t, to its own.
+_UNARY = {
+    "neg": lambda v, d, t: (-v, -d),
+    "exp": lambda v, d, t: (e := np.exp(v), e * d),
+    "ln": _ln,
+    "sin": lambda v, d, t: (np.sin(v), np.cos(v) * d),
+    "cos": lambda v, d, t: (np.cos(v), -np.sin(v) * d),
+    "sqrt": _sqrt,
+}
+_BINARY = {
+    "+": lambda av, ad, bv, bd, t: (av + bv, ad + bd),
+    "-": lambda av, ad, bv, bd, t: (av - bv, ad - bd),
+    "*": lambda av, ad, bv, bd, t: (av * bv, ad * bv + av * bd),
+    "/": _div,
+    "^": _pow,
+}
+
+
+def _constant(value, derivative):
+    return lambda t: (value, derivative)
+
+
+def _power(base, fold):
+    # A constant exponent is evaluated once, at t = 0; the power rule keeps
+    # negative bases working for integer exponents.
+    try:
+        n = float(fold(np.zeros(1))[0][0])
+    except DomainError:
+        return lambda t: (base(t), fold(np.zeros(1)))[1]  # raises at t = 0
+
+    def run(t):
+        bv, bd = base(t)
+        if n != np.floor(n):
+            _check(bv <= 0, t, "non-positive base with non-integer exponent")
+        elif n < 0:
+            _check(bv == 0, t, "zero base with negative exponent")
+        elif n == 0:
+            return bv**n, np.zeros_like(t)
+        return bv**n, n * bv ** (n - 1) * bd
+
+    return run
+
+
+def _compile(node: ExprAst):
+    """``(run, fold)``: ``run(t)`` gives ``(value, d/dt)`` of ``node`` on a
+    float array ``t``.  Without ``t`` in ``node``, ``fold`` gives them as
+    1-element arrays and ``run`` as floats (or, if that raises, ``run`` is
+    ``fold``, which raises at the first ``t``); else ``fold`` is None."""
     if isinstance(node, Var):
-        return True
-    if isinstance(node, Unary):
-        return _contains_var(node.arg)
-    if isinstance(node, Binary):
-        return _contains_var(node.left) or _contains_var(node.right)
-    return False
-
-
-def _eval(node: ExprAst, t: np.ndarray) -> DualValue:
+        return (lambda t: (t, 1.0)), None
     if isinstance(node, Num):
-        return DualValue(np.full_like(t, node.value), np.zeros_like(t))
-    if isinstance(node, Var):
-        return DualValue(t.copy(), np.ones_like(t))
-    if isinstance(node, Unary):
-        u = _eval(node.arg, t)
-        return _apply_unary(node.op, u, t)
-    if isinstance(node, Binary):
-        if node.op == "^":
-            return _apply_pow(node, t)
-        left = _eval(node.left, t)
-        right = _eval(node.right, t)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            zero = right.value == 0
-            if np.any(zero):
-                raise DomainError("division by zero", _first_bad_time(t, zero))
-            val = left.value / right.value
-            der = (left.derivative - val * right.derivative) / right.value
-            return DualValue(val, der)
-    raise TypeError(f"not an expression node: {node!r}")
+        value = float(node.value)
+        return _constant(value, 0.0), lambda t: (np.full(1, value), np.zeros(1))
+    if isinstance(node, Unary) and node.op in _UNARY:
+        rule, kids = _UNARY[node.op], [_compile(node.arg)]
+    elif isinstance(node, Binary) and node.op in _BINARY:
+        rule, kids = _BINARY[node.op], [_compile(node.left), _compile(node.right)]
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    const = all(fold is not None for _, fold in kids)
+    ops = [fold if const else run for run, fold in kids]
+    if rule is _pow and kids[1][1] is not None:
+        fold = _power(ops[0], kids[1][1])
+    elif len(ops) == 1:
+        fold = lambda t, u=ops[0]: rule(*u(t), t)
+    else:
+        fold = lambda t, a=ops[0], b=ops[1]: rule(*a(t), *b(t), t)
+    if not const:
+        return fold, None
+    try:
+        value, derivative = fold(np.zeros(1))
+    except DomainError:
+        return fold, fold
+    return _constant(float(value[0]), float(derivative[0])), _constant(value, derivative)
 
 
-def _apply_unary(op: str, u: DualValue, t: np.ndarray) -> DualValue:
-    if op == "neg":
-        return -u
-    if op == "exp":
-        e = np.exp(u.value)
-        return DualValue(e, e * u.derivative)
-    if op == "ln":
-        bad = u.value <= 0
-        if np.any(bad):
-            raise DomainError("ln of non-positive argument", _first_bad_time(t, bad))
-        return DualValue(np.log(u.value), u.derivative / u.value)
-    if op == "sin":
-        return DualValue(np.sin(u.value), np.cos(u.value) * u.derivative)
-    if op == "cos":
-        return DualValue(np.cos(u.value), -np.sin(u.value) * u.derivative)
-    if op == "sqrt":
-        bad = u.value < 0
-        if np.any(bad):
-            raise DomainError("sqrt of negative argument", _first_bad_time(t, bad))
-        root = np.sqrt(u.value)
-        zero = root == 0
-        if np.any(zero):
-            raise DomainError(
-                "sqrt derivative singular at zero argument", _first_bad_time(t, zero)
-            )
-        return DualValue(root, u.derivative / (2.0 * root))
-    raise ValueError(f"unknown unary op {op!r}")
+def compile_ast(ast: ExprAst):
+    """``ast`` as nested closures for :func:`eval_dual`, which apply each
+    node's numpy operations and domain checks in tree order, so results and
+    errors equal a walk of the tree on full arrays bit for bit.  Subtrees
+    without ``t`` are evaluated here, once, and enter as Python floats."""
+    with np.errstate(all="ignore"):
+        return _compile(ast)[0]
 
 
-def _apply_pow(node: Binary, t: np.ndarray) -> DualValue:
-    base = _eval(node.left, t)
-    if not _contains_var(node.right):
-        # constant exponent: evaluate once, keep the power rule so negative
-        # bases work for integer exponents
-        n = float(_eval(node.right, np.zeros(1)).value[0])
-        if n == np.floor(n):
-            if n < 0:
-                zero = base.value == 0
-                if np.any(zero):
-                    raise DomainError(
-                        "zero base with negative exponent", _first_bad_time(t, zero)
-                    )
-            val = base.value**n
-            if n == 0:
-                return DualValue(val, np.zeros_like(t))
-            der = n * base.value ** (n - 1) * base.derivative
-            return DualValue(val, der)
-        bad = base.value <= 0
-        if np.any(bad):
-            raise DomainError(
-                "non-positive base with non-integer exponent", _first_bad_time(t, bad)
-            )
-        val = base.value**n
-        return DualValue(val, n * base.value ** (n - 1) * base.derivative)
-    expo = _eval(node.right, t)
-    bad = base.value <= 0
-    if np.any(bad):
-        raise DomainError(
-            "non-positive base with variable exponent", _first_bad_time(t, bad)
-        )
-    val = base.value**expo.value
-    log_base = np.log(base.value)
-    der = val * (expo.derivative * log_base + expo.value * base.derivative / base.value)
-    return DualValue(val, der)
-
-
-def eval_dual(ast: ExprAst, t) -> DualValue:
+def eval_dual(ast, t) -> DualValue:
     """Evaluate ``ast`` and its time derivative at ``t`` (scalar or array).
 
-    Returns a :class:`DualValue`; raises :class:`DomainError` (carrying the
-    first offending time) when evaluation leaves the real domain or produces
-    a non-finite value or derivative.
+    ``ast`` is a tree from :func:`parse`, or what :func:`compile_ast` made
+    of one (which saves compiling it again).  Returns a :class:`DualValue`;
+    raises :class:`DomainError` (carrying the first offending time) when
+    evaluation leaves the real domain or produces a non-finite value or
+    derivative.
     """
+    run = ast if callable(ast) else compile_ast(ast)
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("non-finite evaluation time", float(arr[~np.isfinite(arr)][0]))
+    _check(~np.isfinite(arr), arr, "non-finite evaluation time")
     with np.errstate(all="ignore"):
-        out = _eval(ast, arr)
-    bad = ~(np.isfinite(out.value) & np.isfinite(out.derivative))
-    if np.any(bad):
-        raise DomainError("non-finite result", _first_bad_time(arr, bad))
+        # Constants, and ``t`` itself, become arrays of their own.
+        value, derivative = (
+            x if isinstance(x, np.ndarray) and x.shape == arr.shape and x is not arr
+            else np.array(np.broadcast_to(x, arr.shape))
+            for x in run(arr)
+        )
+    _check(~(np.isfinite(value) & np.isfinite(derivative)), arr, "non-finite result")
     if scalar:
-        return DualValue(float(out.value[0]), float(out.derivative[0]))
-    return out
+        return DualValue(float(value[0]), float(derivative[0]))
+    return DualValue(value, derivative)

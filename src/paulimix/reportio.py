@@ -5,11 +5,14 @@ double bit-faithfully), infinities as ``inf``/``-inf`` and NaN as ``nan``;
 JSON objects keep insertion order.  Identical inputs therefore produce
 byte-identical output.
 
-Every float CSV (trajectories, matrices, MUB vectors) goes through one block
-renderer, which formats each distinct double once -- keyed on its bit
-pattern, so ``0.0`` and ``-0.0`` stay apart -- and emits the whole body with
-one ``%`` over a repeated row format.  The text is the one ``fmt_float``
-gives cell by cell.
+Every float CSV (trajectories, matrices, MUB vectors, and their integer
+index columns) goes through one block renderer.  It spells each distinct
+double once -- keyed on its bit pattern, so ``0.0`` and ``-0.0`` stay apart
+-- with array operations: a finite value with ``1e-4 <= |x| < 1e17``, which
+``%.17g`` writes in fixed notation, gets its 17 digits from an exact
+error-free product (Dekker's TwoProduct), and only exact ties, zeros,
+non-finite values and values that need an exponent go to ``'%.17g' %`` one
+by one.  The text is the one ``fmt_float`` gives cell by cell.
 """
 
 from __future__ import annotations
@@ -87,22 +90,113 @@ def to_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _csv_block(header: str, values: np.ndarray, index: Optional[np.ndarray] = None) -> str:
-    """CSV text of an ``(n, k)`` float table, after optional integer columns.
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """``p = a*b`` rounded and its exact error ``a*b - p`` (Dekker's
+    TwoProduct, with Veltkamp's split by ``2**27 + 1``), for products far
+    from overflow and underflow."""
+    p = a * b
+    halves = []
+    for x in (a, b):
+        c = 134217729.0 * x
+        low = c - x  # named: numpy would otherwise subtract into it in place, slowly
+        high = c - low
+        halves += [high, x - high]
+    ah, al, bh, bl = halves
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
-    Each distinct bit pattern is formatted once with ``fmt_float``'s
-    ``.17g``; keying on bits, not values, keeps ``0.0`` apart from ``-0.0``.
+
+def _outside(p: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """-1, 0 or 1 where the exact ``p + err`` lies below, in or above
+    ``[1e16, 1e17)``."""
+    below = (p < 1e16) | ((p == 1e16) & (err < 0))
+    above = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    return above.astype(np.intp) - below
+
+
+def _texts(x: np.ndarray):
+    """``'%.17g' % v`` of each float ``v`` of ``x``, as the rows of a uint8
+    array of width 25: row ``i`` holds the text among spaces, and a comma
+    in its last column.
+
+    A finite ``v`` with ``1e-4 <= |v| < 1e17`` is spelled in fixed notation,
+    from its exact 17-digit significand: with ``e`` its decimal exponent,
+    ``|v| * 10**(16-e)`` (an exact power of ten) is an exact sum ``p + err``
+    of two doubles, so the integer it rounds to, half to even, is exact too.
+    Ties, zeros, non-finite values and the others go to ``'%.17g' %``.
+    """
+    size = x.size
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    scale = np.array([float(10**k) for k in range(21)])  # exact
+    p, err = _two_product(a, scale[16 - e])
+    # log10 can be one off next to a power of ten.
+    off = _outside(p, err)
+    if off.any():
+        e = np.clip(e + off, -4, 16)
+        p, err = _two_product(a, scale[16 - e])
+        fast &= _outside(p, err) == 0
+    whole = np.floor(err)
+    fast &= err - whole != 0.5
+    digits = p.astype(np.int64) + whole.astype(np.int64) + (err - whole > 0.5)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    e += carry
+    fast &= e <= 16
+    # Column-major until the end: row r of ``canvas`` is column r of every
+    # text.  Rows 5..21 hold the 17 digits, rows 0..4 the zeros of 0.000ddd
+    # (for e < 0) after a sign or spaces, and rows 22..24 spaces.  Digit row
+    # ``point`` and those after it hold the fraction, whose trailing zeros
+    # become spaces; then they move one row down, for the point.
+    point = 6 + e
+    lead = (5 + np.minimum(e, 0)).astype(np.uint8)  # the unsigned text's first row
+    at = point.astype(np.uint8)
+    rows = np.arange(25, dtype=np.uint8)[:, None]
+    canvas = np.empty((25, size), dtype=np.uint8)
+    canvas[:5] = ord(" ") + 16 * (rows[:5] >= lead).view(np.uint8)  # ' ' or '0'
+    canvas[:5] += 13 * ((rows[:5] == lead - 1) & np.signbit(x)).view(np.uint8)  # or '-'
+    canvas[22:] = ord(" ")
+    high, low = np.divmod(digits, 10**9)
+    zeros = np.ones(size, dtype=bool)
+    for part, digit_rows in ((low, range(21, 12, -1)), (high, range(12, 4, -1))):
+        part = part.astype(np.uint32)
+        for r in digit_rows:
+            quotient = part // 10
+            digit = (part - quotient * 10).astype(np.uint8)
+            zeros &= digit == 0
+            canvas[r] = digit + (ord("0") - 16 * (zeros & (at <= r)).view(np.uint8))  # or ' '
+            part = quotient
+    every = np.arange(size)
+    fraction = canvas[point, every] != ord(" ")
+    canvas[1:] ^= (canvas[1:] ^ canvas[:-1]) * (rows[1:] >= at).view(np.uint8)
+    canvas[point, every] = np.where(fraction, ord("."), ord(" "))
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        spelled = ("\n".join(["%.17g"] * slow.size) % tuple(x[slow].tolist())).split("\n")
+        block = "".join([s.ljust(25) for s in spelled]).encode("ascii")
+        canvas[:, slow] = np.frombuffer(block, dtype=np.uint8).reshape(-1, 25).T
+    canvas[24] = ord(",")
+    return np.ascontiguousarray(canvas.T)
+
+
+def _csv_block(header: str, values: np.ndarray, index: Optional[np.ndarray] = None) -> str:
+    """CSV text of an ``(n, k)`` float table, after optional integer columns
+    (which ``%.17g`` spells as ``%d`` does).
+
+    Each distinct bit pattern is spelled once by :func:`_texts`; keying on
+    bits, not values, keeps ``0.0`` apart from ``-0.0``.  Every cell is then
+    its value's 25-byte record, the last comma of a row becomes a newline,
+    and dropping the padding spaces leaves the body.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
+    if index is not None:
+        values = np.concatenate([index.astype(np.float64), values], axis=1)
     n, k = values.shape
     distinct, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
-    text = "\n".join(["%.17g"] * distinct.size) % tuple(distinct.view(np.float64).tolist())
-    cells = np.array(text.split("\n"), dtype=object)[inverse].reshape(n, k)
-    row = ["%s"] * k
-    if index is not None:
-        row = ["%d"] * index.shape[1] + row
-        cells = np.concatenate([index.astype(object), cells], axis=1)
-    return header + "\n" + ((",".join(row) + "\n") * n) % tuple(cells.reshape(-1))
+    cells = np.take(_texts(distinct.view(np.float64)), inverse.reshape(n, k), axis=0)
+    cells[:, -1, -1] = ord("\n")
+    return header + "\n" + cells.tobytes().translate(None, b" ").decode("ascii")
 
 
 def trajectory_csv(spectral: SpectralTrajectory, rates: RateTrajectory) -> str:

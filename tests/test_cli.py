@@ -496,6 +496,10 @@ def test_verify_rejects_a_nonfinite_or_negative_tolerance(capsys, argv):
          "--q applies only with --same"),
         (["construct", "2", "1.0", "0.3", "0.3", "0.4", "--basis", "3"],
          "--basis applies only with --same"),
+        (["dump", "mub-bases", "--d", "2", "--t", "3", "--config", "nothere.ini"],
+         "dump mub-bases takes no --config"),
+        (["dump", "mub-bases", "--d", "2", "--t", "3"], "dump mub-bases takes no --t"),
+        (["dump", "mub-unitaries", "--d", "3", "--t", "2"], "dump mub-unitaries takes no --t"),
     ],
 )
 def test_an_option_that_the_mode_ignores_exits_2(out_dir, capsys, argv, message):
@@ -555,6 +559,14 @@ def test_dump_choi_requires_config(capsys):
     assert rc == 2
     _, err = capsys.readouterr()
     assert "--config" in err
+
+
+@pytest.mark.parametrize("what", ["choi", "superop"])
+def test_dump_of_a_config_takes_no_dimension(out_dir, tmp_path, capsys, what):
+    cfg = write_config(tmp_path / "q.ini", EQUAL_THIRDS)  # a d = 2 config
+    assert main(["dump", what, "--d", "5", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"dump {what} takes no --d" in err
 
 
 def test_dump_superop_matrix(out_dir, tmp_path, capsys):

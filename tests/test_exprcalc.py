@@ -1,6 +1,7 @@
 """Expression parsing and dual-number evaluation."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulimix import exprcalc
-from util import random_expression
+from paulimix.channelcore import Expression
+from paulimix.exprcalc import Binary, Num, Unary, Var
+from util import random_expression, reference_eval_dual
 
 
 def ev(src, t):
@@ -204,3 +207,97 @@ def test_parse_is_pure():
     ast1 = exprcalc.parse("1-exp(-t)")
     ast2 = exprcalc.parse("1-exp(-t)")
     assert ast1 == ast2
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against the reference tree walk
+# ---------------------------------------------------------------------------
+
+
+def outcome(evaluate, ast, t):
+    """``(kind, value bits, derivative bits)`` or ``(error type, message, t)``."""
+    try:
+        d = evaluate(ast, t)
+    except exprcalc.DomainError as exc:
+        return type(exc), str(exc), exc.t
+    bits = [np.asarray(x, dtype=float).view(np.uint64).tolist() for x in (d.value, d.derivative)]
+    return type(d.value), type(d.derivative), bits
+
+
+def assert_matches_reference(ast, t):
+    assert outcome(exprcalc.eval_dual, ast, t) == outcome(reference_eval_dual, ast, t)
+    compiled = exprcalc.compile_ast(ast)
+    assert outcome(exprcalc.eval_dual, compiled, t) == outcome(reference_eval_dual, ast, t)
+
+
+TIMES = [
+    1.25,
+    0.0,
+    np.array([0.75]),
+    np.array([-1.0, 0.0, 2.5]),
+    np.linspace(-3.0, 3.0, 1024),
+]
+
+SOURCES = [
+    "t", "0", "2*3+4", "-t^2", "2^3^2", "(-2)^3", "(t-2)^2", "t^0", "(t-1)^-2",
+    "t^-1", "t^0.5", "(t-5)^0.5", "2^t", "(0-2)^t", "t^t", "(1+t^2)^(sin(t))",
+    "exp(-1.3*t)*(1-0.2*sin(1.1*t)^2)", "ln(1+t^2)", "ln(t)", "sqrt(t)",
+    "sqrt(4+t)", "cos(t)/(1-t)", "1/(2-t)", "t/0", "ln(0-1)*t", "t+ln(0-1)",
+    "t^ln(0-1)", "ln(t-5)+ln(0-1)", "sqrt(0)*t", "exp(1000)*t", "t*exp(1000)",
+    "(2^0.5)^t", "0*sqrt((t-1)^2-1e-8)", "-(-0)*t", "1/(t-t)",
+]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_compiled_evaluation_matches_the_tree_walk(source):
+    ast = exprcalc.parse(source)
+    for t in TIMES:
+        assert_matches_reference(ast, t)
+
+
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -1.0, 3.0, 1e-300, 1e300]),
+    st.floats(-4.0, 4.0),
+)
+LEAVES = st.one_of(st.builds(Num, NUMBERS), st.just(Var()))
+
+
+def extend(children):
+    exponents = st.one_of(
+        st.integers(-3, 4).map(lambda k: Num(float(k))),
+        st.integers(1, 3).map(lambda k: Unary("neg", Num(float(k)))),
+        st.floats(-2.5, 2.5).filter(lambda x: x != math.floor(x)).map(Num),
+        st.builds(Binary, st.sampled_from(["*", "+"]), st.just(Var()), children),
+        children,
+    )
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(["neg", "exp", "ln", "sin", "cos", "sqrt"]), children),
+        st.builds(Binary, st.sampled_from(["+", "-", "*", "/"]), children, children),
+        st.builds(lambda b, e: Binary("^", b, e), children, exponents),
+    )
+
+
+@st.composite
+def evaluation_times(draw):
+    size = draw(st.sampled_from([None, 1, 3, 1024]))
+    if size is None:
+        return draw(st.floats(-3.0, 3.0))
+    if size == 1024:
+        lo = draw(st.floats(-3.0, 3.0))
+        return np.linspace(lo, lo + draw(st.floats(0.0, 6.0)), size)
+    return np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=size, max_size=size)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(LEAVES, extend, max_leaves=10), evaluation_times())
+def test_random_trees_match_the_tree_walk_bit_for_bit(ast, t):
+    assert_matches_reference(ast, t)
+
+
+def test_expression_pickles_to_equal_values_and_derivatives():
+    f = Expression("0.5*sin(t)^2")
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+    t = np.linspace(0.0, 5.0, 257)
+    for a, b in zip(f.value_and_derivative(t), g.value_and_derivative(t)):
+        assert a.tobytes() == b.tobytes()

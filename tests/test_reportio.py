@@ -118,3 +118,48 @@ def test_trajectory_csv_formats_without_per_cell_calls(monkeypatch):
     text = reportio.trajectory_csv(result.spectral, result.rates)
     assert text.count("\n") == 33
     assert text.startswith("t,lambda_1,lambda_2,lambda_3,lambda_4,gamma_1,")
+
+
+# ---------------------------------------------------------------------------
+# The fixed-notation fast path, 1e-4 <= |x| < 1e17, and its edges
+# ---------------------------------------------------------------------------
+
+fast_range = st.floats(1e-4, 1e17, exclude_max=True).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+
+
+@st.composite
+def fast_tables(draw):
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    return np.array(draw(st.lists(fast_range, min_size=n * k, max_size=n * k))).reshape(n, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fast_tables())
+def test_fast_range_matches_fmt_float(table):
+    lines = _csv_block("h", table).split("\n")
+    assert lines[1:-1] == [",".join(map(fmt_float, row)) for row in table]
+
+
+def edge_values():
+    values = [1234567890123456.75, 123456789012345.625]  # exact ties at digit 17
+    for k in range(-4, 18):
+        for toward in (np.inf, -np.inf):
+            values.append(float(np.nextafter(10.0**k, toward)))
+        values.append(10.0**k)
+    for edge in (1e-4, 1e17):
+        values += [float(np.nextafter(edge, 0.0)), edge, float(np.nextafter(edge, np.inf))]
+    values += [0.0, -0.0, np.inf, -np.inf, np.nan]
+    return values
+
+
+def test_named_edges_match_fmt_float_in_one_table():
+    values = edge_values()
+    values += [-v for v in values]
+    values += [0.0] * (-len(values) % 4)
+    table = np.array(values).reshape(-1, 4)
+    lines = _csv_block("h", table).split("\n")
+    assert lines[1:-1] == [",".join(map(fmt_float, row)) for row in table]
+    assert fmt_float(1234567890123456.75) == "1234567890123456.8"
+    assert fmt_float(123456789012345.625) == "123456789012345.62"

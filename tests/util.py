@@ -7,13 +7,21 @@
 * ``qubit_rates_abc`` — qubit decay rates assembled from the three
   log-derivative combinations A, B, C;
 * ``random_expression`` — random smooth expression strings, domain-safe on
-  t in [0.05, 3.5].
+  t in [0.05, 3.5];
+* ``reference_eval_dual`` — the tree-walking dual-number evaluator that
+  ``exprcalc.eval_dual`` replaced, kept as the reference its compiled
+  closures must match bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Union
+
 import numpy as np
 from scipy.linalg import ldl
+
+from paulimix.exprcalc import Binary, DomainError, DualValue, ExprAst, Num, Unary, Var
 
 
 def _count_eigs_below(m: np.ndarray, x: float) -> int:
@@ -113,3 +121,157 @@ def random_expression(rng: np.random.Generator, depth: int = 0) -> str:
         f"({u})",
     ]
     return forms[rng.integers(len(forms))]
+
+
+# ---------------------------------------------------------------------------
+# Reference dual-number evaluator: a walk of the tree, node by node
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Dual:
+    value: Union[float, np.ndarray]
+    derivative: Union[float, np.ndarray]
+
+    def __add__(self, other: "_Dual") -> "_Dual":
+        return _Dual(self.value + other.value, self.derivative + other.derivative)
+
+    def __sub__(self, other: "_Dual") -> "_Dual":
+        return _Dual(self.value - other.value, self.derivative - other.derivative)
+
+    def __neg__(self) -> "_Dual":
+        return _Dual(-self.value, -self.derivative)
+
+    def __mul__(self, other: "_Dual") -> "_Dual":
+        return _Dual(
+            self.value * other.value,
+            self.derivative * other.value + self.value * other.derivative,
+        )
+
+
+def _first_bad_time(t: np.ndarray, bad: np.ndarray) -> float:
+    flat_t = np.broadcast_to(t, bad.shape).ravel()
+    return float(flat_t[bad.ravel().argmax()])
+
+
+def _contains_var(node: ExprAst) -> bool:
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Unary):
+        return _contains_var(node.arg)
+    if isinstance(node, Binary):
+        return _contains_var(node.left) or _contains_var(node.right)
+    return False
+
+
+def _eval(node: ExprAst, t: np.ndarray) -> _Dual:
+    if isinstance(node, Num):
+        return _Dual(np.full_like(t, node.value), np.zeros_like(t))
+    if isinstance(node, Var):
+        return _Dual(t.copy(), np.ones_like(t))
+    if isinstance(node, Unary):
+        u = _eval(node.arg, t)
+        return _apply_unary(node.op, u, t)
+    if isinstance(node, Binary):
+        if node.op == "^":
+            return _apply_pow(node, t)
+        left = _eval(node.left, t)
+        right = _eval(node.right, t)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            zero = right.value == 0
+            if np.any(zero):
+                raise DomainError("division by zero", _first_bad_time(t, zero))
+            val = left.value / right.value
+            der = (left.derivative - val * right.derivative) / right.value
+            return _Dual(val, der)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _apply_unary(op: str, u: _Dual, t: np.ndarray) -> _Dual:
+    if op == "neg":
+        return -u
+    if op == "exp":
+        e = np.exp(u.value)
+        return _Dual(e, e * u.derivative)
+    if op == "ln":
+        bad = u.value <= 0
+        if np.any(bad):
+            raise DomainError("ln of non-positive argument", _first_bad_time(t, bad))
+        return _Dual(np.log(u.value), u.derivative / u.value)
+    if op == "sin":
+        return _Dual(np.sin(u.value), np.cos(u.value) * u.derivative)
+    if op == "cos":
+        return _Dual(np.cos(u.value), -np.sin(u.value) * u.derivative)
+    if op == "sqrt":
+        bad = u.value < 0
+        if np.any(bad):
+            raise DomainError("sqrt of negative argument", _first_bad_time(t, bad))
+        root = np.sqrt(u.value)
+        zero = root == 0
+        if np.any(zero):
+            raise DomainError(
+                "sqrt derivative singular at zero argument", _first_bad_time(t, zero)
+            )
+        return _Dual(root, u.derivative / (2.0 * root))
+    raise ValueError(f"unknown unary op {op!r}")
+
+
+def _apply_pow(node: Binary, t: np.ndarray) -> _Dual:
+    base = _eval(node.left, t)
+    if not _contains_var(node.right):
+        # constant exponent: evaluate once, keep the power rule so negative
+        # bases work for integer exponents
+        n = float(_eval(node.right, np.zeros(1)).value[0])
+        if n == np.floor(n):
+            if n < 0:
+                zero = base.value == 0
+                if np.any(zero):
+                    raise DomainError(
+                        "zero base with negative exponent", _first_bad_time(t, zero)
+                    )
+            val = base.value**n
+            if n == 0:
+                return _Dual(val, np.zeros_like(t))
+            der = n * base.value ** (n - 1) * base.derivative
+            return _Dual(val, der)
+        bad = base.value <= 0
+        if np.any(bad):
+            raise DomainError(
+                "non-positive base with non-integer exponent", _first_bad_time(t, bad)
+            )
+        val = base.value**n
+        return _Dual(val, n * base.value ** (n - 1) * base.derivative)
+    expo = _eval(node.right, t)
+    bad = base.value <= 0
+    if np.any(bad):
+        raise DomainError(
+            "non-positive base with variable exponent", _first_bad_time(t, bad)
+        )
+    val = base.value**expo.value
+    log_base = np.log(base.value)
+    der = val * (expo.derivative * log_base + expo.value * base.derivative / base.value)
+    return _Dual(val, der)
+
+
+def reference_eval_dual(ast: ExprAst, t) -> DualValue:
+    """``exprcalc.eval_dual`` as a walk of the tree on full arrays."""
+    arr = np.asarray(t, dtype=float)
+    scalar = arr.ndim == 0
+    if scalar:
+        arr = arr.reshape(1)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("non-finite evaluation time", float(arr[~np.isfinite(arr)][0]))
+    with np.errstate(all="ignore"):
+        out = _eval(ast, arr)
+    bad = ~(np.isfinite(out.value) & np.isfinite(out.derivative))
+    if np.any(bad):
+        raise DomainError("non-finite result", _first_bad_time(arr, bad))
+    if scalar:
+        return DualValue(float(out.value[0]), float(out.derivative[0]))
+    return DualValue(out.value, out.derivative)
