@@ -187,16 +187,22 @@ def _csv_block(header: str, values: np.ndarray, index: Optional[np.ndarray] = No
     Each distinct bit pattern is spelled once by :func:`_texts`; keying on
     bits, not values, keeps ``0.0`` apart from ``-0.0``.  Every cell is then
     its value's 25-byte record, the last comma of a row becomes a newline,
-    and dropping the padding spaces leaves the body.
+    and dropping the padding spaces leaves the body, built in chunks of
+    about 65536 cells.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if index is not None:
         values = np.concatenate([index.astype(np.float64), values], axis=1)
     n, k = values.shape
     distinct, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
-    cells = np.take(_texts(distinct.view(np.float64)), inverse.reshape(n, k), axis=0)
-    cells[:, -1, -1] = ord("\n")
-    return header + "\n" + cells.tobytes().translate(None, b" ").decode("ascii")
+    texts, inverse = _texts(distinct.view(np.float64)), inverse.reshape(n, k)
+    rows = max(1, 2**16 // k)  # per chunk, so the 25-byte records stay small
+    body = []
+    for start in range(0, n, rows):
+        cells = np.take(texts, inverse[start : start + rows], axis=0)
+        cells[:, -1, -1] = ord("\n")
+        body.append(cells.tobytes().translate(None, b" "))
+    return header + "\n" + b"".join(body).decode("ascii")
 
 
 def trajectory_csv(spectral: SpectralTrajectory, rates: RateTrajectory) -> str:

@@ -215,7 +215,7 @@ def test_parse_is_pure():
 
 
 def outcome(evaluate, ast, t):
-    """``(kind, value bits, derivative bits)`` or ``(error type, message, t)``."""
+    """The result's types and bits, or the error's type, message and ``t``."""
     try:
         d = evaluate(ast, t)
     except exprcalc.DomainError as exc:

@@ -163,3 +163,10 @@ def test_named_edges_match_fmt_float_in_one_table():
     assert lines[1:-1] == [",".join(map(fmt_float, row)) for row in table]
     assert fmt_float(1234567890123456.75) == "1234567890123456.8"
     assert fmt_float(123456789012345.625) == "123456789012345.62"
+
+
+def test_a_table_of_several_chunks_matches_fmt_float():
+    rng = np.random.default_rng(11)
+    table = rng.choice(np.array(edge_values() + list(rng.standard_normal(5000))), (40000, 3))
+    lines = _csv_block("h", table).split("\n")
+    assert lines[1:-1] == [",".join(map(fmt_float, row)) for row in table]
