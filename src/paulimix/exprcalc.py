@@ -338,17 +338,17 @@ def _compile(node: ExprAst):
     const = all(fold is not None for _, fold in kids)
     ops = [fold if const else run for run, fold in kids]
     if rule is _pow and kids[1][1] is not None:
-        fold = _power(ops[0], kids[1][1])
+        closure = _power(ops[0], kids[1][1])
     elif len(ops) == 1:
-        fold = lambda t, u=ops[0]: rule(*u(t), t)
+        closure = lambda t, u=ops[0]: rule(*u(t), t)
     else:
-        fold = lambda t, a=ops[0], b=ops[1]: rule(*a(t), *b(t), t)
+        closure = lambda t, a=ops[0], b=ops[1]: rule(*a(t), *b(t), t)
     if not const:
-        return fold, None
+        return closure, None
     try:
-        value, derivative = fold(np.zeros(1))
+        value, derivative = closure(np.zeros(1))
     except DomainError:
-        return fold, fold
+        return closure, closure
     return _constant(float(value[0]), float(derivative[0])), _constant(value, derivative)
 
 
