@@ -414,37 +414,97 @@ class MixtureValidationError(ValueError):
         self.issues = tuple(issues)
 
 
+_DEPTH = 5  # halvings per round of _bisect
+
+
 def _bisect(f, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, xtol: float):
-    """Bisect the brackets ``[lo, hi]`` of ``rows`` (``flo = f(rows, lo)``;
-    all three are overwritten) together: each step calls ``f(rows, mids)``
-    once for the live brackets, in order.  A bracket stops at an exact zero
-    of ``f``, once ``hi - lo <= xtol``, or after 200 halvings, at the
-    midpoint of its last bracket, as if it were bisected alone."""
+    """Bisect the brackets ``[lo, hi]`` of ``rows`` (``flo = f(rows, lo)``)
+    together, as if each were bisected alone: a bracket stops at an exact
+    zero of ``f`` (at that midpoint), once ``hi - lo <= xtol``, or after 200
+    halvings, at the midpoint of its last bracket.
+
+    The halvings go in rounds of ``_DEPTH`` (see :func:`_round`): one
+    ``f(rows, t)`` call, with ``rows`` in order, on every point that the
+    round's halvings can reach, and then the halvings, replayed from those
+    values.  A round whose call raises is run again as plain halvings,
+    rounds of depth 1 on the true midpoints, so the error raised is the one
+    that plain bisection meets first, and a point that plain bisection
+    never visits changes nothing."""
     roots = np.empty(lo.size)
     live = np.arange(lo.size)
-    for _ in range(200):
+    # Halving reads flo only as flo < 0, and lo moves only to midpoints that
+    # agree with it there, so that flag is fixed per bracket.
+    below = flo < 0.0
+    step = plain = 0  # halvings made; plain ones until step reaches plain
+    while step < 200:
         wide = hi - lo > xtol
         if np.count_nonzero(wide) < live.size:
             roots[live[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
-            live, rows, lo, hi, flo = live[wide], rows[wide], lo[wide], hi[wide], flo[wide]
+            live, rows, lo, hi, below = live[wide], rows[wide], lo[wide], hi[wide], below[wide]
         if not live.size:
             return roots
-        mid = 0.5 * (lo + hi)
-        fmid = np.asarray(f(rows, mid), dtype=float)
-        # An exact zero collapses its bracket onto mid, whose midpoint is mid.
-        zero = fmid == 0.0
-        up = (flo < 0.0) == (fmid < 0.0)
-        np.copyto(lo, mid, where=up | zero)
-        np.copyto(flo, fmid, where=up)
-        np.copyto(hi, mid, where=~up | zero)
+        depth = 1 if step < plain else min(_DEPTH, 200 - step)
+        try:
+            done, at, lo, hi = _round(f, rows, lo, hi, below, xtol, depth)
+        except Exception:
+            if depth == 1:
+                raise
+            plain = step + depth
+            continue
+        step += depth
+        roots[live[done]] = at
+        live, rows, below = live[~done], rows[~done], below[~done]
     roots[live] = 0.5 * (lo + hi)
     return roots
+
+
+def _round(f, rows, lo, hi, below, xtol, depth):
+    """``depth`` halvings of the brackets ``[lo, hi]`` from one ``f`` call
+    on each bracket's tree of the ``2**depth - 1`` midpoints that they can
+    reach, each ``0.5*(a + b)`` of its parent interval ``[a, b]``, so each
+    is the float that plain bisection computes.  Returns which brackets
+    stopped, their roots, and the new ends of the others."""
+    n = 1 << depth
+    # Tree points by position: x[:, k] lies k/n of the way from lo to hi.
+    x = np.empty((lo.size, n + 1))
+    x[:, 0], x[:, n] = lo, hi
+    h = n // 2
+    while h:
+        x[:, h::2 * h] = 0.5 * (x[:, : n - h : 2 * h] + x[:, 2 * h :: 2 * h])
+        h //= 2
+    fx = np.asarray(f(np.repeat(rows, n - 1), x[:, 1:n].ravel()), dtype=float)
+    # The halvings, on Python floats (the same IEEE arithmetic and NaN
+    # comparisons): the bracket is [x[q], x[k + w]], its midpoint x[k].
+    xtol = float(xtol)
+    done, at, ends = [], [], []
+    for xb, fb, neg in zip(x.tolist(), fx.reshape(lo.size, n - 1).tolist(), below.tolist()):
+        q, w = 0, n
+        for _ in range(depth):
+            w //= 2
+            k = q + w
+            if not xb[k + w] - xb[q] > xtol:
+                at.append(xb[k])
+                break
+            fmid = fb[k - 1]
+            if fmid == 0.0:  # the bracket collapses onto x[k]
+                at.append(0.5 * (xb[k] + xb[k]))
+                break
+            if (fmid < 0.0) == neg:
+                q = k
+        else:
+            done.append(False)
+            ends.append((xb[q], xb[q + w]))
+            continue
+        done.append(True)
+    lo, hi = np.array(ends).reshape(-1, 2).T
+    return np.array(done), np.array(at), lo, hi
 
 
 def range_exit(value, times: np.ndarray, k: int, bound: float) -> float:
     """Where ``value(t)`` (``t`` an array) crosses ``bound`` (0 or 1) into the
     first sample ``k`` of ``times`` outside [0, 1]: ``times[0]`` for ``k = 0``,
-    else bisected between ``times[k-1]`` and ``times[k]`` down to 1e-12."""
+    else bisected between ``times[k-1]`` and ``times[k]`` down to 1e-12, in
+    :func:`_bisect`'s rounds (one ``value`` call on a midpoint tree each)."""
     if k == 0:
         return float(times[0])
     g = lambda _rows, t: np.asarray(value(t), dtype=float) - bound
@@ -463,9 +523,11 @@ def bracket_roots(values: np.ndarray, times: np.ndarray, f, xtol: float):
     - an exact zero ``a == 0`` with ``k > 0`` is reported at ``times[k]`` and
       the interval is not bisected (the first column is never a root);
     - a sign change from a nonzero ``a`` (``(a < 0) != (b < 0)``, so also
-      ``a < 0, b == 0``) is bisected down to ``xtol``, all brackets together:
-      ``f(rows, t)`` returns the values at the midpoints ``t`` of the live
-      brackets, whose ``rows`` come in (row, interval) order;
+      ``a < 0, b == 0``) is bisected down to ``xtol``, all brackets together
+      (:func:`_bisect`): ``f(rows, t)`` returns the values at points ``t``
+      strictly inside the live brackets (a round's midpoint trees, or the
+      midpoints of plain halvings), whose ``rows`` come in (row, interval)
+      order;
     - ``values[row, -1] == 0`` reports ``times[-1]``, after any root of the
       last interval;
     - NaN compares false everywhere: it is never a zero, counts as

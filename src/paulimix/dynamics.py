@@ -629,12 +629,12 @@ def _zeros(done: _Block, outputs: Sequence[MixtureSpec], inputs: list, times: np
            xtol: float):
     """Zeros of the rows of ``outputs``, the first mixtures of ``done`` (on
     ``times``), and of the off-label row ``1 - (d/(d-1)) p`` of each function
-    ``inputs``, in one :func:`bracket_roots` pass.  Each step evaluates each
-    owner once at its live midpoints, through its functions' ``value``: a
-    mixture's value plane on its own table, as if it were alone, an input's
-    ``p``.  Returns each output's sorted ``(label, t*)`` zeros, and each
-    function's zeros and midpoint-fit deviation (inf unless positive) by
-    index."""
+    ``inputs``, in one :func:`bracket_roots` pass.  Each round of its
+    bisection evaluates each owner once, at all the points of its live
+    brackets' midpoint trees, through its functions' ``value``: a mixture's
+    value plane on its own table, as if it were alone, an input's ``p``.
+    Returns each output's sorted ``(label, t*)`` zeros, and each function's
+    zeros and midpoint-fit deviation (inf unless positive) by index."""
     size = len(outputs)
     lam = done.lam[:size]
     labels, n = lam.shape[1:]
@@ -646,7 +646,7 @@ def _zeros(done: _Block, outputs: Sequence[MixtureSpec], inputs: list, times: np
     def f(rows, t):
         out = np.empty(t.size)
         who = owner[rows]
-        # Rows come in ascending order, so each owner's midpoints are contiguous.
+        # Rows come in ascending order, so each owner's points are contiguous.
         cuts = (np.flatnonzero(who[1:] != who[:-1]) + 1).tolist()
         for a, b in zip([0] + cuts, cuts + [t.size]):
             o = who.item(a)

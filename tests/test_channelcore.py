@@ -20,8 +20,9 @@ from paulimix import (
     single_channel_eigenvalues,
     validate_mixture,
 )
-from paulimix.channelcore import build_interpolants
+from paulimix.channelcore import _bisect, build_interpolants
 from paulimix.exprcalc import DomainError
+from util import reference_bisect
 
 
 # ---------------------------------------------------------------------------
@@ -323,3 +324,105 @@ def test_validate_reports_domain_issue_with_time():
     assert not report.p_in_range
     (issue,) = [i for i in report.issues if i.kind == "p-domain"]
     assert issue.time is not None and issue.time > 2.0
+
+
+_SAMPLE_TIMES = np.linspace(0.0, 5.0, 41)
+_EVERY_KIND = {
+    "exp_relax": ExpRelax(0.7, 1.3),
+    "product": ProductTemplate(0.6, 1.3, 0.2, 1.1),
+    "difference": DifferenceTemplate(0.9, 1.2, 0.3, 2.5),
+    "expression": Expression(
+        "0.3*(1-exp(-1.7*t)) + 0.1*ln(1+t^2) + 0.05*sin(3*t)^2 + 0.05*(1-cos(t))"
+        " + 0.1*(sqrt(1+t)-1) + 0.01*((1+t)^2.5-1) + 0.01*((1+t)^t-1)"
+    ),
+    "samples": SampledGrid(_SAMPLE_TIMES, 0.5 * (1 - np.exp(-_SAMPLE_TIMES))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_EVERY_KIND))
+def test_a_value_does_not_depend_on_its_position_in_the_array(kind):
+    # Bisection rounds evaluate a point among others, at any position of
+    # arrays of any length (a SIMD loop's body or its tail): its value must
+    # have the bits that it has alone.
+    func = _EVERY_KIND[kind]
+    rng = np.random.default_rng(15)
+    others = rng.uniform(0.0, 5.0, 40)
+    for t in np.concatenate([[0.0, 5.0, 1.0 / 3.0], rng.uniform(0.0, 5.0, 5)]):
+        alone = np.float64(func.value(float(t))).tobytes()
+        assert func.value(np.array([t])).tobytes() == alone
+        for size in range(1, 41):
+            for at in range(size):
+                times = others[:size].copy()
+                times[at] = t
+                assert func.value(times)[at].tobytes() == alone, (size, at)
+
+
+# ---------------------------------------------------------------------------
+# Bisection in rounds against the one-halving-at-a-time reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def bisection_cases(draw):
+    """``(f, rows, lo, hi, flo, xtol)`` for up to six brackets of widths from
+    1 down to 2**-40, so that they retire at different halvings.  Row ``r``
+    is ``slope*(t - c)``, with ``c`` the midpoint of the bracket's halving
+    ``depth`` (an exact zero there, at any level of a round), optionally
+    NaN below a cut or folded into several roots by a sine.  ``flo`` may
+    disagree with ``f(lo)`` or be NaN; ``f`` may raise in small holes."""
+    size = draw(st.integers(0, 6))
+    lo, hi, flo, pieces = [], [], [], []
+    for _ in range(size):
+        a = draw(st.floats(0.0, 8.0))
+        b = a + 2.0 ** -draw(st.integers(0, 40))
+        x, y = a, b
+        for right in draw(st.lists(st.booleans(), max_size=14)):
+            m = 0.5 * (x + y)
+            x, y = (m, y) if right else (x, m)
+        c = 0.5 * (x + y)
+        slope = draw(st.sampled_from([1.0, -1.0, 3.0, -0.25]))
+        shape = draw(st.sampled_from(["line", "line", "nan-below", "sine"]))
+        cut = draw(st.floats(a, b))
+        lo.append(a)
+        hi.append(b)
+        pieces.append((shape, c, slope, cut, 40.0 / (b - a)))
+        flo.append(draw(st.sampled_from([slope * (a - c), -1.0, 1.0, 0.0, math.nan])))
+    anchors = lo + hi + [piece[1] for piece in pieces]
+    holes = draw(st.lists(st.sampled_from(anchors), max_size=2)) if size else []
+    holes = [h + draw(st.floats(-0.5, 0.5)) * 2.0 ** -draw(st.integers(0, 40)) for h in holes]
+    radius = draw(st.sampled_from([1e-9, 1e-4, 1e-2]))
+
+    def f(rows, ts):
+        assert rows.tolist() == sorted(rows.tolist())
+        out = []
+        for row, t in zip(rows.tolist(), ts.tolist()):
+            if any(abs(t - h) < radius for h in holes):
+                raise ArithmeticError(f"hole at t={t!r}, row {row}")
+            shape, c, slope, cut, freq = pieces[row]
+            if shape == "nan-below" and t < cut:
+                out.append(math.nan)
+            elif shape == "sine":
+                out.append(math.sin(freq * (t - c)))
+            else:
+                out.append(slope * (t - c))
+        return np.array(out)
+
+    xtol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+    return f, np.arange(size), np.array(lo), np.array(hi), np.array(flo), xtol
+
+
+def _outcome(bisect, f, rows, lo, hi, flo, xtol):
+    try:
+        return bisect(f, rows, lo.copy(), hi.copy(), flo.copy(), xtol).tobytes()
+    except ArithmeticError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bisection_cases())
+def test_rounds_replay_plain_bisection_bit_for_bit(case):
+    # Every root has the reference's bits, and an error is the one that
+    # one-halving-at-a-time bisection meets first (xtol = 0 runs into the
+    # 200-halving cap).
+    assert _outcome(_bisect, *case) == _outcome(reference_bisect, *case)
+

@@ -32,11 +32,11 @@ from paulimix import (
     refine_grid,
     single_channel_eigenvalues,
 )
-from paulimix import dynamics
+from paulimix import channelcore, dynamics
 from paulimix.channelcore import bracket_roots
 from paulimix.dynamics import SpectralTrajectory
 from paulimix.exprcalc import DomainError
-from util import qubit_rates_abc, rk4_path
+from util import qubit_rates_abc, reference_bisect, rk4_path
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -506,29 +506,35 @@ def sampled_rows(draw):
 @given(sampled_rows(), st.sampled_from([1e-10, 1e-3]))
 def test_bracket_roots_matches_per_point_scan(sample, xtol):
     values, times = sample
-    # Midpoints per bracket (row, grid interval): every midpoint lies
-    # strictly inside its bracket's grid interval.
+    # Points evaluated per bracket (row, grid interval).  Rounds evaluate
+    # each bracket's midpoint tree, so they see more points than plain
+    # bisection: a superset of its midpoints, all inside the bracket.
     calls, ref_calls = {}, {}
+    below = values < 0.0
+    brackets = set(zip(*np.nonzero((values[:, :-1] != 0.0) & (below[:, :-1] != below[:, 1:]))))
 
     def bracket(row, t):
         return (row, int(np.searchsorted(times, t)) - 1)
 
     def f(rows, ts):
-        assert list(rows) == sorted(rows)  # (row, interval) order
-        for row, t in zip(rows.tolist(), ts.tolist()):
-            calls.setdefault(bracket(row, t), []).append(t)
+        keys = [bracket(row, t) for row, t in zip(rows.tolist(), ts.tolist())]
+        assert keys == sorted(keys)  # (row, interval) order
+        for key, t in zip(keys, ts.tolist()):
+            assert key in brackets and times[key[1]] < t < times[key[1] + 1]
+            calls.setdefault(key, set()).add(t)
         return np.array([np.interp(t, times, values[row]) for row, t in zip(rows, ts)])
 
     expected = []
     for row in range(values.shape[0]):
 
         def ref_f(t, _row=row):
-            ref_calls.setdefault(bracket(_row, t), []).append(t)
+            ref_calls.setdefault(bracket(_row, t), set()).add(t)
             return float(np.interp(t, times, values[_row]))
 
         expected.append(reference_zero_crossings(values[row], times, ref_f, xtol))
     assert bracket_roots(values, times, f, xtol) == expected
-    assert calls == ref_calls
+    for key, ts in ref_calls.items():
+        assert ts <= calls[key]
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +780,40 @@ def test_a_domain_error_met_only_by_a_bisection_midpoint_names_its_mixture():
     assert type(batched.value) is type(single.value) and str(batched.value) == message
     assert repr(classify_many([good], grid)) == repr([classify(good, grid)])
     assert classify(good, grid).is_semigroup
+
+
+def test_a_domain_error_at_a_point_that_bisection_never_visits_changes_nothing(monkeypatch):
+    # The input row 1 - 2p crosses zero at t = 1/0.82, in the left half of
+    # its grid cell [a, b]; sqrt is undefined within 1e-6 of the round's
+    # tree point 3/4 of the way from a to b, which only the speculative
+    # evaluation of the round's midpoint tree visits.
+    grid = default_grid(2.0, 64)
+    k = int(np.searchsorted(grid.times, 1 / 0.82)) - 1
+    a, b = grid.times[k], grid.times[k + 1]
+    c = float(0.5 * (0.5 * (a + b) + b))
+    hole = Expression(f"0.41*t + 0*sqrt((t-{c!r})^2-1e-12)")
+    assert np.abs(grid.times - c).min() > 1e-6
+    with pytest.raises(DomainError):
+        hole.value(np.array([c]))
+    spec = MixtureSpec(2, [(0.5, ChannelSpec(2, 1, hole)), (0.5, ChannelSpec(2, 2, ExpRelax(0.1, 1.0)))])
+    raised = []
+    plain_round = channelcore._round
+
+    def spy(*args):
+        try:
+            return plain_round(*args)
+        except DomainError as err:
+            raised.append(err.t)
+            raise
+
+    monkeypatch.setattr(channelcore, "_round", spy)
+    report = classify(spec, grid)
+    assert raised == [c]
+    (zero,) = report.inputs[0].singular_times
+    assert report.inputs[0].verdict == "noninvertible" and a < zero < 0.5 * (a + b)
+    assert report.singular_times == ()
+    monkeypatch.setattr(channelcore, "_bisect", reference_bisect)
+    assert repr(classify(spec, grid)) == repr(report)
 
 
 def test_analyze_mixture_is_the_one_spec_case():

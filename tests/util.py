@@ -10,7 +10,10 @@
   t in [0.05, 3.5];
 * ``reference_eval_dual`` — the tree-walking dual-number evaluator that
   ``exprcalc.eval_dual`` replaced, kept as the reference its compiled
-  closures must match bit for bit.
+  closures must match bit for bit;
+* ``reference_bisect`` — the lockstep bisection, one ``f`` call per halving,
+  that ``channelcore._bisect``'s rounds replaced, kept as the reference
+  their roots and errors must match.
 """
 
 from __future__ import annotations
@@ -275,3 +278,35 @@ def reference_eval_dual(ast: ExprAst, t) -> DualValue:
     if scalar:
         return DualValue(float(out.value[0]), float(out.derivative[0]))
     return DualValue(out.value, out.derivative)
+
+
+# ---------------------------------------------------------------------------
+# Reference bisection: one halving step, and one f call, at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_bisect(f, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, xtol: float):
+    """Bisect the brackets ``[lo, hi]`` of ``rows`` (``flo = f(rows, lo)``;
+    all three are overwritten) together: each step calls ``f(rows, mids)``
+    once for the live brackets, in order.  A bracket stops at an exact zero
+    of ``f``, once ``hi - lo <= xtol``, or after 200 halvings, at the
+    midpoint of its last bracket, as if it were bisected alone."""
+    roots = np.empty(lo.size)
+    live = np.arange(lo.size)
+    for _ in range(200):
+        wide = hi - lo > xtol
+        if np.count_nonzero(wide) < live.size:
+            roots[live[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
+            live, rows, lo, hi, flo = live[wide], rows[wide], lo[wide], hi[wide], flo[wide]
+        if not live.size:
+            return roots
+        mid = 0.5 * (lo + hi)
+        fmid = np.asarray(f(rows, mid), dtype=float)
+        # An exact zero collapses its bracket onto mid, whose midpoint is mid.
+        zero = fmid == 0.0
+        up = (flo < 0.0) == (fmid < 0.0)
+        np.copyto(lo, mid, where=up | zero)
+        np.copyto(flo, fmid, where=up)
+        np.copyto(hi, mid, where=~up | zero)
+    roots[live] = 0.5 * (lo + hi)
+    return roots
