@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import ClassVar, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator, PPoly
@@ -88,12 +89,14 @@ class ExpRelax(DecoherenceFunction):
 
     def value_and_derivative(self, t):
         arr = np.asarray(t, dtype=float)
-        decay = np.exp(-self.rate * arr)
-        p = self.scale * (1.0 - decay)
-        dp = self.scale * self.rate * decay
+        p, dp = self._dual(arr)
         if arr.ndim == 0:
             return float(p), float(dp)
         return p, dp
+
+    def _dual(self, t):
+        decay = np.exp(-self.rate * t)
+        return self.scale * (1.0 - decay), self.scale * self.rate * decay
 
     def value(self, t):
         # p alone, by the same operations: bisection evaluates only values.
@@ -247,8 +250,12 @@ class SampledGrid(DecoherenceFunction):
     Interpolation is shape-preserving cubic (PCHIP); the derivative comes from
     the interpolant itself, not from finite differences of the samples.
     Evaluation outside the sampled range is a domain error.  The samples are
-    validated on construction; the interpolant is built on first evaluation,
-    or for many grids at once by :func:`build_interpolants`.
+    validated on construction.  The interpolant is a column of a stack that
+    :func:`build_interpolants` builds for many grids at once, or for this
+    one on its first evaluation.  A function table evaluates the stack's
+    columns together (:func:`family_evaluators`); this grid's own
+    piecewise polynomials are cut from its column only when it is evaluated
+    alone.
     """
 
     kind = "samples"
@@ -274,33 +281,31 @@ class SampledGrid(DecoherenceFunction):
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_interp", None)
+        object.__setattr__(self, "_column", None)  # (stack, column), once built
+        object.__setattr__(self, "_own", None)  # (value, derivative) cut from it
 
-    def _clipped(self, t) -> np.ndarray:
-        """``t`` as a float array clipped to the sampled range, which it may
-        exceed by the range slack only; builds the interpolant if needed."""
-        arr = np.asarray(t, dtype=float)
-        lo, hi = self.times[0], self.times[-1]
-        out = (arr < lo - _RANGE_SLACK) | (arr > hi + _RANGE_SLACK)
-        if np.any(out):
-            bad = float(np.atleast_1d(arr)[np.atleast_1d(out)][0])
-            raise DomainError("time outside sampled range", bad)
-        if self._interp is None:  # type: ignore[attr-defined]
-            build_interpolants([self])
-        return np.clip(arr, lo, hi)
+    def _pieces(self):
+        """This grid's value and derivative interpolants, cut from its stack
+        column on first use."""
+        if self._own is None:  # type: ignore[attr-defined]
+            if self._column is None:  # type: ignore[attr-defined]
+                build_interpolants([self])
+            stack, j = self._column  # type: ignore[attr-defined]
+            object.__setattr__(self, "_own", (_cut(stack.value, j), _cut(stack.derivative, j)))
+        return self._own  # type: ignore[attr-defined]
 
     def value_and_derivative(self, t):
-        clipped = self._clipped(t)
-        p = self._interp(clipped)  # type: ignore[attr-defined]
-        dp = self._dinterp(clipped)  # type: ignore[attr-defined]
+        clipped = _clip(self.times, t)
+        value, derivative = self._pieces()
+        p, dp = value(clipped), derivative(clipped)
         if clipped.ndim == 0:
             return float(p), float(dp)
         return np.asarray(p, dtype=float), np.asarray(dp, dtype=float)
 
     def value(self, t):
         # p alone, from the value interpolant: bisection evaluates only values.
-        clipped = self._clipped(t)
-        p = self._interp(clipped)  # type: ignore[attr-defined]
+        clipped = _clip(self.times, t)
+        p = self._pieces()[0](clipped)
         return float(p) if np.ndim(p) == 0 else np.asarray(p, dtype=float)
 
     def describe(self) -> dict:
@@ -311,29 +316,126 @@ class SampledGrid(DecoherenceFunction):
         }
 
 
+def _clip(times: np.ndarray, t) -> np.ndarray:
+    """``t`` as a float array clipped to the range of the sample ``times``,
+    which it may exceed by the range slack only."""
+    arr = np.asarray(t, dtype=float)
+    lo, hi = times[0], times[-1]
+    out = (arr < lo - _RANGE_SLACK) | (arr > hi + _RANGE_SLACK)
+    if np.any(out):
+        bad = float(np.atleast_1d(arr)[np.atleast_1d(out)][0])
+        raise DomainError("time outside sampled range", bad)
+    return np.clip(arr, lo, hi)
+
+
+class _Stack(NamedTuple):
+    """One PCHIP build of the grids on some sample times, a column each."""
+
+    times: np.ndarray
+    value: PchipInterpolator  # coefficients of shape (4, n-1, columns)
+    derivative: PPoly
+
+
+def _cut(interp: PPoly, columns) -> PPoly:
+    """The piecewise polynomials of ``interp`` in ``columns`` (an index: one
+    polynomial; a list: several, stacked on the last axis)."""
+    return PPoly.construct_fast(np.ascontiguousarray(interp.c[:, :, columns]), interp.x, False)
+
+
 def build_interpolants(functions) -> None:
     """Build the interpolants of the sampled grids among ``functions`` that
     have none yet.
 
-    Grids with the same sample times share one PCHIP build, with their values
-    stacked on axis 1, and one derivative; each grid gets its own column of
-    the coefficients.  PCHIP works column by column, so every column equals,
-    bit for bit, the interpolant built from that grid alone.
+    Grids with the same sample times share one stack: one PCHIP build with
+    their values stacked on axis 1, and one derivative.  Each grid keeps its
+    stack and column.  PCHIP works column by column, and a piecewise
+    polynomial evaluates each column on its own, so a column evaluated
+    with the whole stack, or cut from it, equals bit for bit the
+    interpolant built from that grid alone.
     """
     groups: dict = {}
     for f in functions:
-        if isinstance(f, SampledGrid) and f._interp is None:  # type: ignore[attr-defined]
+        if isinstance(f, SampledGrid) and f._column is None:  # type: ignore[attr-defined]
             groups.setdefault(f.times.tobytes(), {})[id(f)] = f
     for members in groups.values():
         grids = list(members.values())
         times = grids[0].times
         stacked = np.stack([g.values for g in grids], axis=1)
-        interp = PchipInterpolator(times, stacked, extrapolate=False)
-        coeffs = np.moveaxis(interp.c, 2, 0).copy()
-        dcoeffs = np.moveaxis(interp.derivative().c, 2, 0).copy()
-        for g, c, dc in zip(grids, coeffs, dcoeffs):
-            object.__setattr__(g, "_dinterp", PPoly.construct_fast(dc, interp.x, False))
-            object.__setattr__(g, "_interp", PPoly.construct_fast(c, interp.x, False))
+        value = PchipInterpolator(times, stacked, extrapolate=False)
+        stack = _Stack(times, value, value.derivative())
+        for j, g in enumerate(grids):
+            object.__setattr__(g, "_column", (stack, j))
+
+
+# ``_dual(self, t)`` of these classes reads only its parameters from
+# ``self``: given the parameters of G functions as (G, 1) float columns in
+# its place, it evaluates all G at once, each row by its own function's
+# operations.
+_CLOSED_FORMS = (ExpRelax, ProductTemplate, DifferenceTemplate)
+
+
+def family_evaluators(functions: Sequence[DecoherenceFunction]) -> list:
+    """``(rows, run)`` pairs that evaluate ``functions`` a family at a time,
+    in order of each family's first member.
+
+    ``run(t, planes)`` returns, for a 1-d ``t``, ``[p]`` (``planes = 1``) or
+    ``[p, p']`` (``planes = 2``) of the functions at the indices ``rows``,
+    each of shape ``(len(rows), t.size)`` and bit for bit what each one's
+    ``value`` or ``value_and_derivative`` returns:
+
+    - each closed form in ``_CLOSED_FORMS`` with float parameters: one
+      ``_dual`` call per class, on its parameter columns;
+    - sampled grids: one call per interpolant stack and plane, at ``t``
+      range-checked and clipped once, on the columns that they use (the
+      whole stack, or the columns cut from it);
+    - any other function: alone.
+
+    A family raises what one of its members raises alone, not always what
+    the first of them does.  Builds the interpolants of the grids.
+    """
+    build_interpolants(functions)
+    families: dict = {}
+    for i, f in enumerate(functions):
+        kind = type(f)
+        if kind is SampledGrid:
+            key = (_stack_evaluator, id(f._column[0]))  # type: ignore[attr-defined]
+        elif kind in _CLOSED_FORMS and all(isinstance(v, float) for v in vars(f).values()):
+            key = (_closed_form_evaluator, kind)
+        else:
+            key = (_evaluator, i)
+        families.setdefault(key, []).append(i)
+    return [
+        (np.array(rows, dtype=np.intp), make([functions[i] for i in rows]))
+        for (make, _), rows in families.items()
+    ]
+
+
+def _evaluator(members):
+    (f,) = members
+    return lambda t, planes: (f.value(t),) if planes == 1 else f.value_and_derivative(t)
+
+
+def _closed_form_evaluator(members):
+    # A closed form's instance holds exactly its parameters.
+    columns = SimpleNamespace(
+        **{name: np.array([[vars(f)[name]] for f in members]) for name in vars(members[0])}
+    )
+    dual = type(members[0])._dual
+    return lambda t, planes: dual(columns, t)[:planes]
+
+
+def _stack_evaluator(members):
+    stack = members[0]._column[0]
+    columns = [g._column[1] for g in members]
+    pieces = (stack.value, stack.derivative)
+    if columns != list(range(stack.value.c.shape[2])):
+        pieces = tuple(_cut(piece, columns) for piece in pieces)
+
+    def run(t, planes):
+        clipped = _clip(stack.times, t)
+        return [piece(clipped).T for piece in pieces[:planes]]
+
+    return run
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .channelcore import (
     MixtureSpec,
     MixtureValidationError,
     bracket_roots,
-    build_interpolants,
+    family_evaluators,
     range_violations,
     structural_issues,
 )
@@ -257,12 +257,15 @@ class _Functions:
     Functions that compare equal share one entry; a ``SampledGrid`` compares
     by identity.  Lookups go by ``id`` first, so every function looked up
     must stay alive while the table is in use (the mixtures hold them).
+    The table is evaluated a function family at a time
+    (:func:`~paulimix.channelcore.family_evaluators`, grouped once).
     """
 
     def __init__(self):
         self.functions: list = []
         self._index: dict = {}
         self._by_id: dict = {}
+        self._families: Optional[list] = None
 
     def index(self, f: DecoherenceFunction) -> int:
         i = self._by_id.get(id(f))
@@ -276,23 +279,37 @@ class _Functions:
             if i is None:
                 i = self._index[key] = len(self.functions)
                 self.functions.append(f)
+                self._families = None
             self._by_id[id(f)] = i
         return i
 
     def evaluate(self, times: np.ndarray) -> np.ndarray:
         """Values ``[p, p']`` of every function, shape ``(2, F, n)``."""
-        build_interpolants(self.functions)
-        values = np.zeros((2, len(self.functions), times.size))
-        for i, f in enumerate(self.functions):
-            values[0, i], values[1, i] = f.value_and_derivative(times)
-        return values
+        return self._planes(times, 2)
 
     def values(self, times: np.ndarray) -> np.ndarray:
         """Values ``[p]`` of every function, shape ``(1, F, n)``."""
-        values = np.zeros((1, len(self.functions), times.size))
-        for i, f in enumerate(self.functions):
-            values[0, i] = f.value(times)
-        return values
+        return self._planes(times, 1)
+
+    def _planes(self, times: np.ndarray, planes: int) -> np.ndarray:
+        """Each function's values, bit for bit as it returns them alone.  If a
+        family raises, the functions run again one by one in table order, so
+        the first function that fails alone raises its own error."""
+        if self._families is None:
+            self._families = family_evaluators(self.functions)
+        out = np.empty((planes, len(self.functions), times.size))
+        try:
+            for rows, run in self._families:
+                for plane, value in zip(out, run(times, planes)):
+                    plane[rows] = value
+        except Exception:
+            for f in self.functions:
+                if planes == 2:
+                    f.value_and_derivative(times)
+                else:
+                    f.value(times)
+            raise
+        return out
 
 
 class _Slot(NamedTuple):

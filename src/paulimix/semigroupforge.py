@@ -575,8 +575,8 @@ def cptp_scan(d: int, trials: int, seed: int, tol: float) -> ScanReport:
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         spec = _random_mixture(rng, d, 1, d + 2, 0.0)
-        for t in rng.uniform(0.0, 5.0, size=3):
-            choi = matrixlab.choi(spec, float(t))
+        times = rng.uniform(0.0, 5.0, size=3)
+        for t, choi in zip(times.tolist(), matrixlab.choi(spec, times)):
             herm = matrixlab.hermiticity_deviation(choi)
             ptr = float(np.abs(matrixlab.partial_trace_first(choi, d) - eye).max())
             psd = matrixlab.psd_check(choi, tol)
@@ -584,7 +584,7 @@ def cptp_scan(d: int, trials: int, seed: int, tol: float) -> ScanReport:
                 counterexamples.append(
                     {
                         "trial": trial,
-                        "t": float(t),
+                        "t": t,
                         "hermiticity_deviation": herm,
                         "partial_trace_deviation": ptr,
                         "min_choi_eigenvalue": psd.min_eigenvalue,

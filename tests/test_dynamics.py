@@ -984,3 +984,134 @@ def test_a_block_error_that_no_mixture_repeats_alone_is_raised(monkeypatch, batc
     with pytest.raises(RuntimeError, match="batched kernel failed"):
         batched(specs, _BATCH_GRID)
     assert sizes == [2, 1, 1]  # the block, then each mixture alone
+
+
+# ---------------------------------------------------------------------------
+# Function tables: evaluated a family at a time, equal to each function alone
+# ---------------------------------------------------------------------------
+
+_FINITE = st.floats(min_value=0.0, max_value=10.0)
+# Zero and negative-zero scales make signed zeros.  A float32 scale rounds
+# scale*rate to float32 on its own, so it must not join the float family.
+_EXP_RELAX = st.builds(
+    ExpRelax,
+    st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=-2.0, max_value=2.0, width=32).map(np.float32),
+    ),
+    st.floats(min_value=1e-3, max_value=10.0),
+)
+_UNSAMPLED = (
+    _EXP_RELAX,
+    st.builds(channelcore.ProductTemplate, _FINITE, _FINITE, _FINITE, _FINITE),
+    st.builds(channelcore.DifferenceTemplate, _FINITE, _FINITE, _FINITE, _FINITE),
+    st.sampled_from(
+        [Expression("0.8*sin(t)^2"), Expression("1-exp(-2*t)"), Expression("0.5*t/(1+t)")]
+    ),
+)
+
+
+def _grids(draw, times, count):
+    values = st.lists(
+        st.floats(min_value=-1.0, max_value=1.0), min_size=times.size - 1, max_size=times.size - 1
+    )
+    return [SampledGrid(times, [0.0] + draw(values)) for _ in range(count)]
+
+
+@st.composite
+def function_tables(draw):
+    """Functions of all five classes, each at least once, and the times to
+    evaluate them at.
+
+    Sampled grids sit on two sample-time arrays; the stack of the first was
+    built by an earlier call, with grids that the table leaves out.
+    """
+    early = np.linspace(0.0, draw(st.floats(min_value=1.0, max_value=4.0)), draw(st.integers(3, 9)))
+    late = np.linspace(0.0, 5.0, draw(st.integers(3, 9)))
+    built = _grids(draw, early, draw(st.integers(1, 4)))
+    channelcore.build_interpolants(built)
+    kept = draw(st.lists(st.sampled_from(built), min_size=1, max_size=len(built), unique_by=id))
+    functions = [draw(kind) for kind in _UNSAMPLED] + draw(st.lists(st.one_of(_UNSAMPLED), max_size=6))
+    functions = draw(st.permutations(functions + kept + _grids(draw, late, draw(st.integers(1, 3)))))
+    end = float(early[-1])
+    size = draw(st.sampled_from([1, 2, 128]))
+    times = np.linspace(0.0, end, size) if size > 1 else np.array([draw(st.sampled_from([0.0, end]))])
+    return functions, times
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# Slopes near the smallest doubles overflow inside PCHIP's harmonic mean, in
+# the stacked build and the grid's own evaluation alike.
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(function_tables())
+def test_a_table_equals_its_functions_evaluated_alone(table):
+    functions, times = table
+    funcs = dynamics._Functions()
+    for f in functions:
+        funcs.index(f)
+    both, values = funcs.evaluate(times), funcs.values(times)
+    assert both.shape == (2, len(funcs.functions), times.size)
+    for i, f in enumerate(funcs.functions):
+        p, dp = f.value_and_derivative(times)
+        assert both[0, i].tobytes() == _bits(p)
+        assert both[1, i].tobytes() == _bits(dp)
+        assert values[0, i].tobytes() == _bits(f.value(times))
+
+
+def test_a_failing_table_raises_the_error_of_its_first_failing_function():
+    # On [0, 2] the expression fails past t = 1 and the short grid past its
+    # last sample, both first at t = 1.25.
+    times = np.linspace(0.0, 2.0, 9)
+    hole = Expression("0*sqrt(1-t)")
+    short = np.linspace(0.0, 1.0, 5)
+    uncovered = SampledGrid(short, 0.3 * short)
+    stacked = SampledGrid(short, 0.2 * short)
+    covered = SampledGrid(np.linspace(0.0, 2.0, 5), 0.1 * times[::2])
+    others = [ExpRelax(0.5, 1.0), channelcore.ProductTemplate(0.5, 1.0, 0.2, 0.3), covered]
+    messages = {
+        hole: "sqrt of negative argument at t=1.25",
+        uncovered: "time outside sampled range at t=1.25",
+    }
+    for first, second in ((hole, uncovered), (uncovered, hole)):
+        funcs = dynamics._Functions()
+        for f in [others[0], first, others[1], stacked, second, others[2]]:
+            funcs.index(f)
+        for evaluate in (funcs.evaluate, funcs.values):
+            with pytest.raises(DomainError) as err:
+                evaluate(times)
+            assert str(err.value) == messages[first]
+            assert err.value.t == 1.25
+    # A closed-form family can raise only under the caller's np.errstate; its
+    # first member does not fail alone, and the expression after it does.
+    funcs = dynamics._Functions()
+    for f in [ExpRelax(0.5, 1.0), hole, ExpRelax(0.5, 1e4)]:
+        funcs.index(f)
+    with np.errstate(under="raise"), pytest.raises(DomainError) as err:
+        funcs.evaluate(times)
+    assert str(err.value) == messages[hole]
+
+
+def test_a_grid_alone_cuts_its_interpolants_from_its_stack_column():
+    times = np.linspace(0.0, 3.0, 7)
+    grids = [SampledGrid(times, s * (1.0 - np.exp(-times))) for s in (0.2, 0.5, 0.9)]
+    channelcore.build_interpolants(grids)
+    funcs = dynamics._Functions()
+    for g in grids[::-1]:
+        funcs.index(g)
+    probe = np.linspace(0.0, 3.0, 41)
+    table = funcs.evaluate(probe)
+    for j, g in enumerate(grids):
+        stack, column = g._column
+        assert stack is grids[0]._column[0] and column == j
+        assert g._own is None  # a table evaluates the stack, not the grid
+        p, dp = g.value_and_derivative(probe)
+        value, derivative = g._own
+        assert value.c.tobytes() == np.ascontiguousarray(stack.value.c[:, :, j]).tobytes()
+        assert derivative.c.tobytes() == np.ascontiguousarray(stack.derivative.c[:, :, j]).tobytes()
+        assert _bits(p) == stack.value(probe)[:, j].tobytes() == table[0, 2 - j].tobytes()
+        assert _bits(dp) == stack.derivative(probe)[:, j].tobytes() == table[1, 2 - j].tobytes()

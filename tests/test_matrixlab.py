@@ -212,8 +212,12 @@ def test_choi_matches_per_unit_reference_bit_for_bit(d):
         spec = scanner_mixture(rng, d)
         kinds.update(type(f).__name__ for f in spec.functions)
         draws += 1
-        for t in (0.0, 0.7, float(rng.uniform(0.0, 5.0))):
-            assert choi(spec, t).tobytes() == choi_by_matrix_units(spec, t).tobytes()
+        times = np.array([0.0, 0.7, float(rng.uniform(0.0, 5.0))])
+        want = [choi_by_matrix_units(spec, t) for t in times.tolist()]
+        for t, c in zip(times.tolist(), want):
+            assert choi(spec, t).tobytes() == c.tobytes()
+        # Several times at once: one matrix per time, each twirl made once.
+        assert choi(spec, times).tobytes() == np.stack(want).tobytes()
     assert kinds == {"ExpRelax", "ProductTemplate", "DifferenceTemplate", "SampledGrid"}
 
 
