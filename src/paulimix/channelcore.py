@@ -16,7 +16,7 @@ which is everything the spectral layer needs to know about it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import ClassVar, NamedTuple, Optional, Sequence, Tuple
 
@@ -162,14 +162,14 @@ class _Template(DecoherenceFunction):
     kind = "expression"
 
     def __post_init__(self):
-        for field in fields(self):
-            value = float(getattr(self, field.name))
+        for name in self.__dataclass_fields__:  # the parameters, in order
+            value = float(getattr(self, name))
             if not math.isfinite(value) or math.copysign(1.0, value) < 0:
                 raise ValueError(
-                    f"{type(self).__name__} {field.name} must be finite and "
+                    f"{type(self).__name__} {name} must be finite and "
                     f"nonnegative, got {value!r}"
                 )
-            object.__setattr__(self, field.name, value)
+            object.__setattr__(self, name, value)
 
     def value_and_derivative(self, t):
         arr = np.asarray(t, dtype=float)
@@ -269,11 +269,11 @@ class SampledGrid(DecoherenceFunction):
             raise ValueError("times and values must be 1-d arrays of equal length")
         if times.size < 3:
             raise ValueError("need at least 3 samples")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
             raise ValueError("samples must be finite")
         if times[0] != 0.0:
             raise ValueError(f"sample times must start at 0, got {times[0]!r}")
-        if not np.all(np.diff(times) > 0):
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("sample times must be strictly ascending")
         if abs(values[0]) > _P_INITIAL_TOL:
             raise ValueError(f"decoherence function must vanish at t=0, got {values[0]!r}")

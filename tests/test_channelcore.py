@@ -1,6 +1,7 @@
 """Decoherence functions, channel/mixture specs, and validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,14 +76,33 @@ def test_expression_evaluates_arrays():
 
 
 def test_sampled_grid_validation():
-    with pytest.raises(ValueError):
-        SampledGrid(np.array([0.0, 1.0]), np.array([0.0, 0.5]))  # too few
-    with pytest.raises(ValueError):
-        SampledGrid(np.array([0.1, 1.0, 2.0]), np.zeros(3))  # t0 != 0
-    with pytest.raises(ValueError):
-        SampledGrid(np.array([0.0, 1.0, 0.5]), np.zeros(3))  # not ascending
-    with pytest.raises(ValueError):
-        SampledGrid(np.array([0.0, 1.0, 2.0]), np.array([0.3, 0.5, 0.6]))  # p(0)!=0
+    with pytest.raises(ValueError, match="need at least 3 samples"):
+        SampledGrid(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+    with pytest.raises(ValueError, match="sample times must start at 0, got "):
+        SampledGrid(np.array([0.1, 1.0, 2.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        SampledGrid(np.array([0.0, 1.0, 0.5]), np.zeros(3))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        SampledGrid(np.array([0.0, 1.0, 1.0]), np.zeros(3))  # a repeated time
+    with pytest.raises(ValueError, match="must vanish at t=0, got "):
+        SampledGrid(np.array([0.0, 1.0, 2.0]), np.array([0.3, 0.5, 0.6]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            SampledGrid(np.array([0.0, bad, 2.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="samples must be finite"):
+            SampledGrid(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, bad]))
+    # a NaN first time fails the finiteness check, not the start-at-0 check
+    with pytest.raises(ValueError, match="samples must be finite"):
+        SampledGrid(np.array([math.nan, 1.0, 2.0]), np.zeros(3))
+    equal_length = "times and values must be 1-d arrays of equal length"
+    with pytest.raises(ValueError, match=equal_length):
+        SampledGrid(np.array([0.0, 1.0, 2.0]), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match=equal_length):
+        SampledGrid(np.array([0.0, 1.0, 2.0]), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=equal_length):
+        SampledGrid(np.array([0.0, 1.0, 2.0]), np.zeros(4))
+    with pytest.raises(ValueError, match=equal_length):
+        SampledGrid(np.array([0.0, 1.0, 2.0, 3.0]), np.zeros(3))
 
 
 def test_sampled_grid_interpolates_smooth_profile():
@@ -202,10 +222,15 @@ def test_template_formulas_and_descriptions():
 
 @pytest.mark.parametrize("bad", [-1.0, -0.0, math.inf, math.nan])
 def test_templates_reject_negative_or_nonfinite_parameters(bad):
-    with pytest.raises(ValueError):
+    got = re.escape(f"must be finite and nonnegative, got {bad!r}")
+    with pytest.raises(ValueError, match="^ProductTemplate depth " + got):
         ProductTemplate(0.5, 1.0, bad, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ProductTemplate scale " + got):
+        ProductTemplate(bad, 1.0, 0.1, bad)  # the first bad field is named
+    with pytest.raises(ValueError, match="^DifferenceTemplate rate " + got):
         DifferenceTemplate(0.5, bad, 0.1, 1.0)
+    with pytest.raises(ValueError, match="^DifferenceTemplate rate2 " + got):
+        DifferenceTemplate(0.5, 1.0, 0.1, bad)
 
 
 def test_kind_names_the_description():

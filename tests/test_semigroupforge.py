@@ -350,6 +350,51 @@ def test_random_draws_replay_the_parsed_family():
     }
 
 
+def _scalar_random_mixture(rng, d, low, high, floor):
+    """The scanners' mixture draw with array bases and weights, an ``np.ones``
+    Dirichlet, per-component casts and one scalar ``uniform`` call per
+    function parameter."""
+    size = int(rng.integers(low, high))
+    bases = rng.choice(d + 1, size=size, replace=False) + 1
+    weights = floor + (1.0 - floor * size) * rng.dirichlet(np.ones(size))
+    return MixtureSpec(
+        d,
+        [
+            (float(w), ChannelSpec(d, int(b), _parsed_random_decoherence_function(rng)))
+            for b, w in zip(bases, weights)
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "d, low, high, floor",
+    [(2, 2, 3, 0.05), (5, 2, 6, 0.05), (5, 1, 7, 0.0)],
+    ids=["theorem-d2", "theorem-d5", "cptp-d5"],
+)
+def test_random_mixtures_replay_the_scalar_draw(d, low, high, floor):
+    # The scanners' settings: (2, d+1, 0.05) for theorem trials and
+    # (1, d+2, 0.0) for cptp trials, each trial on default_rng([seed, k]).
+    kinds = set()
+    for seed in range(20):
+        for k in range(50):
+            new_rng = np.random.default_rng([seed, k])
+            old_rng = np.random.default_rng([seed, k])
+            new = semigroupforge._random_mixture(new_rng, d, low, high, floor)
+            old = _scalar_random_mixture(old_rng, d, low, high, floor)
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+            assert [c.channel.basis for c in new.components] == [
+                c.channel.basis for c in old.components
+            ]
+            assert [c.weight.hex() for c in new.components] == [
+                c.weight.hex() for c in old.components
+            ]
+            assert [c.channel.p.describe() for c in new.components] == [
+                c.channel.p.describe() for c in old.components
+            ]
+            kinds.update(type(c.channel.p).__name__ for c in new.components)
+    assert kinds == {"ExpRelax", "ProductTemplate", "DifferenceTemplate", "SampledGrid"}
+
+
 def test_random_function_family_is_admissible_and_diverse():
     rng = np.random.default_rng(77)
     t = np.linspace(0.0, 5.0, 401)
