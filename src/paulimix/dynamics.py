@@ -36,6 +36,7 @@ from .channelcore import (
     DecoherenceFunction,
     MixtureSpec,
     MixtureValidationError,
+    SampledGrid,
     bracket_roots,
     family_evaluators,
     range_violations,
@@ -128,7 +129,8 @@ class Tolerances:
     ``semigroup=None`` and ``cp=None`` auto-select 1e-8 for closed-form
     mixtures and 1e-5 when any component is a sampled grid (interpolation
     error dominates there, in the rate minimum as much as in the exponential
-    fit).
+    fit).  An input's own fit is judged at ``semigroup``, or if that is unset
+    at the choice for the input alone, whatever mixture it sits in.
     """
 
     semigroup: Optional[float] = None
@@ -142,17 +144,17 @@ class Tolerances:
                 raise ValueError(f"tolerance {name} must be finite and nonnegative, got {value!r}")
 
     def semigroup_for(self, spec: MixtureSpec) -> float:
-        return _tolerance_for(self.semigroup, spec)
+        return _tolerance_for(self.semigroup, spec.has_sampled_functions())
 
     def cp_for(self, spec: MixtureSpec) -> float:
-        return _tolerance_for(self.cp, spec)
+        return _tolerance_for(self.cp, spec.has_sampled_functions())
 
 
-def _tolerance_for(given: Optional[float], spec: MixtureSpec) -> float:
+def _tolerance_for(given: Optional[float], sampled: bool) -> float:
     """``given`` if set, else the automatic choice described on :class:`Tolerances`."""
     if given is not None:
         return given
-    return 1e-5 if spec.has_sampled_functions() else 1e-8
+    return 1e-5 if sampled else 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,6 +529,7 @@ def _front(table, times: np.ndarray):
 class _Block(NamedTuple):
     """Spectra, rates and fits of B mixtures on one grid."""
 
+    specs: Sequence[MixtureSpec]
     funcs: _Functions
     ids: list  # per mixture, the function index of each component
     values: np.ndarray  # [p, p'] of each function, shape (2, F, n)
@@ -547,7 +550,7 @@ def _block(specs: Sequence[MixtureSpec], times: np.ndarray, pole_tol: float) -> 
         raise ValueError(_NOT_IDENTITY)
     gamma, pole = _rates(lam, dlam, pole_tol)
     fit = _fit(lam, gamma, pole, times)
-    return _Block(table[0], table[1], values, lam, dlam, gamma, pole, fit)
+    return _Block(specs, table[0], table[1], values, lam, dlam, gamma, pole, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -642,22 +645,20 @@ def semigroup_verdicts(
 # ---------------------------------------------------------------------------
 
 
-def _zeros(done: _Block, outputs: Sequence[MixtureSpec], inputs: list, times: np.ndarray,
-           xtol: float):
-    """Zeros of the rows of ``outputs``, the first mixtures of ``done`` (on
-    ``times``), and of the off-label row ``1 - (d/(d-1)) p`` of each function
-    ``inputs``, in one :func:`bracket_roots` pass.  Each round of its
-    bisection evaluates each owner once, at all the points of its live
-    brackets' midpoint trees, through its functions' ``value``: a mixture's
-    value plane on its own table, as if it were alone, an input's ``p``.
-    Returns each output's sorted ``(label, t*)`` zeros, and each function's
-    zeros and midpoint-fit deviation (inf unless positive) by index."""
-    size = len(outputs)
-    lam = done.lam[:size]
-    labels, n = lam.shape[1:]
+def _zeros(done: _Block, times: np.ndarray, xtol: float):
+    """Zeros of every output row of ``done`` (on ``times``) and of the
+    off-label row ``1 - (d/(d-1)) p`` of each of its functions, in one
+    :func:`bracket_roots` pass.  Each round of its bisection evaluates each
+    owner once, at all the points of its live brackets' midpoint trees,
+    through its functions' ``value``: a mixture's value plane on its own
+    table, as if it were alone, a function's ``p``.  Returns each mixture's
+    sorted ``(label, t*)`` zeros, and each function's zeros and midpoint-fit
+    deviation (inf unless positive), by index."""
+    lam = done.lam
+    size, labels, n = lam.shape
     factor = (labels - 1) / (labels - 2.0)  # d/(d-1)
-    rows_in = 1.0 - factor * done.values[0, inputs]
-    owner = np.concatenate([np.repeat(np.arange(size), labels), size + np.arange(len(inputs))])
+    rows_in = 1.0 - factor * done.values[0]
+    owner = np.concatenate([np.repeat(np.arange(size), labels), size + np.arange(len(rows_in))])
     tables: dict = {}
 
     def f(rows, t):
@@ -669,12 +670,12 @@ def _zeros(done: _Block, outputs: Sequence[MixtureSpec], inputs: list, times: np
             o = who.item(a)
             if o < size:
                 if o not in tables:
-                    tables[o] = _table([outputs[o]])
+                    tables[o] = _table([done.specs[o]])
                 funcs, _, mixtures = tables[o]
                 lam = _spectrum(mixtures, funcs.values(t[a:b]))[0, 0]
                 out[a:b] = lam[rows[a:b] % labels, np.arange(b - a)]
             else:
-                out[a:b] = done.funcs.functions[inputs[o - size]].value(t[a:b])
+                out[a:b] = done.funcs.functions[o - size].value(t[a:b])
         # The input rows hold p so far.
         first = int(np.searchsorted(rows, size * labels))
         out[first:] = 1.0 - factor * out[first:]
@@ -688,18 +689,20 @@ def _zeros(done: _Block, outputs: Sequence[MixtureSpec], inputs: list, times: np
         singular[c] = tuple(
             sorted((beta + 1, t) for beta in range(labels) for t in roots[c * labels + beta])
         )
-    found = {j: (tuple(ts), fit) for j, ts, fit in zip(inputs, roots[size * labels :], fits)}
+    found = [(tuple(ts), fit) for ts, fit in zip(roots[size * labels :], fits)]
     return singular, found
 
 
-def _inputs(spec, ids, found: dict, sg_tol: float, made: dict):
+def _inputs(spec, ids, found: list, given: Optional[float], made: dict):
     """The input verdicts of ``spec``, whose components use the functions
-    ``ids`` of ``found`` (from :func:`_zeros`); ``made`` keeps those built."""
+    ``ids`` of ``found`` (from :func:`_zeros`), each fit judged at its own
+    tolerance (``given`` if set); ``made`` keeps those built."""
     out = []
     for i, (comp, j) in enumerate(zip(spec.components, ids), start=1):
-        memo = (j, sg_tol, i, comp.channel.basis)
+        memo = (j, i, comp.channel.basis)
         if memo not in made:
             zeros, fit = found[j]
+            sg_tol = _tolerance_for(given, isinstance(comp.channel.p, SampledGrid))
             kind = "noninvertible" if zeros else "semigroup" if fit <= sg_tol else "invertible"
             made[memo] = InputVerdict(i, comp.channel.basis, kind, zeros)
         out.append(made[memo])
@@ -738,10 +741,7 @@ def _analyze_block(specs, grid: TimeGrid, tol: Tolerances, keep: bool) -> list:
     done = _block(specs, times, tol.pole)
     high, low = range_violations(done.values[0])
     in_range = (~(high.any(axis=1) | low.any(axis=1))).tolist()
-    # A row has output zeros iff some eigenvalue is <= 0 (its first is 1);
-    # it is refined, and its inputs get their pass on its refined grid.
-    coarse = {j for b, ids in enumerate(done.ids) if not done.fit.nonpositive[b] for j in ids}
-    singular, found = _zeros(done, specs, sorted(coarse), times, tol.singularity)
+    singular, found = _zeros(done, times, tol.singularity)
     made: dict = {}
     tolerances: dict = {}  # by function indices, which decide sampled or not
     out = []
@@ -751,16 +751,13 @@ def _analyze_block(specs, grid: TimeGrid, tol: Tolerances, keep: bool) -> list:
             tolerances[uses] = (tol.semigroup_for(spec), tol.cp_for(spec))
         sg_tol, cp_tol = tolerances[uses]
         p_in_range = all(in_range[j] for j in uses)
+        inputs = _inputs(spec, uses, found, tol.semigroup, made)
         row_grid, row, r = grid, done, b
         if singular[b]:
-            # The row alone, as a block of one on its refined grid, whose
-            # inputs get their own pass there.
+            # The row alone, as a block of one on its refined grid, which
+            # resolves its output's poles; its inputs keep their verdicts.
             row_grid = refine_grid(grid, [t for _, t in singular[b]])
             row, r = _block([spec], row_grid.times, tol.pole), 0
-            _, own = _zeros(row, [], sorted(set(row.ids[0])), row_grid.times, tol.singularity)
-            inputs = _inputs(spec, row.ids[0], own, sg_tol, {})
-        else:
-            inputs = _inputs(spec, uses, found, sg_tol, made)
         report = _report(spec, row.fit, r, singular[b], inputs, p_in_range, sg_tol, cp_tol)
         if keep:
             d = spec.dimension
@@ -790,8 +787,9 @@ def classify_many(
     grid, and computes eigenvalues, rates, poles, the semigroup fit and the
     least rate as arrays over a leading mixture axis.  One bracketing pass
     finds the zeros of all its output rows and of each distinct input's
-    row, all brackets bisected together.  Rows with singular times are
-    refined and recomputed one by one, their inputs too.  Blocks hold at most
+    row, all brackets bisected together; that pass gives every input its
+    verdict.  Rows with singular times are refined and their trajectories
+    and rates recomputed one by one.  Blocks hold at most
     ``_BLOCK_VALUES`` eigenvalues, so memory does not grow with the batch
     beyond the reports themselves.  The first mixture that ``classify``
     would reject raises the same exception here.

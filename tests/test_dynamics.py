@@ -649,8 +649,8 @@ def scalar_eigenvalues(spec, t):
 def reference_zeros(spec, grid, tol):
     """Singular times and input verdicts by the per-bracket scalar search that
     the one-pass bracketing replaced: every bracket bisected on its own, an
-    output at one time per call, an input by ``1 - (d/(d-1)) p(t)``; a
-    singular row's inputs on its refined grid."""
+    output at one time per call, an input by ``1 - (d/(d-1)) p(t)``.  Every
+    input is judged on the base grid, at the tolerance it would get alone."""
     d = spec.dimension
     times = grid.times
     lam = mixture_eigenvalues(spec, grid).eigenvalues
@@ -664,8 +664,6 @@ def reference_zeros(spec, grid, tol):
             )
         )
     )
-    if singular:
-        times = refine_grid(grid, [t for _, t in singular]).times
     factor = d / (d - 1.0)
     inputs = []
     for c in spec.components:
@@ -680,7 +678,7 @@ def reference_zeros(spec, grid, tol):
             verdict = "noninvertible"
         elif np.all(row > 0.0) and np.abs(
             row - np.exp(-(-np.log(row[mid]) / times[mid]) * times)
-        ).max() <= tol.semigroup_for(spec):
+        ).max() <= tol.semigroup_for(MixtureSpec(d, [(1.0, c.channel)])):
             verdict = "semigroup"
         else:
             verdict = "invertible"
@@ -832,6 +830,82 @@ def test_analyze_mixture_is_the_one_spec_case():
     report = result.report
     assert np.array(report.semigroup_exponents).tobytes() == verdict.exponents.tobytes()
     assert report.max_semigroup_deviation.hex() == verdict.max_eigenvalue_deviation.hex()
+
+
+# ---------------------------------------------------------------------------
+# An input's verdict depends only on the input
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def lone_functions(draw):
+    """An ``ExpRelax``, a template, an ``Expression`` or a ``SampledGrid``,
+    with ``0 <= p <= 0.85`` on ``[0, 5]``."""
+    scale = draw(st.floats(0.05, 0.85))
+    rate = draw(st.floats(0.2, 3.0))
+    kind = draw(st.sampled_from(["exp_relax", "template", "expression", "samples"]))
+    if kind == "exp_relax":
+        return ExpRelax(scale, rate)
+    if kind == "template":
+        depth, freq = draw(st.floats(0.0, 1.0)), draw(st.floats(0.5, 3.0))
+        return channelcore.ProductTemplate(scale, rate, depth, freq)
+    if kind == "expression":
+        return Expression(f"{scale!r}*sin({rate!r}*t)^2")
+    times = np.linspace(0.0, 5.0, draw(st.integers(4, 12)))
+    return SampledGrid(times, scale * (1.0 - np.exp(-rate * times)))
+
+
+def placements(f, d):
+    """``f`` on basis 1: alone; next to a partner whose label-1 eigenvalue
+    ``1 - (d/(d-1)) 0.9 (1 - e^{-2t})`` crosses zero, so that the output is
+    singular and its row refined; next to one that keeps the output regular
+    (``p <= 0.85``); and next to a sampled grid, which makes the mixture's
+    own semigroup tolerance 1e-5."""
+    own = ChannelSpec(d, 1, f)
+
+    def pair(w, g):
+        return MixtureSpec(d, [(1.0 - w, own), (w, ChannelSpec(d, 2, g))])
+
+    return [
+        MixtureSpec(d, [(1.0, own)]),
+        pair(0.9, ExpRelax(1.0, 2.0)),
+        pair(0.5, ExpRelax(0.1, 1.0)),
+        pair(0.5, _SAMPLED),
+    ]
+
+
+def lone_verdict(f, d, grid, rows_per_block):
+    """The one ``(verdict, singular_times)`` that ``f`` gets in every
+    placement, by ``classify`` and by ``classify_many`` in blocks of
+    ``rows_per_block`` mixtures."""
+    specs = placements(f, d)
+    reports = [classify(s, grid) for s in specs]
+    assert reports[1].singular_times and not reports[2].singular_times
+    values = rows_per_block * (d + 1) * len(grid)
+    with mock.patch.object(dynamics, "_BLOCK_VALUES", values):
+        reports += classify_many(specs + specs[::-1], grid)
+    seen = {(r.inputs[0].verdict, r.inputs[0].singular_times) for r in reports}
+    assert len(seen) == 1, seen
+    return seen.pop()
+
+
+@settings(max_examples=60, deadline=None)
+@given(lone_functions(), st.sampled_from([2, 3]), st.integers(1, 3))
+def test_an_input_verdict_does_not_depend_on_its_mixture(f, d, rows_per_block):
+    lone_verdict(f, d, default_grid(5.0, 64), rows_per_block)
+
+
+def test_an_input_zero_is_bisected_on_the_base_grid_wherever_it_sits():
+    # Alone, the output is singular and its row refined; next to the regular
+    # partner it is not.  The input's zero is the same in both.
+    verdict = lone_verdict(ExpRelax(0.8, 1.0), 2, default_grid(), 2)
+    assert verdict == ("noninvertible", (float.fromhex("0x1.f62f40798cc65p-1"),))
+
+
+def test_an_input_fit_is_judged_at_its_own_tolerance_wherever_it_sits():
+    # lambda = 1 - 2.000002 (1 - e^{-t}) misses e^{-t} by about 1e-6: above
+    # the closed-form tolerance 1e-8, below the sampled mixture's 1e-5.
+    assert lone_verdict(ExpRelax(0.500001, 1.0), 2, default_grid(), 2) == ("invertible", ())
 
 
 # ---------------------------------------------------------------------------

@@ -558,11 +558,18 @@ def _assert_scan_matches(d, trials, seed):
 _SLICE = semigroupforge._TRIAL_SLICE
 
 
-@pytest.mark.parametrize("d, seed", [(2, 0), (2, 11), (3, 4), (5, 9), (7, 1), (31, 0)])
-def test_sliced_scan_equals_the_per_trial_loop(monkeypatch, d, seed):
-    # Trial counts below the public minimum test the slice arithmetic.
+_SLICED = [(2, 0, _SLICE), (2, 11, 8), (3, 4, 8), (5, 9, 8), (7, 1, 8), (31, 0, 8)]
+
+
+@pytest.mark.parametrize("d, seed, size", _SLICED, ids=[f"{d}-{s}" for d, s, _ in _SLICED])
+def test_sliced_scan_equals_the_per_trial_loop(monkeypatch, d, seed, size):
+    # Trial counts below the public minimum test the slice arithmetic: part
+    # of one slice, and across one and three slice boundaries.  One case
+    # keeps the real slice size (100, 129 and 389 trials); the others patch
+    # it small, so that they cross the same boundaries in a few trials.
     monkeypatch.setattr(semigroupforge, "_MIN_TRIALS", 1)
-    for trials in (100, _SLICE + 1, 3 * _SLICE + 5):
+    monkeypatch.setattr(semigroupforge, "_TRIAL_SLICE", size)
+    for trials in (size * 25 // 32, size + 1, 3 * size + 5):
         assert _assert_scan_matches(d, trials, seed).trials == trials
 
 
