@@ -26,6 +26,7 @@ one-mixture functions run them with ``B = 1``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -429,36 +430,31 @@ def _rates(lam: np.ndarray, dlam: np.ndarray, pole_tol: float):
     return gamma, pole
 
 
-def _blocks(specs: Sequence[MixtureSpec], points: int):
-    """``(start, stop)`` of consecutive runs of mixtures of one dimension,
-    each of at most ``_BLOCK_VALUES`` eigenvalues on ``points`` grid points
-    (and at least one mixture)."""
-    start = 0
-    while start < len(specs):
-        d = specs[start].dimension
+def _blocks(specs: Iterable[MixtureSpec], points: int):
+    """Lists of consecutive mixtures of one dimension, each of at most
+    ``_BLOCK_VALUES`` eigenvalues on ``points`` grid points (and at least
+    one mixture).  ``specs`` is read lazily, at most one mixture ahead."""
+    for d, run in itertools.groupby(specs, lambda spec: spec.dimension):
         size = max(1, _BLOCK_VALUES // (max(d + 1, 1) * points))
-        stop = start + 1
-        while stop < len(specs) and stop - start < size and specs[stop].dimension == d:
-            stop += 1
-        yield start, stop
-        start = stop
+        while block := list(itertools.islice(run, size)):
+            yield block
 
 
-def _by_blocks(run, specs: Sequence[MixtureSpec], points: int) -> list:
+def _by_blocks(run, specs: Iterable[MixtureSpec], points: int):
     """``run(block)`` on each block of ``specs`` from :func:`_blocks`, its
-    results in order.  A block of several mixtures that raises is run again
-    one mixture at a time, so the first mixture that fails alone raises its
-    own error; if none does, the block's error is raised."""
-    results: list = []
-    for start, stop in _blocks(specs, points):
+    results yielded in order, a block at a time.  A block of several
+    mixtures that raises is run again one mixture at a time, so the first
+    mixture that fails alone raises its own error; if none does, the
+    block's error is raised."""
+    for block in _blocks(specs, points):
         try:
-            results.extend(run(specs[start:stop]))
+            results = run(block)
         except Exception:
-            if stop - start > 1:
-                for spec in specs[start:stop]:
+            if len(block) > 1:
+                for spec in block:
                     run([spec])
             raise
-    return results
+        yield from results
 
 
 class _Fit(NamedTuple):
@@ -629,7 +625,8 @@ def semigroup_verdicts(
     exception that this would raise.  Blocks of mixtures, of at most
     ``_BLOCK_VALUES`` eigenvalues, evaluate each distinct decoherence
     function once and compute spectra, rates and fits as arrays over a
-    leading mixture axis.
+    leading mixture axis.  ``specs`` is read a block at a time, so a
+    generator's mixtures need not all be alive at once.
     """
     tol = tolerances if tolerances is not None else Tolerances()
 
@@ -637,7 +634,7 @@ def semigroup_verdicts(
         fit = _block(block, grid.times, tol.pole).fit
         return [_verdict(fit, b, tol.semigroup_for(s)) for b, s in enumerate(block)]
 
-    return _by_blocks(run, list(specs), len(grid))
+    return list(_by_blocks(run, specs, len(grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -769,10 +766,11 @@ def _analyze_block(specs, grid: TimeGrid, tol: Tolerances, keep: bool) -> list:
     return out
 
 
-def _analyze(specs, grid, tolerances, keep: bool) -> list:
+def _analyze(specs, grid, tolerances, keep: bool):
+    """Each of ``specs``' reports (with ``keep``, its analysis), a block at a time."""
     grid = grid if grid is not None else default_grid()
     tol = tolerances if tolerances is not None else Tolerances()
-    return _by_blocks(lambda block: _analyze_block(block, grid, tol, keep), list(specs), len(grid))
+    return _by_blocks(lambda block: _analyze_block(block, grid, tol, keep), specs, len(grid))
 
 
 def classify_many(
@@ -790,11 +788,12 @@ def classify_many(
     row, all brackets bisected together; that pass gives every input its
     verdict.  Rows with singular times are refined and their trajectories
     and rates recomputed one by one.  Blocks hold at most
-    ``_BLOCK_VALUES`` eigenvalues, so memory does not grow with the batch
-    beyond the reports themselves.  The first mixture that ``classify``
-    would reject raises the same exception here.
+    ``_BLOCK_VALUES`` eigenvalues, and ``specs`` is read a block at a time,
+    so memory does not grow with the batch beyond the reports themselves.
+    The first mixture that ``classify`` would reject raises the same
+    exception here.
     """
-    return _analyze(specs, grid, tolerances, keep=False)
+    return list(_analyze(specs, grid, tolerances, keep=False))
 
 
 def classify(
@@ -824,7 +823,7 @@ def analyze_mixture(
     tolerances: Optional[Tolerances] = None,
 ) -> AnalysisResult:
     """Like :func:`classify` but also returns the (possibly refined) trajectories."""
-    return _analyze([spec], grid, tolerances, keep=True)[0]
+    return next(_analyze([spec], grid, tolerances, keep=True))
 
 
 def intermediate_map_check(

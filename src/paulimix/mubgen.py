@@ -78,6 +78,13 @@ class MubReport:
     passed: bool
 
 
+# The admissible dimensions.  check_dimension runs for every channel spec
+# built, so its primality test is a set lookup.
+_PRIME_DIMENSIONS = frozenset(
+    n for n in range(DIMENSION_RANGE[0], DIMENSION_RANGE[1] + 1) if is_prime(n)
+)
+
+
 def check_dimension(d: int) -> None:
     """Reject a dimension that is not an integer, not in range, or not prime."""
     lo, hi = DIMENSION_RANGE
@@ -85,7 +92,7 @@ def check_dimension(d: int) -> None:
         raise ValueError(f"dimension must be an integer, got {d!r}")
     if d < lo or d > hi:
         raise ValueError(f"dimension must lie in [{lo}, {hi}], got {d}")
-    if not is_prime(d):
+    if d not in _PRIME_DIMENSIONS:
         raise ValueError(
             f"dimension {d} is composite; a complete family of d+1 mutually "
             f"unbiased bases is only constructed here for prime d"

@@ -50,7 +50,7 @@ from . import matrixlab
 from .dynamics import (
     TimeGrid,
     Tolerances,
-    classify_many,
+    _analyze,
     default_grid,
     # Not called here: perfbench/test_perfbench.py checks that the tracer
     # also wraps module-level copies of a public function, such as this one.
@@ -83,15 +83,6 @@ __all__ = [
 _SIMPLEX_TOL = 1e-12
 _TIE_TOL = 1e-12
 _MIN_TRIALS = 100
-# simplex_scan builds and classifies this many lattice points at a time, so
-# only that many mixtures and reports are alive at once.
-_SCAN_SLICE = 512
-# The theorem scanners draw this many trials at a time and give their
-# proper-subset mixtures one batched semigroup verdict, so only that many
-# mixtures (and sampled interpolants) are alive at once.  Each slice pays a
-# fixed cost (about 0.3 ms for its stacked interpolant build), so a scan of
-# 100-160 trials takes one or two slices.
-_TRIAL_SLICE = 128
 
 
 class ConstructionError(ValueError):
@@ -360,9 +351,9 @@ def simplex_scan(
     ``family='semigroup'`` gives each supported label the semigroup input
     ``p = ((d-1)/d)(1 - e^{-ct})``; ``family='matched'`` uses
     :func:`build_all_channels_mix`, defined where every weight is at least
-    ``(d-1)/d^2``.  Points are classified with
-    :func:`~paulimix.dynamics.classify_many`, a slice of the lattice at a
-    time.
+    ``(d-1)/d^2``.  Points are classified as by
+    :func:`~paulimix.dynamics.classify_many`, a block at a time; a point's
+    mixture is built only when its block is reached.
     """
     if divisions < 1:
         raise ValueError(f"divisions must be positive, got {divisions}")
@@ -381,22 +372,19 @@ def simplex_scan(
     is_cp_divisible = np.zeros(len(counts), dtype=bool)
     min_rate = np.full(len(counts), np.nan)
     noninvertible = np.zeros(len(counts), dtype=np.int64)
+
+    def mixture(row):
+        x = weights[row].tolist()
+        if family == "matched":
+            return build_all_channels_mix(AllChannelsRequest(d, rate, tuple(x)))
+        return MixtureSpec(d, [(xi, channels[i]) for i, xi in enumerate(x) if xi > 0.0])
+
     rows = np.flatnonzero(valid)
-    for start in range(0, rows.size, _SCAN_SLICE):
-        chunk = rows[start : start + _SCAN_SLICE]
-        specs = []
-        for x in weights[chunk].tolist():
-            if family == "matched":
-                specs.append(build_all_channels_mix(AllChannelsRequest(d, rate, tuple(x))))
-            else:
-                specs.append(
-                    MixtureSpec(d, [(xi, channels[i]) for i, xi in enumerate(x) if xi > 0.0])
-                )
-        for row, report in zip(chunk.tolist(), classify_many(specs, grid)):
-            is_semigroup[row] = report.is_semigroup
-            is_cp_divisible[row] = report.is_cp_divisible
-            min_rate[row] = report.min_rate
-            noninvertible[row] = sum(1 for v in report.inputs if v.verdict == "noninvertible")
+    for row, report in zip(rows, _analyze(map(mixture, rows), grid, None, keep=False)):
+        is_semigroup[row] = report.is_semigroup
+        is_cp_divisible[row] = report.is_cp_divisible
+        min_rate[row] = report.min_rate
+        noninvertible[row] = sum(1 for v in report.inputs if v.verdict == "noninvertible")
     return SimplexScan(
         dimension=d,
         family=family,
@@ -492,41 +480,18 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
     a valid full construction's noninvertible inputs is proven exactly by
     :func:`_noninvertible_bound`.
 
-    Trial ``k`` draws from ``default_rng([seed, k])``.  Trials are drawn
-    ``_TRIAL_SLICE`` at a time, and the slice's mixtures get one
-    :func:`~paulimix.dynamics.semigroup_verdicts` call.
+    Trial ``k`` draws from ``default_rng([seed, k])``.  Every trial's
+    mixture, and last the equal-weights mixture, stream through one
+    :func:`~paulimix.dynamics.semigroup_verdicts` call, which reads them a
+    block at a time; a counterexample draws its trial's mixture again.
     """
     if trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {trials}")
     check_dimension(d)
-    grid = default_grid(5.0, 128)
-    tolerances = Tolerances()
-    counterexamples = []
-    subset_semigroups = 0
-    for start in range(0, trials, _TRIAL_SLICE):
-        drawn = [
-            _random_mixture(np.random.default_rng([seed, k]), d, 2, d + 1, 0.05)
-            for k in range(start, min(start + _TRIAL_SLICE, trials))
-        ]
-        verdicts = semigroup_verdicts(drawn, grid, tolerances)
-        for trial, spec, verdict in zip(itertools.count(start), drawn, verdicts):
-            if verdict.is_semigroup:
-                subset_semigroups += 1
-                counterexamples.append(
-                    {
-                        "phase": "subset",
-                        "trial": trial,
-                        "bases": [c.channel.basis for c in spec.components],
-                        "weights": [c.weight for c in spec.components],
-                        "functions": [c.channel.p.kind for c in spec.components],
-                        "max_eigenvalue_deviation": verdict.max_eigenvalue_deviation,
-                    }
-                )
-    min_noninvertible, all_semigroup_feasible = _noninvertible_bound(d)
-    if min_noninvertible < d:
-        counterexamples.append(
-            {"phase": "full", "trial": -1, "weights": [], "noninvertible": min_noninvertible}
-        )
+
+    def draw(trial):
+        return _random_mixture(np.random.default_rng([seed, trial]), d, 2, d + 1, 0.05)
+
     # Deterministic extra case: d+1 semigroup inputs, equal weights — the
     # mixture must not be a semigroup (its rates decay in time).
     semi = ExpRelax((d - 1) / d, 1.0)
@@ -534,7 +499,29 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
         d,
         [(1.0 / (d + 1), ChannelSpec(d, b, semi)) for b in range(1, d + 2)],
     )
-    (equal_verdict,) = semigroup_verdicts([equal], grid, tolerances)
+    mixtures = itertools.chain(map(draw, range(trials)), [equal])
+    verdicts = semigroup_verdicts(mixtures, default_grid(5.0, 128), Tolerances())
+    equal_verdict = verdicts.pop()
+    counterexamples = []
+    for trial, verdict in enumerate(verdicts):
+        if verdict.is_semigroup:
+            spec = draw(trial)
+            counterexamples.append(
+                {
+                    "phase": "subset",
+                    "trial": trial,
+                    "bases": [c.channel.basis for c in spec.components],
+                    "weights": [c.weight for c in spec.components],
+                    "functions": [c.channel.p.kind for c in spec.components],
+                    "max_eigenvalue_deviation": verdict.max_eigenvalue_deviation,
+                }
+            )
+    subset_semigroups = len(counterexamples)
+    min_noninvertible, all_semigroup_feasible = _noninvertible_bound(d)
+    if min_noninvertible < d:
+        counterexamples.append(
+            {"phase": "full", "trial": -1, "weights": [], "noninvertible": min_noninvertible}
+        )
     if equal_verdict.is_semigroup:
         counterexamples.append(
             {"phase": "equal-semigroup-inputs", "trial": -1, "weights": []}

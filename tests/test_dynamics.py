@@ -1060,6 +1060,37 @@ def test_a_block_error_that_no_mixture_repeats_alone_is_raised(monkeypatch, batc
     assert sizes == [2, 1, 1]  # the block, then each mixture alone
 
 
+@pytest.mark.parametrize("batched", [classify_many, dynamics.semigroup_verdicts])
+def test_a_batch_reads_its_input_a_block_at_a_time(monkeypatch, batched):
+    # Blocks of four qubit or three qutrit mixtures, none with output zeros;
+    # the qutrit run ends a qubit block early.
+    monkeypatch.setattr(dynamics, "_BLOCK_VALUES", 4 * 3 * len(_BATCH_GRID))
+    qutrit = build_all_channels_mix(AllChannelsRequest(3, 1.0, (0.25,) * 4))
+    specs = [three_semigroup_mix(), equal_thirds_mix()] * 3 + [qutrit] * 3
+    specs += [two_semigroup_mix()] * 5
+    drawn = []
+
+    def stream():
+        for spec in specs:
+            drawn.append(spec)
+            yield spec
+
+    sizes, ahead = [], []
+    block = dynamics._block
+
+    def recorded(block_specs, times, pole_tol):
+        # How far the input has been read past the end of this block.
+        ahead.append(len(drawn) - sum(sizes) - len(block_specs))
+        sizes.append(len(block_specs))
+        return block(block_specs, times, pole_tol)
+
+    monkeypatch.setattr(dynamics, "_block", recorded)
+    results = batched(stream(), _BATCH_GRID)
+    assert len(results) == len(specs)
+    assert sizes == [4, 2, 3, 4, 1]
+    assert max(ahead) <= 1
+
+
 # ---------------------------------------------------------------------------
 # Function tables: evaluated a family at a time, equal to each function alone
 # ---------------------------------------------------------------------------

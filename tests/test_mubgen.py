@@ -139,3 +139,8 @@ DIMENSION_CHECKED = {
 def test_every_entry_point_shares_the_dimension_check(build, bad):
     with pytest.raises(ValueError):
         build(bad)
+
+
+@pytest.mark.parametrize("build", DIMENSION_CHECKED.values(), ids=DIMENSION_CHECKED.keys())
+def test_every_entry_point_accepts_a_numpy_integer_dimension(build):
+    assert build(np.int64(5)) is not None

@@ -37,7 +37,7 @@ from paulimix import (
     theorem2_scan,
     weight_lower_bound,
 )
-from paulimix import semigroupforge
+from paulimix import dynamics, semigroupforge
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -555,38 +555,53 @@ def _assert_scan_matches(d, trials, seed):
     return report
 
 
-_SLICE = semigroupforge._TRIAL_SLICE
+class _LooseSubsets(Tolerances):
+    """Accepts every proper-subset mixture whose spectrum stays positive as a
+    semigroup, so that scans list many trials (about half of the qubit
+    trials, nearly all others) with their own mixture and verdict."""
+
+    def semigroup_for(self, spec):
+        if len(spec.components) <= spec.dimension:
+            return math.inf
+        return super().semigroup_for(spec)
 
 
-_SLICED = [(2, 0, _SLICE), (2, 11, 8), (3, 4, 8), (5, 9, 8), (7, 1, 8), (31, 0, 8)]
+def _blocks_of(monkeypatch, d, size):
+    """Patch the blocks of dimension-``d`` mixtures on the scans' 128-point
+    grid to ``size`` mixtures (keep the real size if None); returns the size."""
+    points = (d + 1) * 128
+    if size is None:
+        return dynamics._BLOCK_VALUES // points
+    monkeypatch.setattr(dynamics, "_BLOCK_VALUES", size * points)
+    return size
+
+
+_SLICED = [(2, 0, 8), (2, 11, 8), (3, 4, 8), (5, 9, 8), (7, 1, 8), (31, 0, None)]
 
 
 @pytest.mark.parametrize("d, seed, size", _SLICED, ids=[f"{d}-{s}" for d, s, _ in _SLICED])
 def test_sliced_scan_equals_the_per_trial_loop(monkeypatch, d, seed, size):
-    # Trial counts below the public minimum test the slice arithmetic: part
-    # of one slice, and across one and three slice boundaries.  One case
-    # keeps the real slice size (100, 129 and 389 trials); the others patch
-    # it small, so that they cross the same boundaries in a few trials.
+    # The trials, then the equal-weights mixture, stream through blocks of
+    # ``size`` mixtures: one full block, the last mixture alone in a second
+    # block, and across three block boundaries.  Trial counts below the
+    # public minimum keep this cheap; the d = 31 case keeps the real block
+    # size.  Loose subset tolerances list many trials, so the report checks
+    # each listed trial's verdict against its own mixture.
     monkeypatch.setattr(semigroupforge, "_MIN_TRIALS", 1)
-    monkeypatch.setattr(semigroupforge, "_TRIAL_SLICE", size)
-    for trials in (size * 25 // 32, size + 1, 3 * size + 5):
-        assert _assert_scan_matches(d, trials, seed).trials == trials
-
-
-class _LooseSubsets(Tolerances):
-    """Accepts proper-subset mixtures as semigroups far too easily."""
-
-    def semigroup_for(self, spec):
-        if len(spec.components) <= spec.dimension:
-            return 0.5
-        return super().semigroup_for(spec)
+    monkeypatch.setattr(semigroupforge, "Tolerances", _LooseSubsets)
+    size = _blocks_of(monkeypatch, d, size)
+    for trials in (size - 1, size, 3 * size + 5):
+        report = _assert_scan_matches(d, trials, seed)
+        assert report.trials == trials
+        assert report.details["subset_semigroups"] >= trials // 3
 
 
 @pytest.mark.parametrize("d, seed", [(3, 1), (5, 3), (7, 2)])
 def test_sliced_scan_keeps_the_counterexample_order(monkeypatch, d, seed):
-    # Loose subset tolerances make many trials fail across every slice.
+    # Loose subset tolerances make many trials fail across every block.
+    monkeypatch.setattr(semigroupforge, "_MIN_TRIALS", 1)
     monkeypatch.setattr(semigroupforge, "Tolerances", _LooseSubsets)
-    report = _assert_scan_matches(d, 3 * _SLICE + 5, seed)
+    report = _assert_scan_matches(d, 3 * _blocks_of(monkeypatch, d, 8) + 5, seed)
     assert {c["phase"] for c in report.counterexamples} == {"subset"}
     assert [c["trial"] for c in report.counterexamples] == sorted(
         c["trial"] for c in report.counterexamples
