@@ -59,6 +59,9 @@ class DecoherenceFunction:
         raise NotImplementedError
 
     def value(self, t):
+        """``p(t)`` alone: ``value_and_derivative(t)[0]``, for every class.
+        A function is evaluated only as its dual pair, so its value is
+        always the value plane of that pair, bit for bit."""
         return self.value_and_derivative(t)[0]
 
     def as_expression(self) -> str:
@@ -97,11 +100,6 @@ class ExpRelax(DecoherenceFunction):
     def _dual(self, t):
         decay = np.exp(-self.rate * t)
         return self.scale * (1.0 - decay), self.scale * self.rate * decay
-
-    def value(self, t):
-        # p alone, by the same operations: bisection evaluates only values.
-        p = self.scale * (1.0 - np.exp(-self.rate * np.asarray(t, dtype=float)))
-        return float(p) if p.ndim == 0 else p
 
     def as_expression(self) -> str:
         return f"{self.scale!r}*(1-exp(-{self.rate!r}*t))"
@@ -284,29 +282,19 @@ class SampledGrid(DecoherenceFunction):
         object.__setattr__(self, "_column", None)  # (stack, column), once built
         object.__setattr__(self, "_own", None)  # (value, derivative) cut from it
 
-    def _pieces(self):
-        """This grid's value and derivative interpolants, cut from its stack
-        column on first use."""
+    def value_and_derivative(self, t):
+        clipped = _clip(self.times, t)
         if self._own is None:  # type: ignore[attr-defined]
+            # This grid's own interpolants, cut from its stack column once.
             if self._column is None:  # type: ignore[attr-defined]
                 build_interpolants([self])
             stack, j = self._column  # type: ignore[attr-defined]
             object.__setattr__(self, "_own", (_cut(stack.value, j), _cut(stack.derivative, j)))
-        return self._own  # type: ignore[attr-defined]
-
-    def value_and_derivative(self, t):
-        clipped = _clip(self.times, t)
-        value, derivative = self._pieces()
+        value, derivative = self._own  # type: ignore[attr-defined]
         p, dp = value(clipped), derivative(clipped)
         if clipped.ndim == 0:
             return float(p), float(dp)
         return np.asarray(p, dtype=float), np.asarray(dp, dtype=float)
-
-    def value(self, t):
-        # p alone, from the value interpolant: bisection evaluates only values.
-        clipped = _clip(self.times, t)
-        p = self._pieces()[0](clipped)
-        return float(p) if np.ndim(p) == 0 else np.asarray(p, dtype=float)
 
     def describe(self) -> dict:
         return {
@@ -378,10 +366,9 @@ def family_evaluators(functions: Sequence[DecoherenceFunction]) -> list:
     """``(rows, run)`` pairs that evaluate ``functions`` a family at a time,
     in order of each family's first member.
 
-    ``run(t, planes)`` returns, for a 1-d ``t``, ``[p]`` (``planes = 1``) or
-    ``[p, p']`` (``planes = 2``) of the functions at the indices ``rows``,
-    each of shape ``(len(rows), t.size)`` and bit for bit what each one's
-    ``value`` or ``value_and_derivative`` returns:
+    ``run(t)`` returns, for a 1-d ``t``, ``[p, p']`` of the functions at the
+    indices ``rows``, each plane of shape ``(len(rows), t.size)`` and bit for
+    bit what each one's ``value_and_derivative`` returns:
 
     - each closed form in ``_CLOSED_FORMS`` with float parameters: one
       ``_dual`` call per class, on its parameter columns;
@@ -412,7 +399,7 @@ def family_evaluators(functions: Sequence[DecoherenceFunction]) -> list:
 
 def _evaluator(members):
     (f,) = members
-    return lambda t, planes: (f.value(t),) if planes == 1 else f.value_and_derivative(t)
+    return f.value_and_derivative
 
 
 def _closed_form_evaluator(members):
@@ -421,7 +408,7 @@ def _closed_form_evaluator(members):
         **{name: np.array([[vars(f)[name]] for f in members]) for name in vars(members[0])}
     )
     dual = type(members[0])._dual
-    return lambda t, planes: dual(columns, t)[:planes]
+    return lambda t: dual(columns, t)
 
 
 def _stack_evaluator(members):
@@ -431,9 +418,9 @@ def _stack_evaluator(members):
     if columns != list(range(stack.value.c.shape[2])):
         pieces = tuple(_cut(piece, columns) for piece in pieces)
 
-    def run(t, planes):
+    def run(t):
         clipped = _clip(stack.times, t)
-        return [piece(clipped).T for piece in pieces[:planes]]
+        return [piece(clipped).T for piece in pieces]
 
     return run
 

@@ -307,8 +307,6 @@ def _render_config(spec: MixtureSpec, t_max: float, points: int) -> str:
 def cmd_construct(args) -> int:
     d = args.dimension
     c = args.rate
-    t_max = args.t_max if args.t_max is not None else 5.0 / c
-    grid = default_grid(t_max, args.points)
     if args.same is not None:
         if args.weights:
             raise ConfigError("give either positional weights or --same, not both")
@@ -320,9 +318,6 @@ def cmd_construct(args) -> int:
             raise ConfigError(f"--q: {exc} (position {exc.position})") from None
         basis = args.basis if args.basis is not None else 1
         req = SameChannelRequest(d, c, args.same, q, basis=basis)
-        spec = build_same_channel_mix(req, grid=default_grid(t_max, 1024))
-        report = dynamics.classify(spec, default_grid(t_max, 256))
-        forecast_doc = reportio.same_channel_forecast_dict(req, report)
     else:
         for name, value in (("--q", args.q), ("--basis", args.basis)):
             if value is not None:
@@ -332,6 +327,14 @@ def cmd_construct(args) -> int:
                 f"need {d + 1} weights for dimension {d}, got {len(args.weights)}"
             )
         req = AllChannelsRequest(d, c, tuple(args.weights))
+    # The request has checked the rate that the default window divides by.
+    t_max = args.t_max if args.t_max is not None else 5.0 / c
+    grid = default_grid(t_max, args.points)
+    if isinstance(req, SameChannelRequest):
+        spec = build_same_channel_mix(req, grid=default_grid(t_max, 1024))
+        report = dynamics.classify(spec, default_grid(t_max, 256))
+        forecast_doc = reportio.same_channel_forecast_dict(req, report)
+    else:
         spec = build_all_channels_mix(req)
         forecast_doc = reportio.forecast_dict(forecast_invertibility(req))
 

@@ -287,30 +287,20 @@ class _Functions:
         return i
 
     def evaluate(self, times: np.ndarray) -> np.ndarray:
-        """Values ``[p, p']`` of every function, shape ``(2, F, n)``."""
-        return self._planes(times, 2)
-
-    def values(self, times: np.ndarray) -> np.ndarray:
-        """Values ``[p]`` of every function, shape ``(1, F, n)``."""
-        return self._planes(times, 1)
-
-    def _planes(self, times: np.ndarray, planes: int) -> np.ndarray:
-        """Each function's values, bit for bit as it returns them alone.  If a
-        family raises, the functions run again one by one in table order, so
-        the first function that fails alone raises its own error."""
+        """Values ``[p, p']`` of every function, shape ``(2, F, n)``, bit for
+        bit as each returns them alone.  If a family raises, the functions
+        run again one by one in table order, so the first function that
+        fails alone raises its own error."""
         if self._families is None:
             self._families = family_evaluators(self.functions)
-        out = np.empty((planes, len(self.functions), times.size))
+        out = np.empty((2, len(self.functions), times.size))
         try:
             for rows, run in self._families:
-                for plane, value in zip(out, run(times, planes)):
+                for plane, value in zip(out, run(times)):
                     plane[rows] = value
         except Exception:
             for f in self.functions:
-                if planes == 2:
-                    f.value_and_derivative(times)
-                else:
-                    f.value(times)
+                f.value_and_derivative(times)
             raise
         return out
 
@@ -382,30 +372,29 @@ def _encode(specs: Sequence[MixtureSpec], ids: Sequence[Sequence[int]]) -> _Mixt
 
 def _spectrum(mixtures: _Mixtures, values: np.ndarray) -> np.ndarray:
     """``[lambda, lambda']`` of B mixtures, shape ``(2, B, d+1, n)``, from the
-    values ``[p, p']`` of their functions (shape ``(2, F, n)``); or the value
-    plane ``[lambda]`` alone, from ``[p]``.
+    values ``[p, p']`` of their functions (shape ``(2, F, n)``).
 
     Each mixture sums its components in its own order.  A mixture without a
     j-th component is left out of slot j, never given a zero weight, so a
     NaN in one mixture's function cannot reach another row.
     """
-    planes, d, size, n = values.shape[0], mixtures.dimension, mixtures.size, values.shape[2]
+    d, size, n = mixtures.dimension, mixtures.size, values.shape[2]
     # [p, p'] summed over all components, and over those of each label.
-    total = np.zeros((planes, size, n))
-    per_label = np.zeros((planes, size * (d + 1), n))
+    total = np.zeros((2, size, n))
+    per_label = np.zeros((2, size * (d + 1), n))
     for slot in mixtures.slots:
         weighted = slot.weights * values[:, slot.functions]
         total[:, slot.members] += weighted
         per_label[:, slot.cells] += weighted
     # lambda = 1 - factor (total - per_label) and lambda' = -factor (total'
     # - per_label'), computed in place.
-    per_label = per_label.reshape(planes, size, d + 1, n)
+    per_label = per_label.reshape(2, size, d + 1, n)
     np.subtract(total[:, :, None, :], per_label, out=per_label)
-    lam = per_label[0]
+    lam, dlam = per_label
     factor = d / (d - 1.0)
     lam *= factor
     np.subtract(1.0, lam, out=lam)
-    per_label[1:] *= -factor
+    dlam *= -factor
     return per_label
 
 
@@ -647,10 +636,12 @@ def _zeros(done: _Block, times: np.ndarray, xtol: float):
     off-label row ``1 - (d/(d-1)) p`` of each of its functions, in one
     :func:`bracket_roots` pass.  Each round of its bisection evaluates each
     owner once, at all the points of its live brackets' midpoint trees,
-    through its functions' ``value``: a mixture's value plane on its own
-    table, as if it were alone, a function's ``p``.  Returns each mixture's
-    sorted ``(label, t*)`` zeros, and each function's zeros and midpoint-fit
-    deviation (inf unless positive), by index."""
+    through its functions' ``value``, the value plane of their dual pairs:
+    a mixture's table is evaluated as if the mixture were alone and the
+    value plane of its spectrum kept, and a function's row is computed from
+    its ``p``.  Returns each mixture's sorted ``(label, t*)`` zeros, and each
+    function's zeros and midpoint-fit deviation (inf unless positive), by
+    index."""
     lam = done.lam
     size, labels, n = lam.shape
     factor = (labels - 1) / (labels - 2.0)  # d/(d-1)
@@ -669,13 +660,10 @@ def _zeros(done: _Block, times: np.ndarray, xtol: float):
                 if o not in tables:
                     tables[o] = _table([done.specs[o]])
                 funcs, _, mixtures = tables[o]
-                lam = _spectrum(mixtures, funcs.values(t[a:b]))[0, 0]
+                lam = _spectrum(mixtures, funcs.evaluate(t[a:b]))[0, 0]
                 out[a:b] = lam[rows[a:b] % labels, np.arange(b - a)]
             else:
-                out[a:b] = done.funcs.functions[o - size].value(t[a:b])
-        # The input rows hold p so far.
-        first = int(np.searchsorted(rows, size * labels))
-        out[first:] = 1.0 - factor * out[first:]
+                out[a:b] = 1.0 - factor * done.funcs.functions[o - size].value(t[a:b])
         return out
 
     roots = bracket_roots(np.concatenate([lam.reshape(size * labels, n), rows_in]), times, f, xtol)

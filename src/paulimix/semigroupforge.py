@@ -116,8 +116,8 @@ class SameChannelRequest:
 
     def __post_init__(self):
         check_dimension(self.dimension)
-        if not self.rate > 0:
-            raise ValueError(f"target rate must be positive, got {self.rate!r}")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ValueError(f"target rate must be positive and finite, got {self.rate!r}")
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"mixing parameter a must lie in (0, 1), got {self.a!r}")
         if not 1 <= self.basis <= self.dimension + 1:
@@ -136,8 +136,8 @@ class AllChannelsRequest:
 
     def __post_init__(self):
         check_dimension(self.dimension)
-        if not self.rate > 0:
-            raise ValueError(f"target rate must be positive, got {self.rate!r}")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ValueError(f"target rate must be positive and finite, got {self.rate!r}")
         w = tuple(float(x) for x in self.weights)
         if len(w) != self.dimension + 1:
             raise ValueError(
@@ -566,8 +566,8 @@ def cptp_scan(d: int, trials: int, seed: int, tol: float) -> ScanReport:
     Reproducible from (seed, trials); every failing check is listed."""
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
-    if not math.isfinite(tol):
-        raise ValueError(f"tolerance must not be NaN or infinite, got {tol!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must not be NaN, infinite or negative, got {tol!r}")
     eye = np.eye(d)
     counterexamples = []
     for trial in range(trials):

@@ -368,13 +368,17 @@ _EVERY_KIND = {
 def test_a_value_does_not_depend_on_its_position_in_the_array(kind):
     # Bisection rounds evaluate a point among others, at any position of
     # arrays of any length (a SIMD loop's body or its tail): its value must
-    # have the bits that it has alone.
+    # have the bits that it has alone.  A value is the value plane of the
+    # dual pair, for a scalar and an array alike.
     func = _EVERY_KIND[kind]
     rng = np.random.default_rng(15)
     others = rng.uniform(0.0, 5.0, 40)
+    assert func.value(others).tobytes() == func.value_and_derivative(others)[0].tobytes()
     for t in np.concatenate([[0.0, 5.0, 1.0 / 3.0], rng.uniform(0.0, 5.0, 5)]):
         alone = np.float64(func.value(float(t))).tobytes()
+        assert np.float64(func.value_and_derivative(float(t))[0]).tobytes() == alone
         assert func.value(np.array([t])).tobytes() == alone
+        assert func.value_and_derivative(np.array([t]))[0].tobytes() == alone
         for size in range(1, 41):
             for at in range(size):
                 times = others[:size].copy()

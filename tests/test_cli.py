@@ -397,8 +397,12 @@ def test_analyze_rejects_infinite_rate(out_dir, capsys):
     assert "[component.1]" in capsys.readouterr().err
 
 
-def test_construct_rejects_infinite_rate(capsys):
-    assert main(["construct", "2", "inf", "0.4", "0.3", "0.3"]) == 2
+@pytest.mark.parametrize("rate", ["inf", "nan", "0", "-1"])
+def test_construct_rejects_infinite_rate(out_dir, capsys, rate):
+    # The rate is checked before the default window 5/rate is derived from it.
+    assert main(["construct", "2", rate, "0.4", "0.3", "0.3", "--out", "c.ini"]) == 2
+    assert "target rate" in capsys.readouterr().err
+    assert not (out_dir / "c.ini").exists()
 
 
 @pytest.mark.parametrize(

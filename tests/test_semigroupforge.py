@@ -616,9 +616,13 @@ def test_cptp_scan_passes_and_is_reproducible():
     assert first.details == {"dimension": 3, "times_per_trial": 3, "tolerance": 1e-10}
 
 
-def test_cptp_scan_lists_every_failing_check():
-    # A negative tolerance fails every partial-trace check.
-    report = cptp_scan(2, 2, 0, -1.0)
+def test_cptp_scan_lists_every_failing_check(monkeypatch):
+    # A partial trace twice the identity fails every partial-trace check.
+    real = semigroupforge.matrixlab.partial_trace_first
+    monkeypatch.setattr(
+        semigroupforge.matrixlab, "partial_trace_first", lambda choi, d: 2.0 * real(choi, d)
+    )
+    report = cptp_scan(2, 2, 0, 1e-10)
     assert not report.passed
     assert [c["trial"] for c in report.counterexamples] == [0, 0, 0, 1, 1, 1]
     assert list(report.counterexamples[0]) == [
@@ -629,6 +633,9 @@ def test_cptp_scan_lists_every_failing_check():
         "min_choi_eigenvalue",
     ]
     assert all(0.0 <= c["t"] <= 5.0 for c in report.counterexamples)
+    assert all(
+        c["partial_trace_deviation"] == pytest.approx(1.0) for c in report.counterexamples
+    )
 
 
 def test_cptp_scan_rejects_a_nan_tolerance():
@@ -641,6 +648,12 @@ def test_cptp_scan_rejects_an_infinite_tolerance():
     # An infinite tolerance would pass every partial-trace and PSD check.
     with pytest.raises(ValueError, match="infinite"):
         cptp_scan(2, 1, 0, math.inf)
+
+
+def test_cptp_scan_rejects_a_negative_tolerance():
+    # Every partial-trace check would fail, flagging valid channels.
+    with pytest.raises(ValueError, match="tolerance must not be NaN, infinite or negative"):
+        cptp_scan(2, 1, 0, -1e-10)
 
 
 def test_cptp_scan_rejects_nonprime():
