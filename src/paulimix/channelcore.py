@@ -16,7 +16,7 @@ which is everything the spectral layer needs to know about it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import ClassVar, NamedTuple, Optional, Sequence, Tuple
 
@@ -89,6 +89,12 @@ class ExpRelax(DecoherenceFunction):
             )
         if not math.isfinite(self.scale):
             raise ValueError(f"relaxation scale must be finite, got {self.scale!r}")
+
+    @staticmethod
+    def _rejected(params: np.ndarray) -> np.ndarray:
+        """Which rows ``(scale, rate)`` of ``params`` the constructor rejects."""
+        scale, rate = params.T
+        return ~((rate > 0) & np.isfinite(rate) & np.isfinite(scale))
 
     def value_and_derivative(self, t):
         arr = np.asarray(t, dtype=float)
@@ -169,6 +175,11 @@ class _Template(DecoherenceFunction):
                 )
             object.__setattr__(self, name, value)
 
+    @staticmethod
+    def _rejected(params: np.ndarray) -> np.ndarray:
+        """Which rows of ``params`` (a parameter per column) the constructor rejects."""
+        return ~(np.isfinite(params) & ~np.signbit(params)).all(axis=1)
+
     def value_and_derivative(self, t):
         arr = np.asarray(t, dtype=float)
         if arr.ndim == 0:
@@ -248,12 +259,12 @@ class SampledGrid(DecoherenceFunction):
     Interpolation is shape-preserving cubic (PCHIP); the derivative comes from
     the interpolant itself, not from finite differences of the samples.
     Evaluation outside the sampled range is a domain error.  The samples are
-    validated on construction.  The interpolant is a column of a stack that
-    :func:`build_interpolants` builds for many grids at once, or for this
-    one on its first evaluation.  A function table evaluates the stack's
-    columns together (:func:`family_evaluators`); this grid's own
-    piecewise polynomials are cut from its column only when it is evaluated
-    alone.
+    validated on construction.  Evaluated alone, the grid uses its column of
+    a stack that :func:`build_interpolants` builds for many grids at once,
+    or for this one on its first evaluation, and cuts its own piecewise
+    polynomials from that column.  A function table instead stacks the
+    values of its grids on shared sample times and builds them once
+    (:class:`_Samples`).
     """
 
     kind = "samples"
@@ -281,6 +292,22 @@ class SampledGrid(DecoherenceFunction):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_column", None)  # (stack, column), once built
         object.__setattr__(self, "_own", None)  # (value, derivative) cut from it
+
+    @staticmethod
+    def _rejected(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Which rows of ``values`` (a grid per row, on the sample ``times``)
+        the constructor rejects."""
+        shared = (
+            times.ndim == 1
+            and values.ndim == 2
+            and values.shape[1] == times.size >= 3
+            and bool(np.isfinite(times).all())
+            and times[0] == 0.0
+            and bool((times[1:] > times[:-1]).all())
+        )
+        if not shared:
+            return np.ones(len(values), dtype=bool)
+        return ~(np.isfinite(values).all(axis=1) & (np.abs(values[:, 0]) <= _P_INITIAL_TOL))
 
     def value_and_derivative(self, t):
         clipped = _clip(self.times, t)
@@ -324,6 +351,12 @@ class _Stack(NamedTuple):
     derivative: PPoly
 
 
+def _stack(times: np.ndarray, values: np.ndarray) -> _Stack:
+    """One PCHIP build of the rows of ``values`` (shape ``(G, n)``) on ``times``."""
+    value = PchipInterpolator(times, np.ascontiguousarray(values.T), extrapolate=False)
+    return _Stack(times, value, value.derivative())
+
+
 def _cut(interp: PPoly, columns) -> PPoly:
     """The piecewise polynomials of ``interp`` in ``columns`` (an index: one
     polynomial; a list: several, stacked on the last axis)."""
@@ -347,82 +380,178 @@ def build_interpolants(functions) -> None:
             groups.setdefault(f.times.tobytes(), {})[id(f)] = f
     for members in groups.values():
         grids = list(members.values())
-        times = grids[0].times
-        stacked = np.stack([g.values for g in grids], axis=1)
-        value = PchipInterpolator(times, stacked, extrapolate=False)
-        stack = _Stack(times, value, value.derivative())
+        stack = _stack(grids[0].times, np.stack([g.values for g in grids]))
         for j, g in enumerate(grids):
             object.__setattr__(g, "_column", (stack, j))
 
 
-# ``_dual(self, t)`` of these classes reads only its parameters from
-# ``self``: given the parameters of G functions as (G, 1) float columns in
-# its place, it evaluates all G at once, each row by its own function's
-# operations.
+# A function family holds G functions as arrays and evaluates them together.
+# Calling it on a 1-d ``t`` returns ``[p, p']``, each plane of shape
+# ``(G, t.size)`` and bit for bit what each member's ``value_and_derivative``
+# returns alone; ``at(members, t)`` returns ``[p, p']`` of member
+# ``members[k]`` at ``t[k]``, shape ``(t.size,)`` each, also bit for bit.
+# ``take(members)`` is the family of some of its members, in that order,
+# sharing this one's arrays; ``rejected()`` flags the members that their
+# class's constructor rejects, and ``build(k)`` is member ``k`` as an object,
+# so it raises what that constructor raises.
+
+
+class _ClosedForms:
+    """Functions of one closed-form class ``kind`` (``ExpRelax`` or a
+    template) as ``(G, 1)`` parameter columns.  ``_dual(self, t)`` of these
+    classes reads only its parameters from ``self``, so on the columns it
+    evaluates all G at once, each row by its own function's operations."""
+
+    sampled = False
+
+    def __init__(self, kind, given, params=None):
+        self.kind = kind
+        self.given = given  # each member's parameters, as given, in field order
+        self._names = [f.name for f in fields(kind)]
+        if params is None:
+            params = np.array(given, dtype=float).reshape(len(given), len(self._names))
+        self.params = params
+        self._columns = SimpleNamespace(
+            **{name: params[:, i : i + 1].copy() for i, name in enumerate(self._names)}
+        )
+
+    def __call__(self, t):
+        return self.kind._dual(self._columns, t)
+
+    def at(self, members, t):
+        # The same operations, elementwise, with each point's own parameters.
+        points = SimpleNamespace(
+            **{name: self.params[members, i] for i, name in enumerate(self._names)}
+        )
+        return self.kind._dual(points, t)
+
+    def take(self, members):
+        return _ClosedForms(self.kind, [self.given[m] for m in members], self.params[members])
+
+    def rejected(self) -> np.ndarray:
+        return self.kind._rejected(self.params)
+
+    def build(self, k):
+        return self.kind(*self.given[k])
+
+
+class _Samples:
+    """Sampled grids on shared sample ``times``: one value matrix ``params``
+    (a row per grid) and one PCHIP build of it, made on first use."""
+
+    kind = SampledGrid
+    sampled = True
+
+    def __init__(self, times, params, stack=None, columns=None):
+        self.times = times
+        self.params = params
+        self._stack = stack
+        self._columns = columns  # of the stack; None: all, in order
+        self._pieces = None
+
+    def _built(self) -> _Stack:
+        if self._stack is None:
+            self._stack = _stack(self.times, self.params)
+        return self._stack
+
+    def _evaluators(self):
+        if self._pieces is None:
+            stack = self._built()
+            self._pieces = (stack.value, stack.derivative)
+            if self._columns is not None:
+                self._pieces = tuple(_cut(piece, self._columns) for piece in self._pieces)
+        return self._pieces
+
+    def __call__(self, t):
+        clipped = _clip(self.times, t)
+        return [piece(clipped).T for piece in self._evaluators()]
+
+    def at(self, members, t):
+        # Every column at every point: a column's values do not depend on
+        # the others'.
+        clipped = _clip(self.times, t)
+        points = np.arange(t.size)
+        return [piece(clipped)[points, members] for piece in self._evaluators()]
+
+    def take(self, members):
+        columns = members if self._columns is None else [self._columns[m] for m in members]
+        return _Samples(self.times, self.params[members], self._built(), columns)
+
+    def rejected(self) -> np.ndarray:
+        return SampledGrid._rejected(self.times, self.params)
+
+    def build(self, k):
+        return SampledGrid(self.times, self.params[k])
+
+
+class _Lone:
+    """One function of any other kind, evaluated alone."""
+
+    def __init__(self, f: DecoherenceFunction):
+        self.kind = type(f)
+        self.f = f
+        self.sampled = isinstance(f, SampledGrid)
+
+    def __call__(self, t):
+        return self.f.value_and_derivative(t)
+
+    def at(self, members, t):
+        return self.f.value_and_derivative(t)
+
+    def take(self, members):
+        return self
+
+    def rejected(self) -> np.ndarray:
+        return np.zeros(1, dtype=bool)
+
+    def build(self, k):
+        return self.f
+
+
 _CLOSED_FORMS = (ExpRelax, ProductTemplate, DifferenceTemplate)
 
 
-def family_evaluators(functions: Sequence[DecoherenceFunction]) -> list:
-    """``(rows, run)`` pairs that evaluate ``functions`` a family at a time,
-    in order of each family's first member.
-
-    ``run(t)`` returns, for a 1-d ``t``, ``[p, p']`` of the functions at the
-    indices ``rows``, each plane of shape ``(len(rows), t.size)`` and bit for
-    bit what each one's ``value_and_derivative`` returns:
+def function_families(functions: Sequence[DecoherenceFunction]) -> list:
+    """``(rows, family)`` pairs that evaluate ``functions`` a family at a
+    time, in order of each family's first member; ``rows`` are the indices
+    of its members in ``functions``:
 
     - each closed form in ``_CLOSED_FORMS`` with float parameters: one
-      ``_dual`` call per class, on its parameter columns;
-    - sampled grids: one call per interpolant stack and plane, at ``t``
-      range-checked and clipped once, on the columns that they use (the
-      whole stack, or the columns cut from it);
+      :class:`_ClosedForms` per class;
+    - sampled grids: one :class:`_Samples` per array of sample times;
     - any other function: alone.
 
     A family raises what one of its members raises alone, not always what
-    the first of them does.  Builds the interpolants of the grids.
+    the first of them does.
     """
-    build_interpolants(functions)
-    families: dict = {}
+    groups: dict = {}
     for i, f in enumerate(functions):
         kind = type(f)
         if kind is SampledGrid:
-            key = (_stack_evaluator, id(f._column[0]))  # type: ignore[attr-defined]
+            key = (kind, f.times.tobytes())
         elif kind in _CLOSED_FORMS and all(isinstance(v, float) for v in vars(f).values()):
-            key = (_closed_form_evaluator, kind)
+            key = (kind, None)
         else:
-            key = (_evaluator, i)
-        families.setdefault(key, []).append(i)
-    return [
-        (np.array(rows, dtype=np.intp), make([functions[i] for i in rows]))
-        for (make, _), rows in families.items()
-    ]
+            key = (None, i)
+        groups.setdefault(key, []).append(i)
+    out = []
+    for (kind, _), rows in groups.items():
+        members = [functions[i] for i in rows]
+        if kind is SampledGrid:
+            family = _Samples(members[0].times, np.stack([g.values for g in members]))
+        elif kind is not None:
+            names = [f.name for f in fields(kind)]
+            family = _ClosedForms(kind, [tuple(getattr(f, n) for n in names) for f in members])
+        else:
+            family = _Lone(members[0])
+        out.append((np.array(rows, dtype=np.intp), family))
+    return out
 
 
-def _evaluator(members):
-    (f,) = members
-    return f.value_and_derivative
-
-
-def _closed_form_evaluator(members):
-    # A closed form's instance holds exactly its parameters.
-    columns = SimpleNamespace(
-        **{name: np.array([[vars(f)[name]] for f in members]) for name in vars(members[0])}
-    )
-    dual = type(members[0])._dual
-    return lambda t: dual(columns, t)
-
-
-def _stack_evaluator(members):
-    stack = members[0]._column[0]
-    columns = [g._column[1] for g in members]
-    pieces = (stack.value, stack.derivative)
-    if columns != list(range(stack.value.c.shape[2])):
-        pieces = tuple(_cut(piece, columns) for piece in pieces)
-
-    def run(t):
-        clipped = _clip(stack.times, t)
-        return [piece(clipped).T for piece in pieces]
-
-    return run
+def check_basis(d: int, basis: int) -> None:
+    """Raise ``ValueError`` unless ``basis`` is a label in ``1..d+1``."""
+    if not 1 <= basis <= d + 1:
+        raise ValueError(f"basis label must lie in 1..{d + 1}, got {basis}")
 
 
 @dataclass(frozen=True)
@@ -435,10 +564,7 @@ class ChannelSpec:
 
     def __post_init__(self):
         check_dimension(self.dimension)
-        if not 1 <= self.basis <= self.dimension + 1:
-            raise ValueError(
-                f"basis label must lie in 1..{self.dimension + 1}, got {self.basis}"
-            )
+        check_basis(self.dimension, self.basis)
         if not isinstance(self.p, DecoherenceFunction):
             raise TypeError("p must be a DecoherenceFunction")
 

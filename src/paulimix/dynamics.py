@@ -28,21 +28,25 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channelcore import (
+    _WEIGHT_SUM_TOL,
+    ChannelSpec,
     DecoherenceFunction,
     MixtureSpec,
     MixtureValidationError,
-    SampledGrid,
     bracket_roots,
-    family_evaluators,
+    check_basis,
+    function_families,
     range_violations,
     structural_issues,
 )
+from .mubgen import check_dimension
 
 __all__ = [
     "TimeGrid",
@@ -56,6 +60,7 @@ __all__ = [
     "ClassificationReport",
     "IntermediateMapCheck",
     "AnalysisResult",
+    "MixtureBatch",
     "mixture_eigenvalues",
     "rates_from_spectrum",
     "detect_semigroup",
@@ -132,6 +137,10 @@ class Tolerances:
     error dominates there, in the rate minimum as much as in the exponential
     fit).  An input's own fit is judged at ``semigroup``, or if that is unset
     at the choice for the input alone, whatever mixture it sits in.
+
+    ``semigroup_at`` and ``cp_at`` choose for mixture ``b`` of a
+    :class:`MixtureBatch`; ``semigroup_for`` and ``cp_for`` are their
+    one-mixture case.
     """
 
     semigroup: Optional[float] = None
@@ -145,10 +154,16 @@ class Tolerances:
                 raise ValueError(f"tolerance {name} must be finite and nonnegative, got {value!r}")
 
     def semigroup_for(self, spec: MixtureSpec) -> float:
-        return _tolerance_for(self.semigroup, spec.has_sampled_functions())
+        return self.semigroup_at(MixtureBatch.of_specs([spec]), 0)
 
     def cp_for(self, spec: MixtureSpec) -> float:
-        return _tolerance_for(self.cp, spec.has_sampled_functions())
+        return self.cp_at(MixtureBatch.of_specs([spec]), 0)
+
+    def semigroup_at(self, batch: "MixtureBatch", b: int) -> float:
+        return _tolerance_for(self.semigroup, batch.sampled[b])
+
+    def cp_at(self, batch: "MixtureBatch", b: int) -> float:
+        return _tolerance_for(self.cp, batch.sampled[b])
 
 
 def _tolerance_for(given: Optional[float], sampled: bool) -> float:
@@ -255,20 +270,36 @@ class AnalysisResult:
 
 
 class _Functions:
-    """The distinct decoherence functions of some mixtures, in first-use order.
+    """The decoherence functions of a batch: a table whose row ``i`` is
+    function ``i``, grouped by family.
 
-    Functions that compare equal share one entry; a ``SampledGrid`` compares
-    by identity.  Lookups go by ``id`` first, so every function looked up
-    must stay alive while the table is in use (the mixtures hold them).
-    The table is evaluated a function family at a time
-    (:func:`~paulimix.channelcore.family_evaluators`, grouped once).
+    Each family holds its members as arrays
+    (:func:`~paulimix.channelcore.function_families`): a closed-form class
+    as ``(G, 1)`` parameter columns, sampled grids on shared sample times as
+    one value matrix with one PCHIP build, and any other function alone.
+    The scanners and the simplex sweep write the families directly
+    (:meth:`of_families`).  :meth:`index` instead adds objects, in
+    first-use order: functions that compare equal share one row, and a
+    ``SampledGrid`` compares by identity.  Lookups go by ``id`` first, so
+    every object looked up must stay alive while the table is in use (the
+    mixtures hold them); its families are grouped once, on first use.
     """
 
     def __init__(self):
-        self.functions: list = []
+        self.size = 0
+        self.functions: list = []  # the objects that index() added, by row
         self._index: dict = {}
         self._by_id: dict = {}
-        self._families: Optional[list] = None
+        self._families: Optional[list] = []
+        self._members = None  # per function: its family and its place there
+
+    @classmethod
+    def of_families(cls, size: int, families: list) -> "_Functions":
+        """The table of ``size`` functions held by ``families``, ``(rows,
+        family)`` pairs whose ``rows`` cover ``0..size-1``."""
+        table = cls()
+        table.size, table._families = size, families
+        return table
 
     def index(self, f: DecoherenceFunction) -> int:
         i = self._by_id.get(id(f))
@@ -280,29 +311,101 @@ class _Functions:
                 key = ("id", id(f))
                 i = self._index.get(key)
             if i is None:
-                i = self._index[key] = len(self.functions)
+                i = self._index[key] = self.size
                 self.functions.append(f)
-                self._families = None
+                self.size += 1
+                self._families = self._members = None
             self._by_id[id(f)] = i
         return i
+
+    @property
+    def families(self) -> list:
+        if self._families is None:
+            self._families = function_families(self.functions)
+        return self._families
 
     def evaluate(self, times: np.ndarray) -> np.ndarray:
         """Values ``[p, p']`` of every function, shape ``(2, F, n)``, bit for
         bit as each returns them alone.  If a family raises, the functions
         run again one by one in table order, so the first function that
         fails alone raises its own error."""
-        if self._families is None:
-            self._families = family_evaluators(self.functions)
-        out = np.empty((2, len(self.functions), times.size))
+        out = np.empty((2, self.size, times.size))
         try:
-            for rows, run in self._families:
-                for plane, value in zip(out, run(times)):
+            for rows, family in self.families:
+                for plane, value in zip(out, family(times)):
                     plane[rows] = value
         except Exception:
-            for f in self.functions:
-                f.value_and_derivative(times)
+            if self.size > 1:
+                for i in range(self.size):
+                    self.take([i]).evaluate(times)
             raise
         return out
+
+    def _located(self):
+        if self._members is None:
+            family = np.empty(self.size, dtype=np.intp)
+            member = np.empty(self.size, dtype=np.intp)
+            for f, (rows, _) in enumerate(self.families):
+                family[rows] = f
+                member[rows] = np.arange(rows.size)
+            self._members = family, member
+        return self._members
+
+    def at(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Values ``[p, p']`` of function ``rows[k]`` at ``t[k]``, shape
+        ``(2, t.size)``, bit for bit as each function gives them alone; each
+        family evaluates its points in one call.  If that raises, each
+        function runs alone on its points, in order of first appearance in
+        ``rows``, so the first that fails alone raises its own error."""
+        family, member = self._located()
+        of = family[rows]
+        out = np.empty((2, t.size))
+        try:
+            for f in np.unique(of).tolist():
+                points = np.flatnonzero(of == f)
+                out[:, points] = self.families[f][1].at(member[rows[points]], t[points])
+        except Exception:
+            for i in dict.fromkeys(rows.tolist()):
+                self.take([i]).evaluate(t[rows == i])
+            raise
+        return out
+
+    def take(self, rows) -> "_Functions":
+        """The table of the functions ``rows`` (distinct), in that order,
+        sharing this table's family arrays."""
+        where = np.full(self.size, -1, dtype=np.intp)
+        where[rows] = np.arange(len(rows))
+        families = []
+        for old, family in self.families:
+            new = where[old]
+            members = np.flatnonzero(new >= 0)
+            if members.size == new.size:
+                families.append((new, family))
+            elif members.size:
+                families.append((new[members], family.take(members.tolist())))
+        return _Functions.of_families(len(rows), families)
+
+    def sampled(self) -> np.ndarray:
+        """Which functions are sampled grids."""
+        flags = np.zeros(self.size, dtype=bool)
+        for rows, family in self.families:
+            flags[rows] = family.sampled
+        return flags
+
+    def build(self, i: int) -> DecoherenceFunction:
+        """Function ``i`` as an object, built from its family, so it raises
+        what its class's constructor raises."""
+        family, member = self._located()
+        return self.families[family[i]][1].build(member[i])
+
+    def check(self) -> None:
+        """Raise, for the first function that its class's constructor
+        rejects, what that constructor raises."""
+        rejected = np.zeros(self.size, dtype=bool)
+        for rows, family in self.families:
+            rejected[rows] = family.rejected()
+        for i in np.flatnonzero(rejected).tolist():
+            self.build(i)
 
 
 class _Slot(NamedTuple):
@@ -318,71 +421,180 @@ class _Slot(NamedTuple):
     cells: object  # (m,) rows of the (B*(d+1), n) per-label sums
 
 
-class _Mixtures(NamedTuple):
-    """B mixtures of one dimension, component by component."""
-
-    dimension: int
-    size: int
-    slots: Tuple[_Slot, ...]
-
-
-def _as_index(entries: list):
+def _as_index(entries: np.ndarray):
     # One entry becomes a slice: basic indexing is cheaper and selects the same.
-    if len(entries) == 1:
-        return slice(entries[0], entries[0] + 1)
-    return np.array(entries, dtype=np.intp)
+    if entries.size == 1:
+        return slice(entries.item(), entries.item() + 1)
+    return entries
 
 
-def _encode(specs: Sequence[MixtureSpec], ids: Sequence[Sequence[int]]) -> _Mixtures:
-    """``specs`` with component ``j`` of ``specs[b]`` using function ``ids[b][j]``.
+def _any_per_row(starts: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Per row ``b``, whether any of ``flags[starts[b]:starts[b+1]]`` is set."""
+    seen = np.concatenate([[0], np.cumsum(flags)])
+    return seen[starts[1:]] > seen[starts[:-1]]
 
-    A basis label above ``d+1`` would address another mixture's row, so it
-    raises ``ValueError``.
+
+class MixtureBatch:
+    """B mixtures of one dimension as columns: the form that the spectral
+    block stage reads.
+
+    Component ``c`` has the basis label ``basis[c]``, the weight
+    ``weight[c]`` and the decoherence function ``function[c]``, a row of
+    the function table ``functions``; mixture ``b`` holds the components
+    ``starts[b]:starts[b+1]``, in order.  Producers:
+
+    - :meth:`of_specs` encodes ``MixtureSpec`` objects (``specs`` keeps
+      them);
+    - :meth:`of_columns` takes columns written directly, and checks them
+      as the object constructors would;
+    - the simplex sweep writes its lattice as one batch of columns.
+
+    ``rows(lo, hi)`` is a batch of some of the mixtures, and ``spec(b)``
+    is mixture ``b`` as an object.
     """
-    d = specs[0].dimension
-    for spec in specs:
-        for c in spec.components:
-            if c.channel.basis > d + 1:
-                raise ValueError(
-                    f"basis label {c.channel.basis} lies outside 1..{d + 1} "
-                    f"for dimension {d}"
+
+    def __init__(self, dimension, starts, basis, weight, function, functions, specs=None):
+        self.dimension = dimension
+        self.starts = np.asarray(starts, dtype=np.intp)
+        self.basis = np.asarray(basis, dtype=np.intp)
+        self.weight = np.asarray(weight, dtype=float)
+        self.function = np.asarray(function, dtype=np.intp)
+        self.functions = functions
+        self.specs = specs
+        self._slots: Optional[Tuple[_Slot, ...]] = None
+        self._sampled: Optional[list] = None
+
+    @classmethod
+    def of_specs(cls, specs: Sequence[MixtureSpec]) -> "MixtureBatch":
+        """``specs`` (of one dimension) as a batch."""
+        funcs = _Functions()
+        starts, basis, weight, function = [0], [], [], []
+        for spec in specs:
+            for c in spec.components:
+                basis.append(c.channel.basis)
+                weight.append(c.weight)
+                function.append(funcs.index(c.channel.p))
+            starts.append(len(basis))
+        return cls(specs[0].dimension, starts, basis, weight, function, funcs, specs)
+
+    @classmethod
+    def of_columns(cls, d, starts, basis, weight, function, functions) -> "MixtureBatch":
+        """A batch of columns, checked as building its objects would check
+        them: first the functions (in table order, each as its class's
+        constructor checks it), then the dimension and every basis label
+        (as ``ChannelSpec`` does)."""
+        functions.check()
+        check_dimension(d)
+        batch = cls(d, starts, basis, weight, function, functions)
+        outside = np.flatnonzero((batch.basis < 1) | (batch.basis > d + 1))
+        if outside.size:
+            check_basis(d, batch.basis.item(outside[0]))
+        return batch
+
+    def __len__(self) -> int:
+        return self.starts.size - 1
+
+    def rows(self, lo: int, hi: int) -> "MixtureBatch":
+        """Mixtures ``lo..hi-1`` as a batch whose table holds only their
+        functions, in first-use order (all of them: this batch)."""
+        if lo == 0 and hi == len(self):
+            return self
+        a, b = self.starts[lo], self.starts[hi]
+        used, first, inverse = np.unique(
+            self.function[a:b], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return MixtureBatch(
+            self.dimension,
+            self.starts[lo : hi + 1] - a,
+            self.basis[a:b],
+            self.weight[a:b],
+            rank[inverse],
+            self.functions.take(used[order]),
+            None if self.specs is None else self.specs[lo:hi],
+        )
+
+    def spec(self, b: int) -> MixtureSpec:
+        """Mixture ``b`` as an object: the one encoded, or one built from
+        its columns."""
+        if self.specs is not None:
+            return self.specs[b]
+        d, a, z = self.dimension, self.starts[b], self.starts[b + 1]
+        return MixtureSpec(
+            d,
+            [
+                (w, ChannelSpec(d, basis, self.functions.build(f)))
+                for basis, w, f in zip(
+                    self.basis[a:z].tolist(), self.weight[a:z].tolist(), self.function[a:z].tolist()
                 )
-    size = len(specs)
-    if size == 1:
-        # One mixture: every index selects one entry, so slices throughout.
-        slots = tuple(
-            _Slot(slice(None), c.weight, slice(f, f + 1), slice(c.channel.basis - 1, c.channel.basis))
-            for c, f in zip(specs[0].components, ids[0])
+            ],
         )
-        return _Mixtures(d, 1, slots)
-    slots = []
-    for j in range(max(len(row) for row in ids)):
-        rows = [b for b, row in enumerate(ids) if len(row) > j]
-        comps = [specs[b].components[j] for b in rows]
-        slots.append(
-            _Slot(
-                slice(None) if len(rows) == size else np.array(rows, dtype=np.intp),
-                np.array([[c.weight] for c in comps], dtype=float),
-                _as_index([ids[b][j] for b in rows]),
-                _as_index([b * (d + 1) + c.channel.basis - 1 for b, c in zip(rows, comps)]),
+
+    @property
+    def sampled(self) -> list:
+        """Per mixture, whether any of its functions is a sampled grid."""
+        if self._sampled is None:
+            flags = self.functions.sampled()[self.function]
+            self._sampled = _any_per_row(self.starts, flags).tolist()
+        return self._sampled
+
+    @property
+    def slots(self) -> Tuple[_Slot, ...]:
+        """The components slot by slot: slot ``j`` holds the ``j``-th
+        component of each mixture that has one.  A basis label above
+        ``d+1`` would address another mixture's row, so it raises
+        ``ValueError``."""
+        if self._slots is None:
+            self._slots = self._encode()
+        return self._slots
+
+    def _encode(self) -> Tuple[_Slot, ...]:
+        d, size = self.dimension, len(self)
+        beyond = np.flatnonzero(self.basis > d + 1)
+        if beyond.size:
+            raise ValueError(
+                f"basis label {self.basis.item(beyond[0])} lies outside 1..{d + 1} "
+                f"for dimension {d}"
             )
-        )
-    return _Mixtures(d, size, tuple(slots))
+        if size == 1:
+            # One mixture: every index selects one entry, so slices throughout.
+            return tuple(
+                _Slot(slice(None), w, slice(f, f + 1), slice(b - 1, b))
+                for b, w, f in zip(self.basis.tolist(), self.weight.tolist(), self.function.tolist())
+            )
+        counts = np.diff(self.starts)
+        cells = np.repeat(np.arange(size) * (d + 1), counts) + self.basis - 1
+        slots = []
+        for j in range(int(counts.max(initial=0))):
+            members = np.flatnonzero(counts > j)
+            comps = self.starts[members] + j
+            slots.append(
+                _Slot(
+                    slice(None) if members.size == size else members,
+                    self.weight[comps, None],
+                    _as_index(self.function[comps]),
+                    _as_index(cells[comps]),
+                )
+            )
+        return tuple(slots)
 
 
-def _spectrum(mixtures: _Mixtures, values: np.ndarray) -> np.ndarray:
-    """``[lambda, lambda']`` of B mixtures, shape ``(2, B, d+1, n)``, from the
-    values ``[p, p']`` of their functions (shape ``(2, F, n)``).
+def _spectrum(batch: MixtureBatch, slots, values: np.ndarray) -> np.ndarray:
+    """``[lambda, lambda']`` of the B mixtures of ``batch`` (its ``slots``),
+    shape ``(2, B, d+1, n)``, from the values ``[p, p']`` of their functions
+    (shape ``(2, F, n)``).
 
     Each mixture sums its components in its own order.  A mixture without a
     j-th component is left out of slot j, never given a zero weight, so a
     NaN in one mixture's function cannot reach another row.
     """
-    d, size, n = mixtures.dimension, mixtures.size, values.shape[2]
+    d, size, n = batch.dimension, len(batch), values.shape[2]
     # [p, p'] summed over all components, and over those of each label.
     total = np.zeros((2, size, n))
     per_label = np.zeros((2, size * (d + 1), n))
-    for slot in mixtures.slots:
+    for slot in slots:
         weighted = slot.weights * values[:, slot.functions]
         total[:, slot.members] += weighted
         per_label[:, slot.cells] += weighted
@@ -419,31 +631,46 @@ def _rates(lam: np.ndarray, dlam: np.ndarray, pole_tol: float):
     return gamma, pole
 
 
-def _blocks(specs: Iterable[MixtureSpec], points: int):
-    """Lists of consecutive mixtures of one dimension, each of at most
-    ``_BLOCK_VALUES`` eigenvalues on ``points`` grid points (and at least
-    one mixture).  ``specs`` is read lazily, at most one mixture ahead."""
-    for d, run in itertools.groupby(specs, lambda spec: spec.dimension):
-        size = max(1, _BLOCK_VALUES // (max(d + 1, 1) * points))
+def _block_size(d: int, points: int) -> int:
+    """Mixtures of dimension ``d`` per block: at most ``_BLOCK_VALUES``
+    eigenvalues on ``points`` grid points, and at least one mixture."""
+    return max(1, _BLOCK_VALUES // (max(d + 1, 1) * points))
+
+
+def _blocks(items: Iterable, points: int, dimension=operator.attrgetter("dimension")):
+    """Lists of consecutive ``items`` (mixtures, or drawn rows) of one
+    ``dimension``, each of at most :func:`_block_size` of them.  ``items``
+    is read lazily, at most one item ahead."""
+    for d, run in itertools.groupby(items, dimension):
+        size = _block_size(d, points)
         while block := list(itertools.islice(run, size)):
             yield block
 
 
-def _by_blocks(run, specs: Iterable[MixtureSpec], points: int):
-    """``run(block)`` on each block of ``specs`` from :func:`_blocks`, its
-    results yielded in order, a block at a time.  A block of several
-    mixtures that raises is run again one mixture at a time, so the first
-    mixture that fails alone raises its own error; if none does, the
-    block's error is raised."""
-    for block in _blocks(specs, points):
-        try:
-            results = run(block)
-        except Exception:
-            if len(block) > 1:
-                for spec in block:
-                    run([spec])
-            raise
-        yield from results
+def _batches(specs: Iterable[MixtureSpec], points: int):
+    """Each block of ``specs`` (:func:`_blocks`) as a :class:`MixtureBatch`."""
+    return map(MixtureBatch.of_specs, _blocks(specs, points))
+
+
+def _by_blocks(run, batches: Iterable[MixtureBatch], points: int):
+    """``run(block)`` on each block of ``batches``, its results yielded in
+    order, a block at a time: a batch of more than :func:`_block_size`
+    mixtures is cut into blocks of its rows.  A block of several mixtures
+    that raises is run again one mixture at a time, so the first mixture
+    that fails alone raises its own error; if none does, the block's error
+    is raised."""
+    for batch in batches:
+        size = _block_size(batch.dimension, points)
+        for lo in range(0, len(batch), size):
+            block = batch if len(batch) <= size else batch.rows(lo, min(lo + size, len(batch)))
+            try:
+                results = run(block)
+            except Exception:
+                if len(block) > 1:
+                    for b in range(len(block)):
+                        run(block.rows(b, b + 1))
+                raise
+            yield from results
 
 
 class _Fit(NamedTuple):
@@ -495,28 +722,18 @@ def _fit(lam: np.ndarray, gamma: np.ndarray, pole: np.ndarray, times: np.ndarray
     return _Fit(exponents, deviation, spread, least, nonpositive)
 
 
-def _table(specs: Sequence[MixtureSpec]):
-    """The distinct functions of ``specs``, each mixture's function index per
-    component, and the mixtures' encoding."""
-    funcs = _Functions()
-    ids = [[funcs.index(c.channel.p) for c in spec.components] for spec in specs]
-    return funcs, ids, _encode(specs, ids)
-
-
-def _front(table, times: np.ndarray):
+def _front(batch: MixtureBatch, times: np.ndarray):
     """The function values ``[p, p']`` and ``(lambda, lambda')`` of the
-    mixtures of ``table`` on ``times``."""
-    funcs, _, mixtures = table
-    values = funcs.evaluate(times)
-    return (values, *_spectrum(mixtures, values))
+    mixtures of ``batch`` on ``times``."""
+    slots = batch.slots  # checks the basis labels before any function runs
+    values = batch.functions.evaluate(times)
+    return (values, *_spectrum(batch, slots, values))
 
 
 class _Block(NamedTuple):
     """Spectra, rates and fits of B mixtures on one grid."""
 
-    specs: Sequence[MixtureSpec]
-    funcs: _Functions
-    ids: list  # per mixture, the function index of each component
+    batch: MixtureBatch
     values: np.ndarray  # [p, p'] of each function, shape (2, F, n)
     lam: np.ndarray
     dlam: np.ndarray
@@ -525,17 +742,16 @@ class _Block(NamedTuple):
     fit: _Fit
 
 
-def _block(specs: Sequence[MixtureSpec], times: np.ndarray, pole_tol: float) -> _Block:
-    """The one spectral stage: ``specs`` on the grid ``times``.  Raises what
+def _block(batch: MixtureBatch, times: np.ndarray, pole_tol: float) -> _Block:
+    """The one spectral stage: ``batch`` on the grid ``times``.  Raises what
     some mixture's own :func:`mixture_eigenvalues` raises."""
-    table = _table(specs)
-    values, lam, dlam = _front(table, times)
+    values, lam, dlam = _front(batch, times)
     # Per mixture, as SpectralTrajectory checks it: a NaN max passes.
     if (np.abs(lam[:, :, 0] - 1.0).max(axis=1) > _INITIAL_EIG_TOL).any():
         raise ValueError(_NOT_IDENTITY)
     gamma, pole = _rates(lam, dlam, pole_tol)
     fit = _fit(lam, gamma, pole, times)
-    return _Block(specs, table[0], table[1], values, lam, dlam, gamma, pole, fit)
+    return _Block(batch, values, lam, dlam, gamma, pole, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +764,7 @@ def mixture_eigenvalues(spec: MixtureSpec, grid: TimeGrid) -> SpectralTrajectory
 
     Domain errors from decoherence functions propagate with their time stamp.
     """
-    _, lam, dlam = _front(_table([spec]), grid.times)
+    _, lam, dlam = _front(MixtureBatch.of_specs([spec]), grid.times)
     return SpectralTrajectory(
         dimension=spec.dimension, grid=grid, eigenvalues=lam[0], derivatives=dlam[0]
     )
@@ -611,19 +827,27 @@ def semigroup_verdicts(
     Equals ``[detect_semigroup(tr, rates_from_spectrum(tr, pole_tol=tol.pole),
     tol.semigroup_for(s)) for s in specs]`` with ``tr = mixture_eigenvalues(s,
     grid)``, field for field (exponents bit for bit), and raises the first
-    exception that this would raise.  Blocks of mixtures, of at most
-    ``_BLOCK_VALUES`` eigenvalues, evaluate each distinct decoherence
-    function once and compute spectra, rates and fits as arrays over a
-    leading mixture axis.  ``specs`` is read a block at a time, so a
-    generator's mixtures need not all be alive at once.
+    exception that this would raise.  ``specs`` is read a block at a time,
+    so a generator's mixtures need not all be alive at once, and each block
+    is encoded as a :class:`MixtureBatch`: its distinct decoherence
+    functions in a table of families, each evaluated once, and spectra,
+    rates and fits computed as arrays over a leading mixture axis.  The
+    scanners write their draws into batches directly
+    (:func:`_semigroup_verdicts`).
     """
+    return _semigroup_verdicts(_batches(specs, len(grid)), grid, tolerances)
+
+
+def _semigroup_verdicts(batches, grid: TimeGrid, tolerances: Optional[Tolerances]):
+    """:func:`semigroup_verdicts` of the mixtures of ``batches``, each
+    judged at ``tolerances.semigroup_at``."""
     tol = tolerances if tolerances is not None else Tolerances()
 
-    def run(block):
-        fit = _block(block, grid.times, tol.pole).fit
-        return [_verdict(fit, b, tol.semigroup_for(s)) for b, s in enumerate(block)]
+    def run(batch):
+        fit = _block(batch, grid.times, tol.pole).fit
+        return [_verdict(fit, b, tol.semigroup_at(batch, b)) for b in range(len(batch))]
 
-    return list(_by_blocks(run, specs, len(grid)))
+    return list(_by_blocks(run, batches, len(grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -634,36 +858,38 @@ def semigroup_verdicts(
 def _zeros(done: _Block, times: np.ndarray, xtol: float):
     """Zeros of every output row of ``done`` (on ``times``) and of the
     off-label row ``1 - (d/(d-1)) p`` of each of its functions, in one
-    :func:`bracket_roots` pass.  Each round of its bisection evaluates each
-    owner once, at all the points of its live brackets' midpoint trees,
-    through its functions' ``value``, the value plane of their dual pairs:
-    a mixture's table is evaluated as if the mixture were alone and the
-    value plane of its spectrum kept, and a function's row is computed from
-    its ``p``.  Returns each mixture's sorted ``(label, t*)`` zeros, and each
-    function's zeros and midpoint-fit deviation (inf unless positive), by
-    index."""
-    lam = done.lam
+    :func:`bracket_roots` pass.  Each round of its bisection evaluates,
+    at all the points of the live brackets' midpoint trees, each mixture
+    once as its row of the batch, a batch of one, and then every
+    function's points together (:meth:`_Functions.at`), each function as
+    its dual pair, of which the value plane is kept.  Returns each
+    mixture's sorted ``(label, t*)`` zeros, and each function's zeros and
+    midpoint-fit deviation (inf unless positive), by index."""
+    lam, batch = done.lam, done.batch
     size, labels, n = lam.shape
     factor = (labels - 1) / (labels - 2.0)  # d/(d-1)
     rows_in = 1.0 - factor * done.values[0]
     owner = np.concatenate([np.repeat(np.arange(size), labels), size + np.arange(len(rows_in))])
-    tables: dict = {}
+    alone: dict = {}  # each mixture's row, as a batch of one
 
     def f(rows, t):
         out = np.empty(t.size)
         who = owner[rows]
-        # Rows come in ascending order, so each owner's points are contiguous.
-        cuts = (np.flatnonzero(who[1:] != who[:-1]) + 1).tolist()
-        for a, b in zip([0] + cuts, cuts + [t.size]):
-            o = who.item(a)
-            if o < size:
-                if o not in tables:
-                    tables[o] = _table([done.specs[o]])
-                funcs, _, mixtures = tables[o]
-                lam = _spectrum(mixtures, funcs.evaluate(t[a:b]))[0, 0]
+        # Rows come in ascending order: each mixture's points are contiguous,
+        # and the functions' points come last.
+        inputs = int(np.searchsorted(who, size))
+        if inputs:
+            cuts = [0, *(np.flatnonzero(who[1:inputs] != who[: inputs - 1]) + 1).tolist(), inputs]
+            for a, b in zip(cuts, cuts[1:]):
+                o = who.item(a)
+                if o not in alone:
+                    alone[o] = batch.rows(o, o + 1)
+                row = alone[o]
+                lam = _spectrum(row, row.slots, row.functions.evaluate(t[a:b]))[0, 0]
                 out[a:b] = lam[rows[a:b] % labels, np.arange(b - a)]
-            else:
-                out[a:b] = 1.0 - factor * done.funcs.functions[o - size].value(t[a:b])
+        if inputs < t.size:
+            p = batch.functions.at(who[inputs:] - size, t[inputs:])[0]
+            out[inputs:] = 1.0 - factor * p
         return out
 
     roots = bracket_roots(np.concatenate([lam.reshape(size * labels, n), rows_in]), times, f, xtol)
@@ -678,30 +904,31 @@ def _zeros(done: _Block, times: np.ndarray, xtol: float):
     return singular, found
 
 
-def _inputs(spec, ids, found: list, given: Optional[float], made: dict):
-    """The input verdicts of ``spec``, whose components use the functions
-    ``ids`` of ``found`` (from :func:`_zeros`), each fit judged at its own
-    tolerance (``given`` if set); ``made`` keeps those built."""
+def _inputs(bases, ids, sampled: list, found: list, given: Optional[float], made: dict):
+    """The input verdicts of a mixture whose components lie on ``bases``
+    and use the functions ``ids`` of ``found`` (from :func:`_zeros`), each
+    fit judged at its own tolerance (``given`` if set, else by whether it is
+    ``sampled``); ``made`` keeps those built."""
     out = []
-    for i, (comp, j) in enumerate(zip(spec.components, ids), start=1):
-        memo = (j, i, comp.channel.basis)
+    for i, (basis, j) in enumerate(zip(bases, ids), start=1):
+        memo = (j, i, basis)
         if memo not in made:
             zeros, fit = found[j]
-            sg_tol = _tolerance_for(given, isinstance(comp.channel.p, SampledGrid))
+            sg_tol = _tolerance_for(given, sampled[j])
             kind = "noninvertible" if zeros else "semigroup" if fit <= sg_tol else "invertible"
-            made[memo] = InputVerdict(i, comp.channel.basis, kind, zeros)
+            made[memo] = InputVerdict(i, basis, kind, zeros)
         out.append(made[memo])
     return tuple(out)
 
 
-def _report(spec, fit: _Fit, b: int, singular, inputs, p_in_range, sg_tol, cp_tol):
+def _report(d: int, fit: _Fit, b: int, singular, inputs, p_in_range, sg_tol, cp_tol):
     """The report of row ``b`` of ``fit``: its semigroup verdict, which
     also needs CP divisibility (least rate ``>= -cp_tol``)."""
     verdict = _verdict(fit, b, sg_tol)
     least = fit.least.item(b)
     is_cp_divisible = bool(least >= -cp_tol)
     return ClassificationReport(
-        dimension=spec.dimension,
+        dimension=d,
         is_semigroup=verdict.is_semigroup and is_cp_divisible,
         semigroup_exponents=tuple(verdict.exponents.tolist()),
         max_semigroup_deviation=verdict.max_eigenvalue_deviation,
@@ -715,37 +942,55 @@ def _report(spec, fit: _Fit, b: int, singular, inputs, p_in_range, sg_tol, cp_to
     )
 
 
-def _analyze_block(specs, grid: TimeGrid, tol: Tolerances, keep: bool) -> list:
-    """:func:`analyze_mixture` of mixtures of one dimension, in order (only
-    the reports unless ``keep``)."""
-    for spec in specs:
-        issues = structural_issues(spec)
+def _check_structure(batch: MixtureBatch) -> None:
+    """Raise the :class:`MixtureValidationError` of the first mixture of
+    ``batch`` with structural issues.  Encoded mixtures are checked one by
+    one; columns are flagged as arrays first, their weights summed per
+    mixture in component order, as :func:`structural_issues` sums them."""
+    if batch.specs is not None:
+        flagged = range(len(batch))
+    else:
+        total = np.zeros(len(batch))
+        for slot in batch.slots:
+            total[slot.members] += np.ravel(slot.weights)
+        flagged = np.flatnonzero(
+            (np.diff(batch.starts) == 0)
+            | _any_per_row(batch.starts, batch.weight < 0)
+            | (np.abs(total - 1.0) > _WEIGHT_SUM_TOL)
+        ).tolist()
+    for b in flagged:
+        issues = structural_issues(batch.spec(b))
         if issues:
             raise MixtureValidationError(issues)
+
+
+def _analyze_block(batch: MixtureBatch, grid: TimeGrid, tol: Tolerances, keep: bool) -> list:
+    """:func:`analyze_mixture` of the mixtures of ``batch``, in order (only
+    the reports unless ``keep``)."""
+    _check_structure(batch)
     times = grid.times
-    done = _block(specs, times, tol.pole)
+    done = _block(batch, times, tol.pole)
     high, low = range_violations(done.values[0])
     in_range = (~(high.any(axis=1) | low.any(axis=1))).tolist()
     singular, found = _zeros(done, times, tol.singularity)
+    sampled = batch.functions.sampled().tolist()
+    starts, bases, uses = batch.starts.tolist(), batch.basis.tolist(), batch.function.tolist()
+    d = batch.dimension
     made: dict = {}
-    tolerances: dict = {}  # by function indices, which decide sampled or not
     out = []
-    for b, spec in enumerate(specs):
-        uses = tuple(done.ids[b])
-        if uses not in tolerances:
-            tolerances[uses] = (tol.semigroup_for(spec), tol.cp_for(spec))
-        sg_tol, cp_tol = tolerances[uses]
-        p_in_range = all(in_range[j] for j in uses)
-        inputs = _inputs(spec, uses, found, tol.semigroup, made)
+    for b in range(len(batch)):
+        ids = uses[starts[b] : starts[b + 1]]
+        sg_tol, cp_tol = tol.semigroup_at(batch, b), tol.cp_at(batch, b)
+        p_in_range = all(in_range[j] for j in ids)
+        inputs = _inputs(bases[starts[b] : starts[b + 1]], ids, sampled, found, tol.semigroup, made)
         row_grid, row, r = grid, done, b
         if singular[b]:
             # The row alone, as a block of one on its refined grid, which
             # resolves its output's poles; its inputs keep their verdicts.
             row_grid = refine_grid(grid, [t for _, t in singular[b]])
-            row, r = _block([spec], row_grid.times, tol.pole), 0
-        report = _report(spec, row.fit, r, singular[b], inputs, p_in_range, sg_tol, cp_tol)
+            row, r = _block(batch.rows(b, b + 1), row_grid.times, tol.pole), 0
+        report = _report(d, row.fit, r, singular[b], inputs, p_in_range, sg_tol, cp_tol)
         if keep:
-            d = spec.dimension
             spectral = SpectralTrajectory(d, row_grid, row.lam[r], row.dlam[r])
             rates = RateTrajectory(d, row_grid, row.gamma[r], row.pole[r])
             out.append(AnalysisResult(spectral=spectral, rates=rates, report=report))
@@ -754,11 +999,16 @@ def _analyze_block(specs, grid: TimeGrid, tol: Tolerances, keep: bool) -> list:
     return out
 
 
-def _analyze(specs, grid, tolerances, keep: bool):
-    """Each of ``specs``' reports (with ``keep``, its analysis), a block at a time."""
-    grid = grid if grid is not None else default_grid()
+def _analyze(batches: Iterable[MixtureBatch], grid: TimeGrid, tolerances, keep: bool):
+    """Each report (with ``keep``, each analysis) of the mixtures of
+    ``batches``, a block at a time."""
     tol = tolerances if tolerances is not None else Tolerances()
-    return _by_blocks(lambda block: _analyze_block(block, grid, tol, keep), specs, len(grid))
+    return _by_blocks(lambda block: _analyze_block(block, grid, tol, keep), batches, len(grid))
+
+
+def _analyze_specs(specs: Iterable[MixtureSpec], grid, tolerances, keep: bool):
+    grid = grid if grid is not None else default_grid()
+    return _analyze(_batches(specs, len(grid)), grid, tolerances, keep)
 
 
 def classify_many(
@@ -769,19 +1019,21 @@ def classify_many(
     """``[classify(s, grid, tolerances) for s in specs]``, equal by ``repr``,
     in one batched pass over blocks of mixtures.
 
-    Each block evaluates every distinct decoherence function once on the
-    grid, and computes eigenvalues, rates, poles, the semigroup fit and the
-    least rate as arrays over a leading mixture axis.  One bracketing pass
-    finds the zeros of all its output rows and of each distinct input's
-    row, all brackets bisected together; that pass gives every input its
-    verdict.  Rows with singular times are refined and their trajectories
-    and rates recomputed one by one.  Blocks hold at most
-    ``_BLOCK_VALUES`` eigenvalues, and ``specs`` is read a block at a time,
-    so memory does not grow with the batch beyond the reports themselves.
-    The first mixture that ``classify`` would reject raises the same
-    exception here.
+    ``specs`` is read a block at a time, and each block is encoded as a
+    :class:`MixtureBatch`; the simplex sweep writes its lattice as one
+    batch directly.  Each block evaluates every distinct decoherence
+    function once on the grid, a family at a time, and computes
+    eigenvalues, rates, poles, the semigroup fit and the least rate as
+    arrays over a leading mixture axis.  One bracketing pass finds the
+    zeros of all its output rows and of each distinct input's row, all
+    brackets bisected together; that pass gives every input its verdict.
+    Rows with singular times are refined and their trajectories and rates
+    recomputed one by one, each as a batch of one.  Blocks hold at most
+    ``_BLOCK_VALUES`` eigenvalues, so memory does not grow with the batch
+    beyond the reports themselves.  The first mixture that ``classify``
+    would reject raises the same exception here.
     """
-    return list(_analyze(specs, grid, tolerances, keep=False))
+    return list(_analyze_specs(specs, grid, tolerances, keep=False))
 
 
 def classify(
@@ -811,7 +1063,7 @@ def analyze_mixture(
     tolerances: Optional[Tolerances] = None,
 ) -> AnalysisResult:
     """Like :func:`classify` but also returns the (possibly refined) trajectories."""
-    return next(_analyze([spec], grid, tolerances, keep=True))
+    return next(_analyze_specs([spec], grid, tolerances, keep=True))
 
 
 def intermediate_map_check(

@@ -43,19 +43,24 @@ from .channelcore import (
     MixtureSpec,
     ProductTemplate,
     SampledGrid,
+    _ClosedForms,
+    _Samples,
     range_exit,
     range_violations,
 )
 from . import matrixlab
 from .dynamics import (
+    MixtureBatch,
     TimeGrid,
     Tolerances,
     _analyze,
+    _blocks,
+    _Functions,
+    _semigroup_verdicts,
     default_grid,
     # Not called here: perfbench/test_perfbench.py checks that the tracer
     # also wraps module-level copies of a public function, such as this one.
     mixture_eigenvalues,  # noqa: F401
-    semigroup_verdicts,
 )
 from .mubgen import check_dimension
 
@@ -103,6 +108,16 @@ class WeightBoundError(ValueError):
         self.bound = bound
 
 
+def _check_target_rate(rate: float) -> None:
+    """A construction's target rate ``c`` must be positive and finite, and
+    so small a rate that its default window ``5/c`` overflows is rejected
+    as the rate it is."""
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ValueError(f"target rate must be positive and finite, got {rate!r}")
+    if not math.isfinite(5.0 / rate):
+        raise ValueError(f"target rate {rate!r} is too small: its default window 5/rate is infinite")
+
+
 @dataclass(frozen=True)
 class SameChannelRequest:
     """Pair a channel with decoherence function ``q`` (mixed with weight ``a``)
@@ -116,8 +131,7 @@ class SameChannelRequest:
 
     def __post_init__(self):
         check_dimension(self.dimension)
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError(f"target rate must be positive and finite, got {self.rate!r}")
+        _check_target_rate(self.rate)
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"mixing parameter a must lie in (0, 1), got {self.a!r}")
         if not 1 <= self.basis <= self.dimension + 1:
@@ -136,8 +150,7 @@ class AllChannelsRequest:
 
     def __post_init__(self):
         check_dimension(self.dimension)
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError(f"target rate must be positive and finite, got {self.rate!r}")
+        _check_target_rate(self.rate)
         w = tuple(float(x) for x in self.weights)
         if len(w) != self.dimension + 1:
             raise ValueError(
@@ -349,38 +362,52 @@ def simplex_scan(
     """Classify mixtures at every point of the weight-simplex lattice.
 
     ``family='semigroup'`` gives each supported label the semigroup input
-    ``p = ((d-1)/d)(1 - e^{-ct})``; ``family='matched'`` uses
-    :func:`build_all_channels_mix`, defined where every weight is at least
-    ``(d-1)/d^2``.  Points are classified as by
-    :func:`~paulimix.dynamics.classify_many`, a block at a time; a point's
-    mixture is built only when its block is reached.
+    ``p = ((d-1)/d)(1 - e^{-ct})``; ``family='matched'`` gives each label
+    the input of :func:`build_all_channels_mix`, defined where every
+    weight is at least ``(d-1)/d^2``.  The valid points are written as one
+    :class:`~paulimix.dynamics.MixtureBatch` of columns, with lattice
+    weights and basis labels: one semigroup input shared by every label,
+    or one matched input per admissible lattice weight ``k/divisions``.
+    They are classified as by :func:`~paulimix.dynamics.classify_many`, a
+    block of rows at a time; no mixture object is built.
     """
     if divisions < 1:
         raise ValueError(f"divisions must be positive, got {divisions}")
     if family not in ("semigroup", "matched"):
         raise ValueError(f"unknown family {family!r} (expected semigroup or matched)")
     grid = grid if grid is not None else default_grid(5.0, 128)
-    semigroup_form = ExpRelax((d - 1) / d, rate)
-    channels = [ChannelSpec(d, b, semigroup_form) for b in range(1, d + 2)]
+    bound = weight_lower_bound(d) - _TIE_TOL
+    if family == "matched":
+        # Function k-1 is the input of weight x = k/divisions, as
+        # build_all_channels_mix builds it, for each admissible x.
+        admissible = [k for k in range(1, divisions + 1) if not k / divisions < bound]
+        params = [((d - 1) / (k / divisions * d**2), rate) for k in admissible]
+    else:
+        params = [((d - 1) / d, rate)]
+    functions = _Functions.of_families(
+        len(params), [(np.arange(len(params)), _ClosedForms(ExpRelax, params))]
+    )
+    # The inputs and the dimension are checked before the lattice, which
+    # grows with d, is built.
+    functions.check()
+    check_dimension(d)
     counts = simplex_lattice(d + 1, divisions)
     weights = counts / divisions
     if family == "matched":
-        valid = ~np.any(weights < weight_lower_bound(d) - _TIE_TOL, axis=1)
+        valid = ~np.any(weights < bound, axis=1)
+        rows, labels = np.nonzero(np.broadcast_to(valid[:, None], counts.shape))
+        function = counts[rows, labels] - admissible[0]
     else:
         valid = np.ones(len(counts), dtype=bool)
+        rows, labels = np.nonzero(counts)
+        function = np.zeros(rows.size, dtype=np.intp)
+    starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(counts))[valid])])
+    batch = MixtureBatch(d, starts, labels + 1, weights[rows, labels], function, functions)
     is_semigroup = np.zeros(len(counts), dtype=bool)
     is_cp_divisible = np.zeros(len(counts), dtype=bool)
     min_rate = np.full(len(counts), np.nan)
     noninvertible = np.zeros(len(counts), dtype=np.int64)
-
-    def mixture(row):
-        x = weights[row].tolist()
-        if family == "matched":
-            return build_all_channels_mix(AllChannelsRequest(d, rate, tuple(x)))
-        return MixtureSpec(d, [(xi, channels[i]) for i, xi in enumerate(x) if xi > 0.0])
-
-    rows = np.flatnonzero(valid)
-    for row, report in zip(rows, _analyze(map(mixture, rows), grid, None, keep=False)):
+    for row, report in zip(np.flatnonzero(valid), _analyze([batch], grid, None, keep=False)):
         is_semigroup[row] = report.is_semigroup
         is_cp_divisible[row] = report.is_cp_divisible
         min_rate[row] = report.min_rate
@@ -407,7 +434,7 @@ _FAMILY_DESCRIPTION = (
     "exp_relax(scale,rate) | product/difference expression templates | "
     "257-point sampled grids of the same shapes"
 )
-_KINDS = ("exp_relax", "product", "difference", "sampled")
+_KINDS = (ExpRelax, ProductTemplate, DifferenceTemplate, SampledGrid)
 _SAMPLE_TIMES = np.linspace(0.0, 5.0, 257)
 _SAMPLE_TIMES.setflags(write=False)
 
@@ -418,47 +445,91 @@ def _uniform(low: float, high: float, u: float) -> float:
     return low + (high - low) * u
 
 
+def _draw_function(rng: np.random.Generator):
+    """The one draw of a decoherence function from the scanners' declared
+    family: its class and its parameters.  A sampled grid is drawn as the
+    ``(scale, rate)`` of its samples ``scale*(1 - exp(-rate*t))`` at
+    ``_SAMPLE_TIMES``.  After the class, one ``rng.random`` call draws the
+    function's 2 or 4 uniform parameters, which consumes the stream as that
+    many scalar ``rng.uniform`` calls would."""
+    kind = _KINDS[rng.integers(len(_KINDS))]
+    u = rng.random(4 if kind in (ProductTemplate, DifferenceTemplate) else 2).tolist()
+    scale = _uniform(0.2, 1.0, u[0])
+    rate = _uniform(0.2, 2.0, u[1])
+    if kind is ProductTemplate:
+        return kind, (scale, rate, _uniform(0.1, 0.5, u[2]), _uniform(0.3, 2.0, u[3]))
+    if kind is DifferenceTemplate:
+        return kind, (scale, rate, scale * _uniform(0.0, 0.8, u[2]), rate * _uniform(0.2, 1.0, u[3]))
+    return kind, (scale, rate)
+
+
+def _sampled_values(scale, rate):
+    """The samples of drawn sampled grids, one row per ``(scale, rate)``
+    (numbers or ``(G, 1)`` columns)."""
+    return scale * (1.0 - np.exp(-rate * _SAMPLE_TIMES))
+
+
+def _function(kind, params) -> DecoherenceFunction:
+    """A drawn function as an object."""
+    if kind is SampledGrid:
+        return SampledGrid(_SAMPLE_TIMES, _sampled_values(*params))
+    return kind(*params)
+
+
 def random_decoherence_function(rng: np.random.Generator) -> DecoherenceFunction:
     """Draw one decoherence function from the scanners' declared family.
 
     All members are smooth, start at 0, and stay within [0, 1]; the sampled
-    grids cover ``[0, 5]``.  After the kind, one ``rng.random`` call draws
-    the function's 2 or 4 uniform parameters, which consumes the stream as
-    that many scalar ``rng.uniform`` calls would.
+    grids cover ``[0, 5]``.  This is :func:`_draw_function` as an object.
     """
-    kind = _KINDS[rng.integers(len(_KINDS))]
-    u = rng.random(4 if kind in ("product", "difference") else 2).tolist()
-    scale = _uniform(0.2, 1.0, u[0])
-    rate = _uniform(0.2, 2.0, u[1])
-    if kind == "exp_relax":
-        return ExpRelax(scale, rate)
-    if kind == "product":
-        depth = _uniform(0.1, 0.5, u[2])
-        freq = _uniform(0.3, 2.0, u[3])
-        return ProductTemplate(scale, rate, depth, freq)
-    if kind == "difference":
-        m = scale * _uniform(0.0, 0.8, u[2])
-        r2 = rate * _uniform(0.2, 1.0, u[3])
-        return DifferenceTemplate(scale, rate, m, r2)
-    return SampledGrid(_SAMPLE_TIMES, scale * (1.0 - np.exp(-rate * _SAMPLE_TIMES)))
+    return _function(*_draw_function(rng))
+
+
+def _draw_mixture(rng: np.random.Generator, d: int, low: int, high: int, floor: float):
+    """The one draw of a random mixture: ``(bases, weights, functions)``
+    over ``low..high-1`` distinct random basis labels, each with a random
+    decoherence function (:func:`_draw_function`).  The weights are
+    ``floor`` plus a uniform (Dirichlet) share of the remaining
+    ``1 - floor * size``."""
+    size = int(rng.integers(low, high))
+    bases = (rng.choice(d + 1, size=size, replace=False) + 1).tolist()
+    weights = (floor + (1.0 - floor * size) * rng.dirichlet([1.0] * size)).tolist()
+    return bases, weights, [_draw_function(rng) for _ in range(size)]
 
 
 def _random_mixture(
     rng: np.random.Generator, d: int, low: int, high: int, floor: float
 ) -> MixtureSpec:
-    """A mixture over ``low..high-1`` distinct random basis labels, each with
-    a random decoherence function.  The weights are ``floor`` plus a uniform
-    (Dirichlet) share of the remaining ``1 - floor * size``."""
-    size = int(rng.integers(low, high))
-    bases = (rng.choice(d + 1, size=size, replace=False) + 1).tolist()
-    weights = (floor + (1.0 - floor * size) * rng.dirichlet([1.0] * size)).tolist()
+    """:func:`_draw_mixture` as an object."""
+    bases, weights, functions = _draw_mixture(rng, d, low, high, floor)
     return MixtureSpec(
-        d,
-        [
-            (w, ChannelSpec(d, b, random_decoherence_function(rng)))
-            for b, w in zip(bases, weights)
-        ],
+        d, [(w, ChannelSpec(d, b, _function(*f))) for b, w, f in zip(bases, weights, functions)]
     )
+
+
+def _drawn_batch(d: int, draws) -> MixtureBatch:
+    """Drawn mixtures (:func:`_draw_mixture`) as a batch of columns, each
+    component with its own function, grouped by class; the samples of the
+    sampled grids are computed as one matrix."""
+    starts, basis, weight = [0], [], []
+    members: dict = {}  # by class: (component, parameters) of each function
+    for bases, weights, functions in draws:
+        for c, (kind, params) in enumerate(functions, start=len(basis)):
+            members.setdefault(kind, []).append((c, params))
+        basis += bases
+        weight += weights
+        starts.append(len(basis))
+    families = []
+    for kind, drawn in members.items():
+        rows, params = zip(*drawn)
+        if kind is SampledGrid:
+            scale, rate = np.array(params).T[:, :, None]
+            family = _Samples(_SAMPLE_TIMES, _sampled_values(scale, rate))
+        else:
+            family = _ClosedForms(kind, list(params))
+        families.append((np.array(rows, dtype=np.intp), family))
+    table = _Functions.of_families(len(basis), families)
+    return MixtureBatch.of_columns(d, starts, basis, weight, np.arange(len(basis)), table)
 
 
 def _noninvertible_bound(d: int) -> Tuple[int, bool]:
@@ -480,32 +551,34 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
     a valid full construction's noninvertible inputs is proven exactly by
     :func:`_noninvertible_bound`.
 
-    Trial ``k`` draws from ``default_rng([seed, k])``.  Every trial's
-    mixture, and last the equal-weights mixture, stream through one
-    :func:`~paulimix.dynamics.semigroup_verdicts` call, which reads them a
-    block at a time; a counterexample draws its trial's mixture again.
+    Trial ``k`` draws from ``default_rng([seed, k])`` (:func:`_draw_mixture`).
+    The trials, and last the equal-weights mixture, are drawn a block at a
+    time straight into batch rows (:func:`_drawn_batch`), each block judged
+    by :func:`~paulimix.dynamics._semigroup_verdicts` before the next is
+    drawn.  Only a counterexample's mixture is built as an object, drawn
+    again from its trial's generator.
     """
     if trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {trials}")
     check_dimension(d)
 
-    def draw(trial):
-        return _random_mixture(np.random.default_rng([seed, trial]), d, 2, d + 1, 0.05)
+    def rng(trial):
+        return np.random.default_rng([seed, trial])
 
+    drawn = (d, 2, d + 1, 0.05)  # 2..d distinct labels, weights of at least 0.05
     # Deterministic extra case: d+1 semigroup inputs, equal weights — the
     # mixture must not be a semigroup (its rates decay in time).
-    semi = ExpRelax((d - 1) / d, 1.0)
-    equal = MixtureSpec(
-        d,
-        [(1.0 / (d + 1), ChannelSpec(d, b, semi)) for b in range(1, d + 2)],
-    )
-    mixtures = itertools.chain(map(draw, range(trials)), [equal])
-    verdicts = semigroup_verdicts(mixtures, default_grid(5.0, 128), Tolerances())
+    semi = (ExpRelax, ((d - 1) / d, 1.0))
+    equal = (list(range(1, d + 2)), [1.0 / (d + 1)] * (d + 1), [semi] * (d + 1))
+    grid = default_grid(5.0, 128)
+    rows = itertools.chain((_draw_mixture(rng(k), *drawn) for k in range(trials)), [equal])
+    batches = (_drawn_batch(d, block) for block in _blocks(rows, len(grid), lambda _: d))
+    verdicts = _semigroup_verdicts(batches, grid, Tolerances())
     equal_verdict = verdicts.pop()
     counterexamples = []
     for trial, verdict in enumerate(verdicts):
         if verdict.is_semigroup:
-            spec = draw(trial)
+            spec = _random_mixture(rng(trial), *drawn)
             counterexamples.append(
                 {
                     "phase": "subset",

@@ -397,7 +397,7 @@ def test_analyze_rejects_infinite_rate(out_dir, capsys):
     assert "[component.1]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rate", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("rate", ["inf", "nan", "0", "-1", "1e-320"])
 def test_construct_rejects_infinite_rate(out_dir, capsys, rate):
     # The rate is checked before the default window 5/rate is derived from it.
     assert main(["construct", "2", rate, "0.4", "0.3", "0.3", "--out", "c.ini"]) == 2

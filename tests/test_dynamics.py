@@ -1218,3 +1218,23 @@ def test_a_grid_alone_cuts_its_interpolants_from_its_stack_column():
         assert derivative.c.tobytes() == np.ascontiguousarray(stack.derivative.c[:, :, j]).tobytes()
         assert _bits(p) == stack.value(probe)[:, j].tobytes() == table[0, 2 - j].tobytes()
         assert _bits(dp) == stack.derivative(probe)[:, j].tobytes() == table[1, 2 - j].tobytes()
+
+
+# Slopes near the smallest doubles overflow inside PCHIP's harmonic mean, in
+# the stacked build and the grid's own evaluation alike.
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(function_tables(), st.integers(0, 2**32 - 1))
+def test_a_table_at_points_equals_its_functions_at_theirs(table, seed):
+    # Each point by its own function, as the zero search evaluates inputs.
+    functions, times = table
+    funcs = dynamics._Functions()
+    for f in functions:
+        funcs.index(f)
+    rows = np.random.default_rng(seed).integers(0, funcs.size, size=times.size)
+    both = funcs.at(rows, times)
+    assert both.shape == (2, times.size)
+    for i, f in enumerate(funcs.functions):
+        p, dp = f.value_and_derivative(times[rows == i])
+        assert both[0, rows == i].tobytes() == _bits(p)
+        assert both[1, rows == i].tobytes() == _bits(dp)

@@ -11,6 +11,7 @@ from paulimix import (
     ChannelSpec,
     ConstructionError,
     DecoherenceFunction,
+    DifferenceTemplate,
     ExpRelax,
     Expression,
     MixtureSpec,
@@ -395,6 +396,137 @@ def test_random_mixtures_replay_the_scalar_draw(d, low, high, floor):
     assert kinds == {"ExpRelax", "ProductTemplate", "DifferenceTemplate", "SampledGrid"}
 
 
+def _row(batch, b):
+    """Mixture ``b`` of ``batch``, bit for bit: its bases, weights and, per
+    component, its function's class, parameters and sample times."""
+    row = batch.rows(b, b + 1)
+    entries = {}
+    for rows, family in row.functions.families:
+        times = family.times.tobytes() if family.kind is SampledGrid else b""
+        for k, i in enumerate(rows.tolist()):
+            entries[i] = (family.kind, family.params[k].tobytes(), times)
+    functions = [entries[i] for i in row.function.tolist()]
+    return row.starts.tolist(), row.basis.tolist(), row.weight.tobytes(), functions
+
+
+_DRAWS = {"theorem": (2, None, 0.05), "cptp": (1, 1, 0.0)}  # low, high - (d+1), floor
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 31])
+@pytest.mark.parametrize("draws", sorted(_DRAWS))
+def test_a_drawn_batch_row_equals_the_encoded_mixture_of_its_draw(d, draws):
+    # The scanners draw straight into batch rows; the mixture built from the
+    # same (seed, trial) draw, encoded, must give every column bit for bit.
+    low, extra, floor = _DRAWS[draws]
+    high = d + 1 + (extra or 0)
+    times = default_grid(5.0, 64).times
+    kinds = set()
+    for seed in range(4):
+        rngs = [np.random.default_rng([seed, k]) for k in range(40)]
+        batch = semigroupforge._drawn_batch(
+            d, [semigroupforge._draw_mixture(rng, d, low, high, floor) for rng in rngs]
+        )
+        assert len(batch) == 40
+        for k in range(40):
+            rng = np.random.default_rng([seed, k])
+            spec = semigroupforge._random_mixture(rng, d, low, high, floor)
+            assert rng.bit_generator.state == rngs[k].bit_generator.state
+            encoded = dynamics.MixtureBatch.of_specs([spec])
+            assert _row(batch, k) == _row(encoded, 0)
+            drawn, built = batch.rows(k, k + 1), encoded
+            assert drawn.functions.evaluate(times).tobytes() == built.functions.evaluate(times).tobytes()
+            kinds.update(kind for kind, _, _ in _row(batch, k)[3])
+    assert kinds == {ExpRelax, ProductTemplate, DifferenceTemplate, SampledGrid}
+
+
+@pytest.mark.parametrize("d, seed", [(2, 3), (5, 1)])
+def test_a_counterexample_redraws_its_trials_batch_row(monkeypatch, d, seed):
+    monkeypatch.setattr(semigroupforge, "_MIN_TRIALS", 1)
+    monkeypatch.setattr(semigroupforge, "Tolerances", _LooseSubsets)
+    report = semigroupforge._scan(d, 30, seed)
+    listed = [c for c in report.counterexamples if c["phase"] == "subset"]
+    assert len(listed) >= 5
+    for c in listed:
+        rng = np.random.default_rng([seed, c["trial"]])
+        batch = semigroupforge._drawn_batch(d, [semigroupforge._draw_mixture(rng, d, 2, d + 1, 0.05)])
+        _, bases, weights, functions = _row(batch, 0)
+        assert c["bases"] == bases
+        assert np.array(c["weights"]).tobytes() == weights
+        assert c["functions"] == [kind.kind for kind, _, _ in functions]
+
+
+_GOOD = (ExpRelax, (0.5, 1.0))
+_BAD_INPUTS = {
+    "basis-above-d+1": ([1, 4], [0.5, 0.5], [_GOOD, _GOOD]),
+    "basis-zero": ([0], [1.0], [_GOOD]),
+    "nan-template-parameter": ([1], [1.0], [(ProductTemplate, (0.5, math.nan, 0.2, 1.0))]),
+    "negative-template-parameter": ([2], [1.0], [(DifferenceTemplate, (0.5, 1.0, -0.1, 0.5))]),
+    "negative-zero-template-parameter": ([2], [1.0], [(ProductTemplate, (0.5, 1.0, -0.0, 1.0))]),
+    "zero-rate": ([1, 2], [0.5, 0.5], [_GOOD, (ExpRelax, (0.5, 0.0))]),
+    "negative-rate": ([1], [1.0], [(ExpRelax, (0.5, -1.0))]),
+    "nan-rate": ([1], [1.0], [(ExpRelax, (0.5, math.nan))]),
+    "infinite-scale": ([1], [1.0], [(ExpRelax, (math.inf, 1.0))]),
+    "nan-samples": ([1], [1.0], [(SampledGrid, (math.nan, 1.0))]),
+    "weights-sum-above-1": ([1, 2], [0.7, 0.7], [_GOOD, _GOOD]),
+    "negative-weight": ([1, 3], [1.25, -0.25], [_GOOD, _GOOD]),
+    "bad-function-before-bad-weights": ([1, 2], [0.7, 0.7], [_GOOD, (ExpRelax, (0.5, 0.0))]),
+}
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
+def test_a_batch_producer_rejects_what_the_object_constructors_reject(name):
+    bases, weights, functions = _BAD_INPUTS[name]
+    grid = default_grid(5.0, 64)
+
+    def objects():
+        channels = [ChannelSpec(2, b, semigroupforge._function(*f)) for b, f in zip(bases, functions)]
+        return classify(MixtureSpec(2, list(zip(weights, channels))), grid)
+
+    def batch():
+        drawn = semigroupforge._drawn_batch(2, [(bases, weights, functions)])
+        return list(dynamics._analyze([drawn], grid, None, keep=False))
+
+    assert _raised(batch) == _raised(objects)
+
+
+@pytest.mark.parametrize("family", ["semigroup", "matched"])
+@pytest.mark.parametrize("d, rate", [(2, 0.0), (3, -1.0), (2, math.nan), (4, 1.0), (4, 0.0)])
+def test_the_simplex_sweep_rejects_what_its_objects_reject(family, d, rate):
+    # As before columns, the inputs are checked first, then the dimension.
+    def objects():
+        ChannelSpec(d, 1, ExpRelax((d - 1) / d, rate))
+
+    assert _raised(lambda: simplex_scan(d, 4, family, rate)) == _raised(objects)
+
+
+def test_scanners_and_the_sweep_build_no_mixture_objects(monkeypatch):
+    built = []
+    for cls in (MixtureSpec, ChannelSpec):
+
+        def counting(self, real=cls.__post_init__):
+            built.append(type(self).__name__)
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    assert theorem1_scan(150, 2).passed
+    assert theorem2_scan(5, 120, 9).passed
+    for d, divisions, family in [(3, 6, "semigroup"), (2, 12, "matched"), (3, 12, "matched")]:
+        assert simplex_scan(d, divisions, family).valid.any()
+    assert built == []
+    # The counting patch sees the mixture that a counterexample draws again.
+    monkeypatch.setattr(semigroupforge, "_MIN_TRIALS", 1)
+    monkeypatch.setattr(semigroupforge, "Tolerances", _LooseSubsets)
+    report = semigroupforge._scan(2, 10, 0)
+    listed = sum(c["phase"] == "subset" for c in report.counterexamples)
+    assert listed and built.count("MixtureSpec") == listed
+
+
 def test_random_function_family_is_admissible_and_diverse():
     rng = np.random.default_rng(77)
     t = np.linspace(0.0, 5.0, 401)
@@ -560,10 +692,10 @@ class _LooseSubsets(Tolerances):
     semigroup, so that scans list many trials (about half of the qubit
     trials, nearly all others) with their own mixture and verdict."""
 
-    def semigroup_for(self, spec):
-        if len(spec.components) <= spec.dimension:
+    def semigroup_at(self, batch, b):
+        if batch.starts[b + 1] - batch.starts[b] <= batch.dimension:
             return math.inf
-        return super().semigroup_for(spec)
+        return super().semigroup_at(batch, b)
 
 
 def _blocks_of(monkeypatch, d, size):
