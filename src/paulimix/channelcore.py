@@ -259,12 +259,11 @@ class SampledGrid(DecoherenceFunction):
     Interpolation is shape-preserving cubic (PCHIP); the derivative comes from
     the interpolant itself, not from finite differences of the samples.
     Evaluation outside the sampled range is a domain error.  The samples are
-    validated on construction.  Evaluated alone, the grid uses its column of
-    a stack that :func:`build_interpolants` builds for many grids at once,
-    or for this one on its first evaluation, and cuts its own piecewise
-    polynomials from that column.  A function table instead stacks the
-    values of its grids on shared sample times and builds them once
-    (:class:`_Samples`).
+    validated on construction.  Evaluated alone, the grid builds its own
+    interpolant on first use.  A function table instead stacks the values
+    of its grids on shared sample times and builds them once
+    (:class:`_Samples`); PCHIP works column by column, so each column has
+    the bits of the grid's own build.
     """
 
     kind = "samples"
@@ -290,8 +289,7 @@ class SampledGrid(DecoherenceFunction):
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_column", None)  # (stack, column), once built
-        object.__setattr__(self, "_own", None)  # (value, derivative) cut from it
+        object.__setattr__(self, "_own", None)  # (value, derivative), once built
 
     @staticmethod
     def _rejected(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -312,11 +310,8 @@ class SampledGrid(DecoherenceFunction):
     def value_and_derivative(self, t):
         clipped = _clip(self.times, t)
         if self._own is None:  # type: ignore[attr-defined]
-            # This grid's own interpolants, cut from its stack column once.
-            if self._column is None:  # type: ignore[attr-defined]
-                build_interpolants([self])
-            stack, j = self._column  # type: ignore[attr-defined]
-            object.__setattr__(self, "_own", (_cut(stack.value, j), _cut(stack.derivative, j)))
+            value = PchipInterpolator(self.times, self.values, extrapolate=False)
+            object.__setattr__(self, "_own", (value, value.derivative()))
         value, derivative = self._own  # type: ignore[attr-defined]
         p, dp = value(clipped), derivative(clipped)
         if clipped.ndim == 0:
@@ -346,7 +341,6 @@ def _clip(times: np.ndarray, t) -> np.ndarray:
 class _Stack(NamedTuple):
     """One PCHIP build of the grids on some sample times, a column each."""
 
-    times: np.ndarray
     value: PchipInterpolator  # coefficients of shape (4, n-1, columns)
     derivative: PPoly
 
@@ -354,35 +348,12 @@ class _Stack(NamedTuple):
 def _stack(times: np.ndarray, values: np.ndarray) -> _Stack:
     """One PCHIP build of the rows of ``values`` (shape ``(G, n)``) on ``times``."""
     value = PchipInterpolator(times, np.ascontiguousarray(values.T), extrapolate=False)
-    return _Stack(times, value, value.derivative())
+    return _Stack(value, value.derivative())
 
 
 def _cut(interp: PPoly, columns) -> PPoly:
-    """The piecewise polynomials of ``interp`` in ``columns`` (an index: one
-    polynomial; a list: several, stacked on the last axis)."""
+    """The piecewise polynomials of ``interp`` in the list ``columns``."""
     return PPoly.construct_fast(np.ascontiguousarray(interp.c[:, :, columns]), interp.x, False)
-
-
-def build_interpolants(functions) -> None:
-    """Build the interpolants of the sampled grids among ``functions`` that
-    have none yet.
-
-    Grids with the same sample times share one stack: one PCHIP build with
-    their values stacked on axis 1, and one derivative.  Each grid keeps its
-    stack and column.  PCHIP works column by column, and a piecewise
-    polynomial evaluates each column on its own, so a column evaluated
-    with the whole stack, or cut from it, equals bit for bit the
-    interpolant built from that grid alone.
-    """
-    groups: dict = {}
-    for f in functions:
-        if isinstance(f, SampledGrid) and f._column is None:  # type: ignore[attr-defined]
-            groups.setdefault(f.times.tobytes(), {})[id(f)] = f
-    for members in groups.values():
-        grids = list(members.values())
-        stack = _stack(grids[0].times, np.stack([g.values for g in grids]))
-        for j, g in enumerate(grids):
-            object.__setattr__(g, "_column", (stack, j))
 
 
 # A function family holds G functions as arrays and evaluates them together.
@@ -511,41 +482,152 @@ class _Lone:
 _CLOSED_FORMS = (ExpRelax, ProductTemplate, DifferenceTemplate)
 
 
-def function_families(functions: Sequence[DecoherenceFunction]) -> list:
-    """``(rows, family)`` pairs that evaluate ``functions`` a family at a
-    time, in order of each family's first member; ``rows`` are the indices
-    of its members in ``functions``:
+def _entry(f: DecoherenceFunction) -> tuple:
+    """``f`` as a table entry (see :meth:`_Functions.of_entries`)."""
+    kind = type(f)
+    if kind is SampledGrid:
+        return kind, (f.times, f.values)
+    if kind in _CLOSED_FORMS:
+        params = tuple(vars(f).values())  # in field order
+        if all(isinstance(v, float) for v in params):
+            return kind, params
+    return None, f
 
-    - each closed form in ``_CLOSED_FORMS`` with float parameters: one
-      :class:`_ClosedForms` per class;
-    - sampled grids: one :class:`_Samples` per array of sample times;
-    - any other function: alone.
 
-    A family raises what one of its members raises alone, not always what
-    the first of them does.
-    """
-    groups: dict = {}
-    for i, f in enumerate(functions):
-        kind = type(f)
-        if kind is SampledGrid:
-            key = (kind, f.times.tobytes())
-        elif kind in _CLOSED_FORMS and all(isinstance(v, float) for v in vars(f).values()):
-            key = (kind, None)
-        else:
-            key = (None, i)
-        groups.setdefault(key, []).append(i)
-    out = []
-    for (kind, _), rows in groups.items():
-        members = [functions[i] for i in rows]
-        if kind is SampledGrid:
-            family = _Samples(members[0].times, np.stack([g.values for g in members]))
-        elif kind is not None:
-            names = [f.name for f in fields(kind)]
-            family = _ClosedForms(kind, [tuple(getattr(f, n) for n in names) for f in members])
-        else:
-            family = _Lone(members[0])
-        out.append((np.array(rows, dtype=np.intp), family))
-    return out
+class _Functions:
+    """A table of decoherence functions, row ``i`` function ``i``, held by
+    ``families``: ``(rows, family)`` pairs, in order of each family's first
+    row, that evaluate them a family at a time.  Each closed form in
+    ``_CLOSED_FORMS`` with float parameters joins one :class:`_ClosedForms`
+    per class, sampled grids one :class:`_Samples` per array of sample
+    times, and any other function is alone (:class:`_Lone`)."""
+
+    def __init__(self, size: int, families: list):
+        self.size = size
+        self.families = families
+        self._members = None  # per function: its family and its place there
+
+    @classmethod
+    def of_entries(cls, entries: Sequence[tuple]) -> "_Functions":
+        """The table whose row ``i`` is ``entries[i]``: ``(class, constructor
+        arguments)``, or ``(None, f)`` for a function ``f`` evaluated alone.
+        A sampled grid's arguments are ``(times, values)``."""
+        groups: dict = {}
+        for i, (kind, args) in enumerate(entries):
+            shared = args[0].tobytes() if kind is SampledGrid else None  # the sample times
+            groups.setdefault((kind, i if kind is None else shared), []).append(i)
+        families = []
+        for (kind, _), rows in groups.items():
+            members = [entries[i][1] for i in rows]
+            if kind is SampledGrid:
+                family = _Samples(members[0][0], np.stack([values for _, values in members]))
+            elif kind is not None:
+                family = _ClosedForms(kind, members)
+            else:
+                family = _Lone(members[0])
+            families.append((np.array(rows, dtype=np.intp), family))
+        return cls(len(entries), families)
+
+    @classmethod
+    def of(cls, functions: Sequence[DecoherenceFunction]):
+        """The table of the distinct ``functions``, in first-use order, and
+        the row of each of them.  Functions that compare equal share a row;
+        a ``SampledGrid``, and any unhashable function, compares by
+        identity."""
+        index: dict = {}
+        distinct, rows = [], []
+        for f in functions:
+            try:
+                i = index.setdefault(f, len(distinct))
+            except TypeError:  # unhashable: keyed by identity
+                i = index.setdefault(("id", id(f)), len(distinct))
+            if i == len(distinct):
+                distinct.append(f)
+            rows.append(i)
+        return cls.of_entries([_entry(f) for f in distinct]), rows
+
+    def evaluate(self, times: np.ndarray) -> np.ndarray:
+        """Values ``[p, p']`` of every function, shape ``(2, F, n)``, bit for
+        bit as each returns them alone.  If a family raises, the functions
+        run again one by one in table order, so the first function that
+        fails alone raises its own error."""
+        out = np.empty((2, self.size, times.size))
+        try:
+            for rows, family in self.families:
+                for plane, value in zip(out, family(times)):
+                    plane[rows] = value
+        except Exception:
+            if self.size > 1:
+                for i in range(self.size):
+                    self.take([i]).evaluate(times)
+            raise
+        return out
+
+    def _located(self):
+        if self._members is None:
+            family = np.empty(self.size, dtype=np.intp)
+            member = np.empty(self.size, dtype=np.intp)
+            for f, (rows, _) in enumerate(self.families):
+                family[rows] = f
+                member[rows] = np.arange(rows.size)
+            self._members = family, member
+        return self._members
+
+    def at(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Values ``[p, p']`` of function ``rows[k]`` at ``t[k]``, shape
+        ``(2, t.size)``, bit for bit as each function gives them alone; each
+        family evaluates its points in one call.  If that raises, each
+        function runs alone on its points, in order of first appearance in
+        ``rows``, so the first that fails alone raises its own error."""
+        family, member = self._located()
+        of = family[rows]
+        out = np.empty((2, t.size))
+        try:
+            for f in np.unique(of).tolist():
+                points = np.flatnonzero(of == f)
+                out[:, points] = self.families[f][1].at(member[rows[points]], t[points])
+        except Exception:
+            for i in dict.fromkeys(rows.tolist()):
+                self.take([i]).evaluate(t[rows == i])
+            raise
+        return out
+
+    def take(self, rows) -> "_Functions":
+        """The table of the functions ``rows`` (distinct), in that order,
+        sharing this table's family arrays."""
+        where = np.full(self.size, -1, dtype=np.intp)
+        where[rows] = np.arange(len(rows))
+        families = []
+        for old, family in self.families:
+            new = where[old]
+            members = np.flatnonzero(new >= 0)
+            if members.size == new.size:
+                families.append((new, family))
+            elif members.size:
+                families.append((new[members], family.take(members.tolist())))
+        return _Functions(len(rows), families)
+
+    def sampled(self) -> np.ndarray:
+        """Which functions are sampled grids."""
+        flags = np.zeros(self.size, dtype=bool)
+        for rows, family in self.families:
+            flags[rows] = family.sampled
+        return flags
+
+    def build(self, i: int) -> DecoherenceFunction:
+        """Function ``i`` as an object, built from its family, so it raises
+        what its class's constructor raises."""
+        family, member = self._located()
+        return self.families[family[i]][1].build(member[i])
+
+    def check(self) -> None:
+        """Raise, for the first function that its class's constructor
+        rejects, what that constructor raises."""
+        rejected = np.zeros(self.size, dtype=bool)
+        for rows, family in self.families:
+            rejected[rows] = family.rejected()
+        for i in np.flatnonzero(rejected).tolist():
+            self.build(i)
 
 
 def check_basis(d: int, basis: int) -> None:
@@ -773,12 +855,16 @@ def structural_issues(spec: MixtureSpec) -> list[ValidationIssue]:
     if not spec.components:
         issues.append(ValidationIssue("weight-sum", "mixture has no components"))
     for i, w in enumerate(weights, start=1):
-        if w < 0:
+        if not math.isfinite(w):
+            issues.append(
+                ValidationIssue("weight", f"component {i} weight {w!r} is not finite", i)
+            )
+        elif w < 0:
             issues.append(
                 ValidationIssue("weight", f"component {i} weight {w!r} is negative", i)
             )
     total = float(sum(weights))
-    if spec.components and abs(total - 1.0) > _WEIGHT_SUM_TOL:
+    if spec.components and not abs(total - 1.0) <= _WEIGHT_SUM_TOL:
         issues.append(
             ValidationIssue(
                 "weight-sum", f"weights sum to {total!r}, expected 1 within {_WEIGHT_SUM_TOL}"

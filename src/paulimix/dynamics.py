@@ -37,12 +37,11 @@ import numpy as np
 from .channelcore import (
     _WEIGHT_SUM_TOL,
     ChannelSpec,
-    DecoherenceFunction,
     MixtureSpec,
     MixtureValidationError,
+    _Functions,
     bracket_roots,
     check_basis,
-    function_families,
     range_violations,
     structural_issues,
 )
@@ -154,10 +153,10 @@ class Tolerances:
                 raise ValueError(f"tolerance {name} must be finite and nonnegative, got {value!r}")
 
     def semigroup_for(self, spec: MixtureSpec) -> float:
-        return self.semigroup_at(MixtureBatch.of_specs([spec]), 0)
+        return _tolerance_for(self.semigroup, spec.has_sampled_functions())
 
     def cp_for(self, spec: MixtureSpec) -> float:
-        return self.cp_at(MixtureBatch.of_specs([spec]), 0)
+        return _tolerance_for(self.cp, spec.has_sampled_functions())
 
     def semigroup_at(self, batch: "MixtureBatch", b: int) -> float:
         return _tolerance_for(self.semigroup, batch.sampled[b])
@@ -269,145 +268,6 @@ class AnalysisResult:
 # ---------------------------------------------------------------------------
 
 
-class _Functions:
-    """The decoherence functions of a batch: a table whose row ``i`` is
-    function ``i``, grouped by family.
-
-    Each family holds its members as arrays
-    (:func:`~paulimix.channelcore.function_families`): a closed-form class
-    as ``(G, 1)`` parameter columns, sampled grids on shared sample times as
-    one value matrix with one PCHIP build, and any other function alone.
-    The scanners and the simplex sweep write the families directly
-    (:meth:`of_families`).  :meth:`index` instead adds objects, in
-    first-use order: functions that compare equal share one row, and a
-    ``SampledGrid`` compares by identity.  Lookups go by ``id`` first, so
-    every object looked up must stay alive while the table is in use (the
-    mixtures hold them); its families are grouped once, on first use.
-    """
-
-    def __init__(self):
-        self.size = 0
-        self.functions: list = []  # the objects that index() added, by row
-        self._index: dict = {}
-        self._by_id: dict = {}
-        self._families: Optional[list] = []
-        self._members = None  # per function: its family and its place there
-
-    @classmethod
-    def of_families(cls, size: int, families: list) -> "_Functions":
-        """The table of ``size`` functions held by ``families``, ``(rows,
-        family)`` pairs whose ``rows`` cover ``0..size-1``."""
-        table = cls()
-        table.size, table._families = size, families
-        return table
-
-    def index(self, f: DecoherenceFunction) -> int:
-        i = self._by_id.get(id(f))
-        if i is None:
-            key = f
-            try:
-                i = self._index.get(key)
-            except TypeError:  # unhashable: keyed by identity
-                key = ("id", id(f))
-                i = self._index.get(key)
-            if i is None:
-                i = self._index[key] = self.size
-                self.functions.append(f)
-                self.size += 1
-                self._families = self._members = None
-            self._by_id[id(f)] = i
-        return i
-
-    @property
-    def families(self) -> list:
-        if self._families is None:
-            self._families = function_families(self.functions)
-        return self._families
-
-    def evaluate(self, times: np.ndarray) -> np.ndarray:
-        """Values ``[p, p']`` of every function, shape ``(2, F, n)``, bit for
-        bit as each returns them alone.  If a family raises, the functions
-        run again one by one in table order, so the first function that
-        fails alone raises its own error."""
-        out = np.empty((2, self.size, times.size))
-        try:
-            for rows, family in self.families:
-                for plane, value in zip(out, family(times)):
-                    plane[rows] = value
-        except Exception:
-            if self.size > 1:
-                for i in range(self.size):
-                    self.take([i]).evaluate(times)
-            raise
-        return out
-
-    def _located(self):
-        if self._members is None:
-            family = np.empty(self.size, dtype=np.intp)
-            member = np.empty(self.size, dtype=np.intp)
-            for f, (rows, _) in enumerate(self.families):
-                family[rows] = f
-                member[rows] = np.arange(rows.size)
-            self._members = family, member
-        return self._members
-
-    def at(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Values ``[p, p']`` of function ``rows[k]`` at ``t[k]``, shape
-        ``(2, t.size)``, bit for bit as each function gives them alone; each
-        family evaluates its points in one call.  If that raises, each
-        function runs alone on its points, in order of first appearance in
-        ``rows``, so the first that fails alone raises its own error."""
-        family, member = self._located()
-        of = family[rows]
-        out = np.empty((2, t.size))
-        try:
-            for f in np.unique(of).tolist():
-                points = np.flatnonzero(of == f)
-                out[:, points] = self.families[f][1].at(member[rows[points]], t[points])
-        except Exception:
-            for i in dict.fromkeys(rows.tolist()):
-                self.take([i]).evaluate(t[rows == i])
-            raise
-        return out
-
-    def take(self, rows) -> "_Functions":
-        """The table of the functions ``rows`` (distinct), in that order,
-        sharing this table's family arrays."""
-        where = np.full(self.size, -1, dtype=np.intp)
-        where[rows] = np.arange(len(rows))
-        families = []
-        for old, family in self.families:
-            new = where[old]
-            members = np.flatnonzero(new >= 0)
-            if members.size == new.size:
-                families.append((new, family))
-            elif members.size:
-                families.append((new[members], family.take(members.tolist())))
-        return _Functions.of_families(len(rows), families)
-
-    def sampled(self) -> np.ndarray:
-        """Which functions are sampled grids."""
-        flags = np.zeros(self.size, dtype=bool)
-        for rows, family in self.families:
-            flags[rows] = family.sampled
-        return flags
-
-    def build(self, i: int) -> DecoherenceFunction:
-        """Function ``i`` as an object, built from its family, so it raises
-        what its class's constructor raises."""
-        family, member = self._located()
-        return self.families[family[i]][1].build(member[i])
-
-    def check(self) -> None:
-        """Raise, for the first function that its class's constructor
-        rejects, what that constructor raises."""
-        rejected = np.zeros(self.size, dtype=bool)
-        for rows, family in self.families:
-            rejected[rows] = family.rejected()
-        for i in np.flatnonzero(rejected).tolist():
-            self.build(i)
-
-
 class _Slot(NamedTuple):
     """The j-th components of B mixtures, for the mixtures that have one.
 
@@ -440,13 +300,15 @@ class MixtureBatch:
 
     Component ``c`` has the basis label ``basis[c]``, the weight
     ``weight[c]`` and the decoherence function ``function[c]``, a row of
-    the function table ``functions``; mixture ``b`` holds the components
-    ``starts[b]:starts[b+1]``, in order.  Producers:
+    the function table ``functions``
+    (:class:`~paulimix.channelcore._Functions`); mixture ``b`` holds the
+    components ``starts[b]:starts[b+1]``, in order.  Producers:
 
     - :meth:`of_specs` encodes ``MixtureSpec`` objects (``specs`` keeps
-      them);
-    - :meth:`of_columns` takes columns written directly, and checks them
-      as the object constructors would;
+      them) with a table of their distinct functions;
+    - :meth:`of_columns` takes columns and a table of entries written
+      directly (the scanners' draws), and checks them as the object
+      constructors would;
     - the simplex sweep writes its lattice as one batch of columns.
 
     ``rows(lo, hi)`` is a batch of some of the mixtures, and ``spec(b)``
@@ -467,15 +329,11 @@ class MixtureBatch:
     @classmethod
     def of_specs(cls, specs: Sequence[MixtureSpec]) -> "MixtureBatch":
         """``specs`` (of one dimension) as a batch."""
-        funcs = _Functions()
-        starts, basis, weight, function = [0], [], [], []
-        for spec in specs:
-            for c in spec.components:
-                basis.append(c.channel.basis)
-                weight.append(c.weight)
-                function.append(funcs.index(c.channel.p))
-            starts.append(len(basis))
-        return cls(specs[0].dimension, starts, basis, weight, function, funcs, specs)
+        comps = [c for spec in specs for c in spec.components]
+        starts = np.cumsum([0] + [len(spec.components) for spec in specs])
+        table, function = _Functions.of([c.channel.p for c in comps])
+        basis, weight = [c.channel.basis for c in comps], [c.weight for c in comps]
+        return cls(specs[0].dimension, starts, basis, weight, function, table, specs)
 
     @classmethod
     def of_columns(cls, d, starts, basis, weight, function, functions) -> "MixtureBatch":
@@ -861,7 +719,7 @@ def _zeros(done: _Block, times: np.ndarray, xtol: float):
     :func:`bracket_roots` pass.  Each round of its bisection evaluates,
     at all the points of the live brackets' midpoint trees, each mixture
     once as its row of the batch, a batch of one, and then every
-    function's points together (:meth:`_Functions.at`), each function as
+    function's points together (``functions.at``), each function as
     its dual pair, of which the value plane is kept.  Returns each
     mixture's sorted ``(label, t*)`` zeros, and each function's zeros and
     midpoint-fit deviation (inf unless positive), by index."""
@@ -956,7 +814,7 @@ def _check_structure(batch: MixtureBatch) -> None:
         flagged = np.flatnonzero(
             (np.diff(batch.starts) == 0)
             | _any_per_row(batch.starts, batch.weight < 0)
-            | (np.abs(total - 1.0) > _WEIGHT_SUM_TOL)
+            | ~(np.abs(total - 1.0) <= _WEIGHT_SUM_TOL)  # a NaN or infinite weight too
         ).tolist()
     for b in flagged:
         issues = structural_issues(batch.spec(b))

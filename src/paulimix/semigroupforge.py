@@ -43,8 +43,8 @@ from .channelcore import (
     MixtureSpec,
     ProductTemplate,
     SampledGrid,
-    _ClosedForms,
-    _Samples,
+    _Functions,
+    check_basis,
     range_exit,
     range_violations,
 )
@@ -55,7 +55,6 @@ from .dynamics import (
     Tolerances,
     _analyze,
     _blocks,
-    _Functions,
     _semigroup_verdicts,
     default_grid,
     # Not called here: perfbench/test_perfbench.py checks that the tracer
@@ -134,10 +133,7 @@ class SameChannelRequest:
         _check_target_rate(self.rate)
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"mixing parameter a must lie in (0, 1), got {self.a!r}")
-        if not 1 <= self.basis <= self.dimension + 1:
-            raise ValueError(
-                f"basis must lie in 1..{self.dimension + 1}, got {self.basis}"
-            )
+        check_basis(self.dimension, self.basis)
 
 
 @dataclass(frozen=True)
@@ -157,6 +153,8 @@ class AllChannelsRequest:
                 f"need {self.dimension + 1} weights for dimension "
                 f"{self.dimension}, got {len(w)}"
             )
+        if not all(math.isfinite(x) for x in w):
+            raise ValueError(f"weights must be finite, got {w}")
         if any(x < 0 for x in w):
             raise ValueError(f"weights must be nonnegative, got {w}")
         if abs(sum(w) - 1.0) > _SIMPLEX_TOL:
@@ -366,8 +364,9 @@ def simplex_scan(
     the input of :func:`build_all_channels_mix`, defined where every
     weight is at least ``(d-1)/d^2``.  The valid points are written as one
     :class:`~paulimix.dynamics.MixtureBatch` of columns, with lattice
-    weights and basis labels: one semigroup input shared by every label,
-    or one matched input per admissible lattice weight ``k/divisions``.
+    weights and basis labels, over a function table of ``ExpRelax``
+    entries: one semigroup input shared by every label, or one matched
+    input per admissible lattice weight ``k/divisions``.
     They are classified as by :func:`~paulimix.dynamics.classify_many`, a
     block of rows at a time; no mixture object is built.
     """
@@ -384,9 +383,7 @@ def simplex_scan(
         params = [((d - 1) / (k / divisions * d**2), rate) for k in admissible]
     else:
         params = [((d - 1) / d, rate)]
-    functions = _Functions.of_families(
-        len(params), [(np.arange(len(params)), _ClosedForms(ExpRelax, params))]
-    )
+    functions = _Functions.of_entries([(ExpRelax, p) for p in params])
     # The inputs and the dimension are checked before the lattice, which
     # grows with d, is built.
     functions.check()
@@ -447,11 +444,11 @@ def _uniform(low: float, high: float, u: float) -> float:
 
 def _draw_function(rng: np.random.Generator):
     """The one draw of a decoherence function from the scanners' declared
-    family: its class and its parameters.  A sampled grid is drawn as the
-    ``(scale, rate)`` of its samples ``scale*(1 - exp(-rate*t))`` at
-    ``_SAMPLE_TIMES``.  After the class, one ``rng.random`` call draws the
-    function's 2 or 4 uniform parameters, which consumes the stream as that
-    many scalar ``rng.uniform`` calls would."""
+    family, as ``(class, constructor arguments)``.  A sampled grid's
+    arguments are ``(_SAMPLE_TIMES, values)``, its samples of
+    ``scale*(1 - exp(-rate*t))``.  After the class, one ``rng.random`` call
+    draws the function's 2 or 4 uniform parameters, which consumes the
+    stream as that many scalar ``rng.uniform`` calls would."""
     kind = _KINDS[rng.integers(len(_KINDS))]
     u = rng.random(4 if kind in (ProductTemplate, DifferenceTemplate) else 2).tolist()
     scale = _uniform(0.2, 1.0, u[0])
@@ -460,29 +457,20 @@ def _draw_function(rng: np.random.Generator):
         return kind, (scale, rate, _uniform(0.1, 0.5, u[2]), _uniform(0.3, 2.0, u[3]))
     if kind is DifferenceTemplate:
         return kind, (scale, rate, scale * _uniform(0.0, 0.8, u[2]), rate * _uniform(0.2, 1.0, u[3]))
-    return kind, (scale, rate)
-
-
-def _sampled_values(scale, rate):
-    """The samples of drawn sampled grids, one row per ``(scale, rate)``
-    (numbers or ``(G, 1)`` columns)."""
-    return scale * (1.0 - np.exp(-rate * _SAMPLE_TIMES))
-
-
-def _function(kind, params) -> DecoherenceFunction:
-    """A drawn function as an object."""
     if kind is SampledGrid:
-        return SampledGrid(_SAMPLE_TIMES, _sampled_values(*params))
-    return kind(*params)
+        return kind, (_SAMPLE_TIMES, scale * (1.0 - np.exp(-rate * _SAMPLE_TIMES)))
+    return kind, (scale, rate)
 
 
 def random_decoherence_function(rng: np.random.Generator) -> DecoherenceFunction:
     """Draw one decoherence function from the scanners' declared family.
 
     All members are smooth, start at 0, and stay within [0, 1]; the sampled
-    grids cover ``[0, 5]``.  This is :func:`_draw_function` as an object.
+    grids cover ``[0, 5]``.  This is :func:`_draw_function`'s class called
+    on its arguments.
     """
-    return _function(*_draw_function(rng))
+    kind, args = _draw_function(rng)
+    return kind(*args)
 
 
 def _draw_mixture(rng: np.random.Generator, d: int, low: int, high: int, floor: float):
@@ -503,32 +491,21 @@ def _random_mixture(
     """:func:`_draw_mixture` as an object."""
     bases, weights, functions = _draw_mixture(rng, d, low, high, floor)
     return MixtureSpec(
-        d, [(w, ChannelSpec(d, b, _function(*f))) for b, w, f in zip(bases, weights, functions)]
+        d,
+        [(w, ChannelSpec(d, b, kind(*args))) for b, w, (kind, args) in zip(bases, weights, functions)],
     )
 
 
 def _drawn_batch(d: int, draws) -> MixtureBatch:
     """Drawn mixtures (:func:`_draw_mixture`) as a batch of columns, each
-    component with its own function, grouped by class; the samples of the
-    sampled grids are computed as one matrix."""
-    starts, basis, weight = [0], [], []
-    members: dict = {}  # by class: (component, parameters) of each function
+    component with its own function, its draw a table entry."""
+    starts, basis, weight, entries = [0], [], [], []
     for bases, weights, functions in draws:
-        for c, (kind, params) in enumerate(functions, start=len(basis)):
-            members.setdefault(kind, []).append((c, params))
         basis += bases
         weight += weights
+        entries += functions
         starts.append(len(basis))
-    families = []
-    for kind, drawn in members.items():
-        rows, params = zip(*drawn)
-        if kind is SampledGrid:
-            scale, rate = np.array(params).T[:, :, None]
-            family = _Samples(_SAMPLE_TIMES, _sampled_values(scale, rate))
-        else:
-            family = _ClosedForms(kind, list(params))
-        families.append((np.array(rows, dtype=np.intp), family))
-    table = _Functions.of_families(len(basis), families)
+    table = _Functions.of_entries(entries)
     return MixtureBatch.of_columns(d, starts, basis, weight, np.arange(len(basis)), table)
 
 
@@ -553,8 +530,9 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
 
     Trial ``k`` draws from ``default_rng([seed, k])`` (:func:`_draw_mixture`).
     The trials, and last the equal-weights mixture, are drawn a block at a
-    time straight into batch rows (:func:`_drawn_batch`), each block judged
-    by :func:`~paulimix.dynamics._semigroup_verdicts` before the next is
+    time straight into batch rows whose functions are the draws' table
+    entries (:func:`_drawn_batch`), each block judged by
+    :func:`~paulimix.dynamics._semigroup_verdicts` before the next is
     drawn.  Only a counterexample's mixture is built as an object, drawn
     again from its trial's generator.
     """

@@ -1,6 +1,8 @@
 """Decoherence functions, channel/mixture specs, and validation."""
 
+import ast
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
+import paulimix
 from paulimix import (
     ChannelSpec,
     DifferenceTemplate,
@@ -21,7 +24,7 @@ from paulimix import (
     single_channel_eigenvalues,
     validate_mixture,
 )
-from paulimix.channelcore import _bisect, build_interpolants
+from paulimix.channelcore import _bisect, _Functions
 from paulimix.exprcalc import DomainError
 from util import reference_bisect
 
@@ -148,7 +151,8 @@ def _sample_times(draw, size):
 
 @st.composite
 def _sampled_batch(draw):
-    """Grids on two different sample-time arrays, and one built beforehand."""
+    """Grids on two different sample-time arrays, one of them evaluated
+    alone beforehand."""
     size = draw(st.integers(3, 12))
     times = [draw(_sample_times(size)), draw(_sample_times(draw(st.integers(3, 12))))]
     grids = []
@@ -167,13 +171,22 @@ def _sampled_batch(draw):
 @settings(max_examples=200, deadline=None)
 @given(_sampled_batch(), st.floats(min_value=0.0, max_value=1.0))
 def test_stacked_interpolants_replay_per_grid_builds(grids, fraction):
-    build_interpolants(grids + grids[:1])
-    for g in grids:
+    # A table stacks the grids of each sample-time array into one build;
+    # the whole table, each grid's table of one (a column cut from the
+    # stack), and each grid alone all give the bits of a per-grid build.
+    table, rows = _Functions.of(grids + grids[:1])
+    assert rows[-1] == rows[0]
+    common = np.linspace(0.0, min(float(g.times[-1]) for g in grids), 29)
+    stacked = table.evaluate(common)
+    for g, i in zip(grids, rows):
         ref = PchipInterpolator(g.times, g.values, extrapolate=False)
         dref = ref.derivative()
+        assert _bits(stacked[:, i]) == _bits((ref(common), dref(common)))
         end = float(g.times[-1])
         probe = np.concatenate([g.times, np.linspace(0.0, end, 29)])
-        assert _bits(g.value_and_derivative(probe)) == _bits((ref(probe), dref(probe)))
+        expected = _bits((ref(probe), dref(probe)))
+        assert _bits(table.take([i]).evaluate(probe)[:, 0]) == expected
+        assert _bits(g.value_and_derivative(probe)) == expected
         t = fraction * end
         got = g.value_and_derivative(t)
         assert all(type(x) is float for x in got)
@@ -325,6 +338,22 @@ def test_validate_flags_negative_weight():
     assert any(i.kind == "weight" for i in report.issues)
 
 
+@pytest.mark.parametrize(
+    "weights, nonfinite",
+    [((math.nan, 1.0), [1]), ((1.0, math.inf), [2]), ((math.inf, -math.inf), [1, 2])],
+)
+def test_validate_flags_a_nonfinite_weight(weights, nonfinite):
+    # A NaN weight compares false against every bound, and inf + -inf sums
+    # to NaN: each is a weight issue, and the sum is off the simplex.
+    spec = _mix((weights[0], 1, ExpRelax(0.5, 1.0)), (weights[1], 2, ExpRelax(0.5, 1.0)))
+    report = validate_mixture(spec, default_grid())
+    assert not report.passed and not report.structural_ok
+    flagged = [i for i in report.issues if i.kind == "weight"]
+    assert [i.component for i in flagged] == nonfinite
+    assert all(i.message.endswith("is not finite") for i in flagged)
+    assert [i.kind for i in report.issues].count("weight-sum") == 1
+
+
 def test_validate_flags_dimension_mismatch():
     spec = MixtureSpec(2, [(1.0, ChannelSpec(3, 1, ExpRelax(0.5, 1.0)))])
     report = validate_mixture(spec, default_grid())
@@ -455,3 +484,26 @@ def test_rounds_replay_plain_bisection_bit_for_bit(case):
     # 200-halving cap).
     assert _outcome(_bisect, *case) == _outcome(reference_bisect, *case)
 
+
+
+# The function table's format: channelcore alone names its families.
+
+_FAMILY_NAMES = {"_ClosedForms", "_Samples", "_Lone", "_entry"}
+
+
+def test_only_channelcore_names_the_function_families():
+    package = pathlib.Path(paulimix.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert "channelcore.py" in [m.name for m in modules]
+    for path in modules:
+        if path.name == "channelcore.py":
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update([node.name, node.asname])
+        assert not named & _FAMILY_NAMES, f"{path.name} names {sorted(named & _FAMILY_NAMES)}"

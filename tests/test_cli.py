@@ -124,9 +124,33 @@ def test_construct_same_exits_2_when_the_partner_leaves_the_unit_interval(capsys
     assert err.startswith("error: constructed p(t) leaves [0, 1]")
 
 
+def test_construct_rejects_a_nonfinite_weight(out_dir, capsys):
+    assert main(["construct", "2", "1.0", "nan", "0.5", "0.5", "--out", "c.ini"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: weights must be finite, got (nan, 0.5, 0.5)\n"
+    assert not (out_dir / "c.ini").exists()
+
+
+def test_construct_same_rejects_a_basis_beyond_d_plus_1(out_dir, capsys):
+    argv = ["construct", "2", "1.0", "--same", "0.3", "--q", "0.2*(1-exp(-t))", "--basis", "4"]
+    assert main([*argv, "--out", "c.ini"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: basis label must lie in 1..3, got 4\n"
+    assert not (out_dir / "c.ini").exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze error paths
 # ---------------------------------------------------------------------------
+
+
+def test_analyze_rejects_a_nan_weight_before_writing(out_dir, tmp_path, capsys):
+    cfg = write_config(tmp_path / "nan.ini", EQUAL_THIRDS.replace("0.3333333333333333", "nan", 1))
+    assert main(["analyze", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid mixture: component 1 weight nan is not finite")
+    assert not list(out_dir.glob("nan_*"))
 
 
 def test_analyze_rejects_bad_weight_sum(out_dir, tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,6 +321,34 @@ def test_classify_locates_output_singularities():
     assert labels == [2, 3]
     for _, t_star in report.singular_times:
         assert t_star == pytest.approx(LN2, abs=1e-10)
+
+
+# A qubit with one channel of weight 1 has the off-label eigenvalue 1 - 2p;
+# each case gives p as a function and as an mpmath expression.
+_MPMATH_ORACLE = {
+    "exp-relax": (ExpRelax(1, 1), lambda t: 1 - 2 * (1 - mpmath.exp(-t)), 1),
+    "sin-squared": (Expression("0.8*sin(t)^2"), lambda t: 1 - 2 * mpmath.mpf("0.8") * mpmath.sin(t) ** 2, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MPMATH_ORACLE))
+def test_singular_times_lie_on_mpmath_roots(case):
+    # Every singular time, of the output (labels 2 and 3) and of the input,
+    # lies within the singularity tolerance of a 40-digit root near it.
+    f, lam, count = _MPMATH_ORACLE[case]
+    report = classify(MixtureSpec(2, [(1.0, ChannelSpec(2, 1, f))]), default_grid(5.0))
+    (verdict,) = report.inputs
+    assert verdict.verdict == "noninvertible" and len(verdict.singular_times) == count
+    assert sorted(label for label, _ in report.singular_times) == sorted([2, 3] * count)
+    found = [t for _, t in report.singular_times] + list(verdict.singular_times)
+    roots = set()
+    with mpmath.workdps(40):
+        for t in found:
+            root = mpmath.findroot(lam, mpmath.mpf(t))
+            assert abs(lam(root)) < mpmath.mpf(10) ** -35
+            assert abs(root - t) <= Tolerances().singularity
+            roots.add(mpmath.nstr(root, 30))
+    assert len(roots) == count
 
 
 def test_classify_raises_on_structural_problems():
@@ -1129,13 +1158,15 @@ def function_tables(draw):
     """Functions of all five classes, each at least once, and the times to
     evaluate them at.
 
-    Sampled grids sit on two sample-time arrays; the stack of the first was
-    built by an earlier call, with grids that the table leaves out.
+    Sampled grids sit on two sample-time arrays; the grids of the first
+    were evaluated alone by an earlier call, and the table leaves some of
+    them out.
     """
     early = np.linspace(0.0, draw(st.floats(min_value=1.0, max_value=4.0)), draw(st.integers(3, 9)))
     late = np.linspace(0.0, 5.0, draw(st.integers(3, 9)))
     built = _grids(draw, early, draw(st.integers(1, 4)))
-    channelcore.build_interpolants(built)
+    for g in built:
+        g.value(early)
     kept = draw(st.lists(st.sampled_from(built), min_size=1, max_size=len(built), unique_by=id))
     functions = [draw(kind) for kind in _UNSAMPLED] + draw(st.lists(st.one_of(_UNSAMPLED), max_size=6))
     functions = draw(st.permutations(functions + kept + _grids(draw, late, draw(st.integers(1, 3)))))
@@ -1149,6 +1180,18 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _first_uses(functions, rows):
+    """``(row, function)`` of each row of a table of ``functions`` (each on
+    its row ``rows[k]``), the function that first uses it.  Rows follow
+    first use, and every function equals the one that first uses its row,
+    a sampled grid by identity."""
+    first = {}
+    for f, i in zip(functions, rows):
+        assert first.setdefault(i, f) == f
+    assert list(first) == list(range(len(first)))
+    return first.items()
+
+
 # Slopes near the smallest doubles overflow inside PCHIP's harmonic mean, in
 # the stacked build and the grid's own evaluation alike.
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
@@ -1156,12 +1199,10 @@ def _bits(x):
 @given(function_tables())
 def test_a_table_equals_its_functions_evaluated_alone(table):
     functions, times = table
-    funcs = dynamics._Functions()
-    for f in functions:
-        funcs.index(f)
+    funcs, rows = channelcore._Functions.of(functions)
     both = funcs.evaluate(times)
-    assert both.shape == (2, len(funcs.functions), times.size)
-    for i, f in enumerate(funcs.functions):
+    assert both.shape == (2, funcs.size, times.size)
+    for i, f in _first_uses(functions, rows):
         p, dp = f.value_and_derivative(times)
         assert both[0, i].tobytes() == _bits(p) == _bits(f.value(times))
         assert both[1, i].tobytes() == _bits(dp)
@@ -1182,42 +1223,19 @@ def test_a_failing_table_raises_the_error_of_its_first_failing_function():
         uncovered: "time outside sampled range at t=1.25",
     }
     for first, second in ((hole, uncovered), (uncovered, hole)):
-        funcs = dynamics._Functions()
-        for f in [others[0], first, others[1], stacked, second, others[2]]:
-            funcs.index(f)
+        funcs, _ = channelcore._Functions.of(
+            [others[0], first, others[1], stacked, second, others[2]]
+        )
         with pytest.raises(DomainError) as err:
             funcs.evaluate(times)
         assert str(err.value) == messages[first]
         assert err.value.t == 1.25
     # A closed-form family can raise only under the caller's np.errstate; its
     # first member does not fail alone, and the expression after it does.
-    funcs = dynamics._Functions()
-    for f in [ExpRelax(0.5, 1.0), hole, ExpRelax(0.5, 1e4)]:
-        funcs.index(f)
+    funcs, _ = channelcore._Functions.of([ExpRelax(0.5, 1.0), hole, ExpRelax(0.5, 1e4)])
     with np.errstate(under="raise"), pytest.raises(DomainError) as err:
         funcs.evaluate(times)
     assert str(err.value) == messages[hole]
-
-
-def test_a_grid_alone_cuts_its_interpolants_from_its_stack_column():
-    times = np.linspace(0.0, 3.0, 7)
-    grids = [SampledGrid(times, s * (1.0 - np.exp(-times))) for s in (0.2, 0.5, 0.9)]
-    channelcore.build_interpolants(grids)
-    funcs = dynamics._Functions()
-    for g in grids[::-1]:
-        funcs.index(g)
-    probe = np.linspace(0.0, 3.0, 41)
-    table = funcs.evaluate(probe)
-    for j, g in enumerate(grids):
-        stack, column = g._column
-        assert stack is grids[0]._column[0] and column == j
-        assert g._own is None  # a table evaluates the stack, not the grid
-        p, dp = g.value_and_derivative(probe)
-        value, derivative = g._own
-        assert value.c.tobytes() == np.ascontiguousarray(stack.value.c[:, :, j]).tobytes()
-        assert derivative.c.tobytes() == np.ascontiguousarray(stack.derivative.c[:, :, j]).tobytes()
-        assert _bits(p) == stack.value(probe)[:, j].tobytes() == table[0, 2 - j].tobytes()
-        assert _bits(dp) == stack.derivative(probe)[:, j].tobytes() == table[1, 2 - j].tobytes()
 
 
 # Slopes near the smallest doubles overflow inside PCHIP's harmonic mean, in
@@ -1228,13 +1246,11 @@ def test_a_grid_alone_cuts_its_interpolants_from_its_stack_column():
 def test_a_table_at_points_equals_its_functions_at_theirs(table, seed):
     # Each point by its own function, as the zero search evaluates inputs.
     functions, times = table
-    funcs = dynamics._Functions()
-    for f in functions:
-        funcs.index(f)
+    funcs, uses = channelcore._Functions.of(functions)
     rows = np.random.default_rng(seed).integers(0, funcs.size, size=times.size)
     both = funcs.at(rows, times)
     assert both.shape == (2, times.size)
-    for i, f in enumerate(funcs.functions):
+    for i, f in _first_uses(functions, uses):
         p, dp = f.value_and_derivative(times[rows == i])
         assert both[0, rows == i].tobytes() == _bits(p)
         assert both[1, rows == i].tobytes() == _bits(dp)

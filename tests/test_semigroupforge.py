@@ -456,6 +456,7 @@ def test_a_counterexample_redraws_its_trials_batch_row(monkeypatch, d, seed):
 
 
 _GOOD = (ExpRelax, (0.5, 1.0))
+_TIMES = semigroupforge._SAMPLE_TIMES
 _BAD_INPUTS = {
     "basis-above-d+1": ([1, 4], [0.5, 0.5], [_GOOD, _GOOD]),
     "basis-zero": ([0], [1.0], [_GOOD]),
@@ -466,9 +467,11 @@ _BAD_INPUTS = {
     "negative-rate": ([1], [1.0], [(ExpRelax, (0.5, -1.0))]),
     "nan-rate": ([1], [1.0], [(ExpRelax, (0.5, math.nan))]),
     "infinite-scale": ([1], [1.0], [(ExpRelax, (math.inf, 1.0))]),
-    "nan-samples": ([1], [1.0], [(SampledGrid, (math.nan, 1.0))]),
+    "nan-samples": ([1], [1.0], [(SampledGrid, (_TIMES, math.nan * (1.0 - np.exp(-_TIMES))))]),
     "weights-sum-above-1": ([1, 2], [0.7, 0.7], [_GOOD, _GOOD]),
     "negative-weight": ([1, 3], [1.25, -0.25], [_GOOD, _GOOD]),
+    "nan-weight": ([1, 2], [math.nan, 1.0], [_GOOD, _GOOD]),
+    "infinite-weights": ([1, 2], [math.inf, -math.inf], [_GOOD, _GOOD]),
     "bad-function-before-bad-weights": ([1, 2], [0.7, 0.7], [_GOOD, (ExpRelax, (0.5, 0.0))]),
 }
 
@@ -485,7 +488,7 @@ def test_a_batch_producer_rejects_what_the_object_constructors_reject(name):
     grid = default_grid(5.0, 64)
 
     def objects():
-        channels = [ChannelSpec(2, b, semigroupforge._function(*f)) for b, f in zip(bases, functions)]
+        channels = [ChannelSpec(2, b, kind(*args)) for b, (kind, args) in zip(bases, functions)]
         return classify(MixtureSpec(2, list(zip(weights, channels))), grid)
 
     def batch():
@@ -696,6 +699,11 @@ class _LooseSubsets(Tolerances):
         if batch.starts[b + 1] - batch.starts[b] <= batch.dimension:
             return math.inf
         return super().semigroup_at(batch, b)
+
+    def semigroup_for(self, spec):
+        if len(spec.components) <= spec.dimension:
+            return math.inf
+        return super().semigroup_for(spec)
 
 
 def _blocks_of(monkeypatch, d, size):
