@@ -351,20 +351,14 @@ def _stack(times: np.ndarray, values: np.ndarray) -> _Stack:
     return _Stack(value, value.derivative())
 
 
-def _cut(interp: PPoly, columns) -> PPoly:
-    """The piecewise polynomials of ``interp`` in the list ``columns``."""
-    return PPoly.construct_fast(np.ascontiguousarray(interp.c[:, :, columns]), interp.x, False)
-
-
 # A function family holds G functions as arrays and evaluates them together.
 # Calling it on a 1-d ``t`` returns ``[p, p']``, each plane of shape
 # ``(G, t.size)`` and bit for bit what each member's ``value_and_derivative``
 # returns alone; ``at(members, t)`` returns ``[p, p']`` of member
 # ``members[k]`` at ``t[k]``, shape ``(t.size,)`` each, also bit for bit.
-# ``take(members)`` is the family of some of its members, in that order,
-# sharing this one's arrays; ``rejected()`` flags the members that their
-# class's constructor rejects, and ``build(k)`` is member ``k`` as an object,
-# so it raises what that constructor raises.
+# ``rejected()`` flags the members that their class's constructor rejects,
+# and ``build(k)`` is member ``k`` as an object, so it raises what that
+# constructor raises.
 
 
 class _ClosedForms:
@@ -375,15 +369,13 @@ class _ClosedForms:
 
     sampled = False
 
-    def __init__(self, kind, given, params=None):
+    def __init__(self, kind, given):
         self.kind = kind
         self.given = given  # each member's parameters, as given, in field order
         self._names = [f.name for f in fields(kind)]
-        if params is None:
-            params = np.array(given, dtype=float).reshape(len(given), len(self._names))
-        self.params = params
+        self.params = np.array(given, dtype=float).reshape(len(given), len(self._names))
         self._columns = SimpleNamespace(
-            **{name: params[:, i : i + 1].copy() for i, name in enumerate(self._names)}
+            **{name: self.params[:, i : i + 1].copy() for i, name in enumerate(self._names)}
         )
 
     def __call__(self, t):
@@ -395,9 +387,6 @@ class _ClosedForms:
             **{name: self.params[members, i] for i, name in enumerate(self._names)}
         )
         return self.kind._dual(points, t)
-
-    def take(self, members):
-        return _ClosedForms(self.kind, [self.given[m] for m in members], self.params[members])
 
     def rejected(self) -> np.ndarray:
         return self.kind._rejected(self.params)
@@ -413,25 +402,15 @@ class _Samples:
     kind = SampledGrid
     sampled = True
 
-    def __init__(self, times, params, stack=None, columns=None):
+    def __init__(self, times, params):
         self.times = times
         self.params = params
-        self._stack = stack
-        self._columns = columns  # of the stack; None: all, in order
-        self._pieces = None
+        self._stack = None
 
-    def _built(self) -> _Stack:
+    def _evaluators(self) -> _Stack:
         if self._stack is None:
             self._stack = _stack(self.times, self.params)
         return self._stack
-
-    def _evaluators(self):
-        if self._pieces is None:
-            stack = self._built()
-            self._pieces = (stack.value, stack.derivative)
-            if self._columns is not None:
-                self._pieces = tuple(_cut(piece, self._columns) for piece in self._pieces)
-        return self._pieces
 
     def __call__(self, t):
         clipped = _clip(self.times, t)
@@ -443,10 +422,6 @@ class _Samples:
         clipped = _clip(self.times, t)
         points = np.arange(t.size)
         return [piece(clipped)[points, members] for piece in self._evaluators()]
-
-    def take(self, members):
-        columns = members if self._columns is None else [self._columns[m] for m in members]
-        return _Samples(self.times, self.params[members], self._built(), columns)
 
     def rejected(self) -> np.ndarray:
         return SampledGrid._rejected(self.times, self.params)
@@ -468,9 +443,6 @@ class _Lone:
 
     def at(self, members, t):
         return self.f.value_and_derivative(t)
-
-    def take(self, members):
-        return self
 
     def rejected(self) -> np.ndarray:
         return np.zeros(1, dtype=bool)
@@ -559,7 +531,7 @@ class _Functions:
         except Exception:
             if self.size > 1:
                 for i in range(self.size):
-                    self.take([i]).evaluate(times)
+                    self.build(i).value_and_derivative(times)
             raise
         return out
 
@@ -588,24 +560,9 @@ class _Functions:
                 out[:, points] = self.families[f][1].at(member[rows[points]], t[points])
         except Exception:
             for i in dict.fromkeys(rows.tolist()):
-                self.take([i]).evaluate(t[rows == i])
+                self.build(i).value_and_derivative(t[rows == i])
             raise
         return out
-
-    def take(self, rows) -> "_Functions":
-        """The table of the functions ``rows`` (distinct), in that order,
-        sharing this table's family arrays."""
-        where = np.full(self.size, -1, dtype=np.intp)
-        where[rows] = np.arange(len(rows))
-        families = []
-        for old, family in self.families:
-            new = where[old]
-            members = np.flatnonzero(new >= 0)
-            if members.size == new.size:
-                families.append((new, family))
-            elif members.size:
-                families.append((new[members], family.take(members.tolist())))
-        return _Functions(len(rows), families)
 
     def sampled(self) -> np.ndarray:
         """Which functions are sampled grids."""

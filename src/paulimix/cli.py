@@ -37,7 +37,9 @@ from .channelcore import (
     ExpRelax,
     Expression,
     MixtureSpec,
+    MixtureValidationError,
     SampledGrid,
+    structural_issues,
 )
 from .dynamics import Tolerances, default_grid
 from .exprcalc import DomainError, ParseError
@@ -468,8 +470,13 @@ def cmd_dump(args) -> int:
     else:
         if not args.config:
             raise ConfigError(f"dump {what} requires --config")
-        cfg = parse_run_config(args.config)
         t = args.t if args.t is not None else 1.0
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ConfigError(f"--t must be finite and nonnegative, got {t!r}")
+        cfg = parse_run_config(args.config)
+        issues = structural_issues(cfg.mixture)
+        if issues:
+            raise MixtureValidationError(issues)
         if what == "choi":
             m = matrixlab.choi(cfg.mixture, t)
         else:

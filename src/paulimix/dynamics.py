@@ -309,10 +309,12 @@ class MixtureBatch:
     - :meth:`of_columns` takes columns and a table of entries written
       directly (the scanners' draws), and checks them as the object
       constructors would;
-    - the simplex sweep writes its lattice as one batch of columns.
+    - the simplex sweep writes its lattice as batches of columns, a block
+      of lattice points each, over one shared table.
 
-    ``rows(lo, hi)`` is a batch of some of the mixtures, and ``spec(b)``
-    is mixture ``b`` as an object.
+    Each producer hands over blocks of the size that the block stage runs.
+    ``spec(b)`` is mixture ``b`` as an object, and ``alone(b)`` is mixture
+    ``b`` as a batch of one: the batch that ``classify(spec(b))`` builds.
     """
 
     def __init__(self, dimension, starts, basis, weight, function, functions, specs=None):
@@ -325,6 +327,7 @@ class MixtureBatch:
         self.specs = specs
         self._slots: Optional[Tuple[_Slot, ...]] = None
         self._sampled: Optional[list] = None
+        self._alone: dict = {}  # mixture -> itself as a batch of one
 
     @classmethod
     def of_specs(cls, specs: Sequence[MixtureSpec]) -> "MixtureBatch":
@@ -352,28 +355,6 @@ class MixtureBatch:
     def __len__(self) -> int:
         return self.starts.size - 1
 
-    def rows(self, lo: int, hi: int) -> "MixtureBatch":
-        """Mixtures ``lo..hi-1`` as a batch whose table holds only their
-        functions, in first-use order (all of them: this batch)."""
-        if lo == 0 and hi == len(self):
-            return self
-        a, b = self.starts[lo], self.starts[hi]
-        used, first, inverse = np.unique(
-            self.function[a:b], return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        return MixtureBatch(
-            self.dimension,
-            self.starts[lo : hi + 1] - a,
-            self.basis[a:b],
-            self.weight[a:b],
-            rank[inverse],
-            self.functions.take(used[order]),
-            None if self.specs is None else self.specs[lo:hi],
-        )
-
     def spec(self, b: int) -> MixtureSpec:
         """Mixture ``b`` as an object: the one encoded, or one built from
         its columns."""
@@ -389,6 +370,15 @@ class MixtureBatch:
                 )
             ],
         )
+
+    def alone(self, b: int) -> "MixtureBatch":
+        """Mixture ``b`` as a batch of one: this batch if it holds only
+        ``b``, else ``spec(b)`` encoded by :meth:`of_specs`, at most once."""
+        if len(self) == 1:
+            return self
+        if b not in self._alone:
+            self._alone[b] = MixtureBatch.of_specs([self.spec(b)])
+        return self._alone[b]
 
     @property
     def sampled(self) -> list:
@@ -510,25 +500,21 @@ def _batches(specs: Iterable[MixtureSpec], points: int):
     return map(MixtureBatch.of_specs, _blocks(specs, points))
 
 
-def _by_blocks(run, batches: Iterable[MixtureBatch], points: int):
-    """``run(block)`` on each block of ``batches``, its results yielded in
-    order, a block at a time: a batch of more than :func:`_block_size`
-    mixtures is cut into blocks of its rows.  A block of several mixtures
-    that raises is run again one mixture at a time, so the first mixture
-    that fails alone raises its own error; if none does, the block's error
-    is raised."""
+def _by_blocks(run, batches: Iterable[MixtureBatch]):
+    """``run(batch)`` on each of ``batches``, blocks as their producers
+    sized them, its results yielded in order.  A batch of several mixtures
+    that raises is run again one mixture at a time, each as
+    :meth:`MixtureBatch.alone`, so the first mixture that fails alone raises
+    its own error; if none does, the batch's error is raised."""
     for batch in batches:
-        size = _block_size(batch.dimension, points)
-        for lo in range(0, len(batch), size):
-            block = batch if len(batch) <= size else batch.rows(lo, min(lo + size, len(batch)))
-            try:
-                results = run(block)
-            except Exception:
-                if len(block) > 1:
-                    for b in range(len(block)):
-                        run(block.rows(b, b + 1))
-                raise
-            yield from results
+        try:
+            results = run(batch)
+        except Exception:
+            if len(batch) > 1:
+                for b in range(len(batch)):
+                    run(batch.alone(b))
+            raise
+        yield from results
 
 
 class _Fit(NamedTuple):
@@ -705,7 +691,7 @@ def _semigroup_verdicts(batches, grid: TimeGrid, tolerances: Optional[Tolerances
         fit = _block(batch, grid.times, tol.pole).fit
         return [_verdict(fit, b, tol.semigroup_at(batch, b)) for b in range(len(batch))]
 
-    return list(_by_blocks(run, batches, len(grid)))
+    return list(_by_blocks(run, batches))
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +704,7 @@ def _zeros(done: _Block, times: np.ndarray, xtol: float):
     off-label row ``1 - (d/(d-1)) p`` of each of its functions, in one
     :func:`bracket_roots` pass.  Each round of its bisection evaluates,
     at all the points of the live brackets' midpoint trees, each mixture
-    once as its row of the batch, a batch of one, and then every
+    once alone (:meth:`MixtureBatch.alone`), and then every
     function's points together (``functions.at``), each function as
     its dual pair, of which the value plane is kept.  Returns each
     mixture's sorted ``(label, t*)`` zeros, and each function's zeros and
@@ -728,7 +714,6 @@ def _zeros(done: _Block, times: np.ndarray, xtol: float):
     factor = (labels - 1) / (labels - 2.0)  # d/(d-1)
     rows_in = 1.0 - factor * done.values[0]
     owner = np.concatenate([np.repeat(np.arange(size), labels), size + np.arange(len(rows_in))])
-    alone: dict = {}  # each mixture's row, as a batch of one
 
     def f(rows, t):
         out = np.empty(t.size)
@@ -739,10 +724,7 @@ def _zeros(done: _Block, times: np.ndarray, xtol: float):
         if inputs:
             cuts = [0, *(np.flatnonzero(who[1:inputs] != who[: inputs - 1]) + 1).tolist(), inputs]
             for a, b in zip(cuts, cuts[1:]):
-                o = who.item(a)
-                if o not in alone:
-                    alone[o] = batch.rows(o, o + 1)
-                row = alone[o]
+                row = batch.alone(who.item(a))
                 lam = _spectrum(row, row.slots, row.functions.evaluate(t[a:b]))[0, 0]
                 out[a:b] = lam[rows[a:b] % labels, np.arange(b - a)]
         if inputs < t.size:
@@ -846,7 +828,7 @@ def _analyze_block(batch: MixtureBatch, grid: TimeGrid, tol: Tolerances, keep: b
             # The row alone, as a block of one on its refined grid, which
             # resolves its output's poles; its inputs keep their verdicts.
             row_grid = refine_grid(grid, [t for _, t in singular[b]])
-            row, r = _block(batch.rows(b, b + 1), row_grid.times, tol.pole), 0
+            row, r = _block(batch.alone(b), row_grid.times, tol.pole), 0
         report = _report(d, row.fit, r, singular[b], inputs, p_in_range, sg_tol, cp_tol)
         if keep:
             spectral = SpectralTrajectory(d, row_grid, row.lam[r], row.dlam[r])
@@ -861,7 +843,7 @@ def _analyze(batches: Iterable[MixtureBatch], grid: TimeGrid, tolerances, keep: 
     """Each report (with ``keep``, each analysis) of the mixtures of
     ``batches``, a block at a time."""
     tol = tolerances if tolerances is not None else Tolerances()
-    return _by_blocks(lambda block: _analyze_block(block, grid, tol, keep), batches, len(grid))
+    return _by_blocks(lambda block: _analyze_block(block, grid, tol, keep), batches)
 
 
 def _analyze_specs(specs: Iterable[MixtureSpec], grid, tolerances, keep: bool):
@@ -878,15 +860,15 @@ def classify_many(
     in one batched pass over blocks of mixtures.
 
     ``specs`` is read a block at a time, and each block is encoded as a
-    :class:`MixtureBatch`; the simplex sweep writes its lattice as one
-    batch directly.  Each block evaluates every distinct decoherence
-    function once on the grid, a family at a time, and computes
-    eigenvalues, rates, poles, the semigroup fit and the least rate as
-    arrays over a leading mixture axis.  One bracketing pass finds the
-    zeros of all its output rows and of each distinct input's row, all
-    brackets bisected together; that pass gives every input its verdict.
-    Rows with singular times are refined and their trajectories and rates
-    recomputed one by one, each as a batch of one.  Blocks hold at most
+    :class:`MixtureBatch`; the simplex sweep writes its lattice's blocks
+    directly.  Each block evaluates every distinct decoherence function
+    once on the grid, a family at a time, and computes eigenvalues, rates,
+    poles, the semigroup fit and the least rate as arrays over a leading
+    mixture axis.  One bracketing pass finds the zeros of all its output
+    rows and of each distinct input's row, all brackets bisected together;
+    that pass gives every input its verdict.  Rows with singular times are
+    refined and their trajectories and rates recomputed one by one, each
+    alone (:meth:`MixtureBatch.alone`).  Blocks hold at most
     ``_BLOCK_VALUES`` eigenvalues, so memory does not grow with the batch
     beyond the reports themselves.  The first mixture that ``classify``
     would reject raises the same exception here.

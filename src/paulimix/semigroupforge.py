@@ -54,6 +54,7 @@ from .dynamics import (
     TimeGrid,
     Tolerances,
     _analyze,
+    _block_size,
     _blocks,
     _semigroup_verdicts,
     default_grid,
@@ -362,13 +363,13 @@ def simplex_scan(
     ``family='semigroup'`` gives each supported label the semigroup input
     ``p = ((d-1)/d)(1 - e^{-ct})``; ``family='matched'`` gives each label
     the input of :func:`build_all_channels_mix`, defined where every
-    weight is at least ``(d-1)/d^2``.  The valid points are written as one
-    :class:`~paulimix.dynamics.MixtureBatch` of columns, with lattice
-    weights and basis labels, over a function table of ``ExpRelax``
-    entries: one semigroup input shared by every label, or one matched
-    input per admissible lattice weight ``k/divisions``.
-    They are classified as by :func:`~paulimix.dynamics.classify_many`, a
-    block of rows at a time; no mixture object is built.
+    weight is at least ``(d-1)/d^2``.  The valid points are written as
+    columns, with lattice weights and basis labels, over one function table
+    of ``ExpRelax`` entries: one semigroup input shared by every label, or
+    one matched input per admissible lattice weight ``k/divisions``.  The
+    sweep yields them a block at a time, each block a
+    :class:`~paulimix.dynamics.MixtureBatch` over that table, classified as
+    by :func:`~paulimix.dynamics.classify_many`; no mixture object is built.
     """
     if divisions < 1:
         raise ValueError(f"divisions must be positive, got {divisions}")
@@ -399,12 +400,19 @@ def simplex_scan(
         rows, labels = np.nonzero(counts)
         function = np.zeros(rows.size, dtype=np.intp)
     starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(counts))[valid])])
-    batch = MixtureBatch(d, starts, labels + 1, weights[rows, labels], function, functions)
+    basis, weight, size = labels + 1, weights[rows, labels], _block_size(d, len(grid))
+
+    def batches():
+        for lo in range(0, starts.size - 1, size):
+            cut = starts[lo : lo + size + 1]
+            a, z = cut[0], cut[-1]
+            yield MixtureBatch(d, cut - a, basis[a:z], weight[a:z], function[a:z], functions)
+
     is_semigroup = np.zeros(len(counts), dtype=bool)
     is_cp_divisible = np.zeros(len(counts), dtype=bool)
     min_rate = np.full(len(counts), np.nan)
     noninvertible = np.zeros(len(counts), dtype=np.int64)
-    for row, report in zip(np.flatnonzero(valid), _analyze([batch], grid, None, keep=False)):
+    for row, report in zip(np.flatnonzero(valid), _analyze(batches(), grid, None, keep=False)):
         is_semigroup[row] = report.is_semigroup
         is_cp_divisible[row] = report.is_cp_divisible
         min_rate[row] = report.min_rate

@@ -172,8 +172,8 @@ def _sampled_batch(draw):
 @given(_sampled_batch(), st.floats(min_value=0.0, max_value=1.0))
 def test_stacked_interpolants_replay_per_grid_builds(grids, fraction):
     # A table stacks the grids of each sample-time array into one build;
-    # the whole table, each grid's table of one (a column cut from the
-    # stack), and each grid alone all give the bits of a per-grid build.
+    # the whole table, each grid's table of one (a stack of one column),
+    # and each grid alone all give the bits of a per-grid build.
     table, rows = _Functions.of(grids + grids[:1])
     assert rows[-1] == rows[0]
     common = np.linspace(0.0, min(float(g.times[-1]) for g in grids), 29)
@@ -185,7 +185,7 @@ def test_stacked_interpolants_replay_per_grid_builds(grids, fraction):
         end = float(g.times[-1])
         probe = np.concatenate([g.times, np.linspace(0.0, end, 29)])
         expected = _bits((ref(probe), dref(probe)))
-        assert _bits(table.take([i]).evaluate(probe)[:, 0]) == expected
+        assert _bits(_Functions.of([g])[0].evaluate(probe)[:, 0]) == expected
         assert _bits(g.value_and_derivative(probe)) == expected
         t = fraction * end
         got = g.value_and_derivative(t)

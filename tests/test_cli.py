@@ -608,6 +608,29 @@ def test_dump_superop_matrix(out_dir, tmp_path, capsys):
     assert cells[("0", "0")] == "1" and cells[("0", "1")] == "0"
 
 
+@pytest.mark.parametrize("what", ["choi", "superop"])
+def test_dump_rejects_an_invalid_mixture_before_writing(out_dir, tmp_path, capsys, what):
+    # Weights 0.2 and 0.5: the map would not be trace preserving.
+    text = EQUAL_THIRDS.replace("0.3333333333333333", "0.2", 1)
+    text = text.replace("0.3333333333333333", "0.5", 1).replace("0.3333333333333334", "0.0")
+    cfg = write_config(tmp_path / "bad.ini", text)
+    assert main(["dump", what, "--config", cfg, "--out", "m.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid mixture: weights sum to 0.7")
+    assert not (out_dir / "m.csv").exists()
+
+
+@pytest.mark.parametrize("t", ["nan", "-3", "inf"])
+def test_dump_rejects_a_time_that_is_not_finite_and_nonnegative(out_dir, tmp_path, capsys, t):
+    cfg = write_config(tmp_path / "mix.ini", EQUAL_THIRDS)
+    assert main(["dump", "choi", "--config", cfg, "--t", t, "--out", "m.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --t must be finite and nonnegative, got {float(t)!r}\n"
+    assert not (out_dir / "m.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 # ---------------------------------------------------------------------------

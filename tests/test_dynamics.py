@@ -31,9 +31,10 @@ from paulimix import (
     mixture_eigenvalues,
     rates_from_spectrum,
     refine_grid,
+    simplex_scan,
     single_channel_eigenvalues,
 )
-from paulimix import channelcore, dynamics
+from paulimix import channelcore, dynamics, semigroupforge
 from paulimix.channelcore import bracket_roots
 from paulimix.dynamics import SpectralTrajectory
 from paulimix.exprcalc import DomainError
@@ -1080,13 +1081,46 @@ def test_a_clean_batch_runs_each_block_once(monkeypatch, batched):
     assert sizes == [4, 4, 1]
 
 
-@pytest.mark.parametrize("batched", [classify_many, dynamics.semigroup_verdicts])
-def test_a_block_error_that_no_mixture_repeats_alone_is_raised(monkeypatch, batched):
-    specs = [three_semigroup_mix(), equal_thirds_mix()]
+def _drawn_block():
+    # Three drawn qubit mixtures, one batch of columns, as the scanners draw them.
+    draws = [
+        semigroupforge._draw_mixture(np.random.default_rng([0, k]), 2, 2, 3, 0.05)
+        for k in range(3)
+    ]
+    dynamics._semigroup_verdicts([semigroupforge._drawn_batch(2, draws)], _BATCH_GRID, None)
+
+
+def _sweep_block():
+    # The six points of the qubit simplex lattice in two divisions: one block.
+    simplex_scan(2, 2, "semigroup", 1.0, _BATCH_GRID)
+
+
+@pytest.mark.parametrize(
+    "run, size",
+    [
+        pytest.param(
+            lambda: classify_many([three_semigroup_mix(), equal_thirds_mix()], _BATCH_GRID),
+            2,
+            id="classify_many",
+        ),
+        pytest.param(
+            lambda: dynamics.semigroup_verdicts(
+                [three_semigroup_mix(), equal_thirds_mix()], _BATCH_GRID
+            ),
+            2,
+            id="semigroup_verdicts",
+        ),
+        pytest.param(_drawn_block, 3, id="drawn-batch"),
+        pytest.param(_sweep_block, 6, id="sweep-block"),
+    ],
+)
+def test_a_block_error_that_no_mixture_repeats_alone_is_raised(monkeypatch, run, size):
+    # A batch of columns runs each mixture again as the batch built from its
+    # objects (``MixtureBatch.alone``).
     sizes = _record_blocks(monkeypatch, fail_batches=True)
     with pytest.raises(RuntimeError, match="batched kernel failed"):
-        batched(specs, _BATCH_GRID)
-    assert sizes == [2, 1, 1]  # the block, then each mixture alone
+        run()
+    assert sizes == [size] + [1] * size  # the block, then each mixture alone
 
 
 @pytest.mark.parametrize("batched", [classify_many, dynamics.semigroup_verdicts])

@@ -399,14 +399,15 @@ def test_random_mixtures_replay_the_scalar_draw(d, low, high, floor):
 def _row(batch, b):
     """Mixture ``b`` of ``batch``, bit for bit: its bases, weights and, per
     component, its function's class, parameters and sample times."""
-    row = batch.rows(b, b + 1)
+    a, z = batch.starts[b], batch.starts[b + 1]
     entries = {}
-    for rows, family in row.functions.families:
+    for rows, family in batch.functions.families:
         times = family.times.tobytes() if family.kind is SampledGrid else b""
         for k, i in enumerate(rows.tolist()):
             entries[i] = (family.kind, family.params[k].tobytes(), times)
-    functions = [entries[i] for i in row.function.tolist()]
-    return row.starts.tolist(), row.basis.tolist(), row.weight.tobytes(), functions
+    functions = [entries[i] for i in batch.function[a:z].tolist()]
+    starts = (batch.starts[b : b + 2] - a).tolist()
+    return starts, batch.basis[a:z].tolist(), batch.weight[a:z].tobytes(), functions
 
 
 _DRAWS = {"theorem": (2, None, 0.05), "cptp": (1, 1, 0.0)}  # low, high - (d+1), floor
@@ -427,14 +428,16 @@ def test_a_drawn_batch_row_equals_the_encoded_mixture_of_its_draw(d, draws):
             d, [semigroupforge._draw_mixture(rng, d, low, high, floor) for rng in rngs]
         )
         assert len(batch) == 40
+        values = batch.functions.evaluate(times)
         for k in range(40):
             rng = np.random.default_rng([seed, k])
             spec = semigroupforge._random_mixture(rng, d, low, high, floor)
             assert rng.bit_generator.state == rngs[k].bit_generator.state
             encoded = dynamics.MixtureBatch.of_specs([spec])
             assert _row(batch, k) == _row(encoded, 0)
-            drawn, built = batch.rows(k, k + 1), encoded
-            assert drawn.functions.evaluate(times).tobytes() == built.functions.evaluate(times).tobytes()
+            drawn = values[:, batch.function[batch.starts[k] : batch.starts[k + 1]]]
+            built = encoded.functions.evaluate(times)[:, encoded.function]
+            assert drawn.tobytes() == built.tobytes()
             kinds.update(kind for kind, _, _ in _row(batch, k)[3])
     assert kinds == {ExpRelax, ProductTemplate, DifferenceTemplate, SampledGrid}
 
@@ -827,19 +830,35 @@ def test_simplex_lattice_lists_compositions_in_lexicographic_order(parts, divisi
     assert simplex_lattice(parts, divisions).tolist() == [list(c) for c in expected]
 
 
-def test_simplex_scan_matches_pointwise_classification():
+def test_simplex_scan_matches_pointwise_classification(monkeypatch):
+    # The lattice's ten valid points in one block, then in blocks of four.
     grid = default_grid(5.0, 64)
-    scan = simplex_scan(2, 12, "matched", 1.5, grid)
     bound = weight_lower_bound(2)
-    for counts, valid, semi, cpdiv, rate, noninv in zip(
-        scan.counts, scan.valid, scan.is_semigroup, scan.is_cp_divisible,
-        scan.min_rate, scan.noninvertible_inputs,
-    ):
-        x = tuple((counts / 12).tolist())
-        assert valid == all(xi >= bound - 1e-12 for xi in x)
-        if not valid:
-            continue
-        report = classify(build_all_channels_mix(AllChannelsRequest(2, 1.5, x)), grid)
-        assert (semi, cpdiv, rate) == (report.is_semigroup, report.is_cp_divisible, report.min_rate)
-        assert noninv == sum(v.verdict == "noninvertible" for v in report.inputs)
-    assert scan.valid.sum() == scan.proper.sum() > 0 and not scan.corner.any()
+    block = dynamics._block
+    sizes = []
+
+    def recorded(batch, times, pole_tol):
+        sizes.append(len(batch))
+        return block(batch, times, pole_tol)
+
+    monkeypatch.setattr(dynamics, "_block", recorded)
+    for per_block, expected in [(None, [10]), (4, [4, 4, 2])]:
+        if per_block is not None:
+            monkeypatch.setattr(dynamics, "_BLOCK_VALUES", per_block * 3 * len(grid))
+        sizes.clear()
+        scan = simplex_scan(2, 12, "matched", 1.5, grid)
+        assert sizes == expected and max(sizes) <= dynamics._block_size(2, len(grid))
+        for counts, valid, semi, cpdiv, rate, noninv in zip(
+            scan.counts, scan.valid, scan.is_semigroup, scan.is_cp_divisible,
+            scan.min_rate, scan.noninvertible_inputs,
+        ):
+            x = tuple((counts / 12).tolist())
+            assert valid == all(xi >= bound - 1e-12 for xi in x)
+            if not valid:
+                continue
+            report = classify(build_all_channels_mix(AllChannelsRequest(2, 1.5, x)), grid)
+            assert (semi, cpdiv, rate) == (
+                report.is_semigroup, report.is_cp_divisible, report.min_rate
+            )
+            assert noninv == sum(v.verdict == "noninvertible" for v in report.inputs)
+        assert scan.valid.sum() == scan.proper.sum() > 0 and not scan.corner.any()
