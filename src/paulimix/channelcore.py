@@ -90,12 +90,6 @@ class ExpRelax(DecoherenceFunction):
         if not math.isfinite(self.scale):
             raise ValueError(f"relaxation scale must be finite, got {self.scale!r}")
 
-    @staticmethod
-    def _rejected(params: np.ndarray) -> np.ndarray:
-        """Which rows ``(scale, rate)`` of ``params`` the constructor rejects."""
-        scale, rate = params.T
-        return ~((rate > 0) & np.isfinite(rate) & np.isfinite(scale))
-
     def value_and_derivative(self, t):
         arr = np.asarray(t, dtype=float)
         p, dp = self._dual(arr)
@@ -174,11 +168,6 @@ class _Template(DecoherenceFunction):
                     f"nonnegative, got {value!r}"
                 )
             object.__setattr__(self, name, value)
-
-    @staticmethod
-    def _rejected(params: np.ndarray) -> np.ndarray:
-        """Which rows of ``params`` (a parameter per column) the constructor rejects."""
-        return ~(np.isfinite(params) & ~np.signbit(params)).all(axis=1)
 
     def value_and_derivative(self, t):
         arr = np.asarray(t, dtype=float)
@@ -291,22 +280,6 @@ class SampledGrid(DecoherenceFunction):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_own", None)  # (value, derivative), once built
 
-    @staticmethod
-    def _rejected(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Which rows of ``values`` (a grid per row, on the sample ``times``)
-        the constructor rejects."""
-        shared = (
-            times.ndim == 1
-            and values.ndim == 2
-            and values.shape[1] == times.size >= 3
-            and bool(np.isfinite(times).all())
-            and times[0] == 0.0
-            and bool((times[1:] > times[:-1]).all())
-        )
-        if not shared:
-            return np.ones(len(values), dtype=bool)
-        return ~(np.isfinite(values).all(axis=1) & (np.abs(values[:, 0]) <= _P_INITIAL_TOL))
-
     def value_and_derivative(self, t):
         clipped = _clip(self.times, t)
         if self._own is None:  # type: ignore[attr-defined]
@@ -356,9 +329,9 @@ def _stack(times: np.ndarray, values: np.ndarray) -> _Stack:
 # ``(G, t.size)`` and bit for bit what each member's ``value_and_derivative``
 # returns alone; ``at(members, t)`` returns ``[p, p']`` of member
 # ``members[k]`` at ``t[k]``, shape ``(t.size,)`` each, also bit for bit.
-# ``rejected()`` flags the members that their class's constructor rejects,
-# and ``build(k)`` is member ``k`` as an object, so it raises what that
-# constructor raises.
+# ``build(k)`` is member ``k`` as an object.  A family checks nothing: its
+# members come from objects that their constructors checked, or from the
+# scanners' draws and the simplex sweep, which are valid by construction.
 
 
 class _ClosedForms:
@@ -387,9 +360,6 @@ class _ClosedForms:
             **{name: self.params[members, i] for i, name in enumerate(self._names)}
         )
         return self.kind._dual(points, t)
-
-    def rejected(self) -> np.ndarray:
-        return self.kind._rejected(self.params)
 
     def build(self, k):
         return self.kind(*self.given[k])
@@ -423,9 +393,6 @@ class _Samples:
         points = np.arange(t.size)
         return [piece(clipped)[points, members] for piece in self._evaluators()]
 
-    def rejected(self) -> np.ndarray:
-        return SampledGrid._rejected(self.times, self.params)
-
     def build(self, k):
         return SampledGrid(self.times, self.params[k])
 
@@ -443,9 +410,6 @@ class _Lone:
 
     def at(self, members, t):
         return self.f.value_and_derivative(t)
-
-    def rejected(self) -> np.ndarray:
-        return np.zeros(1, dtype=bool)
 
     def build(self, k):
         return self.f
@@ -576,15 +540,6 @@ class _Functions:
         what its class's constructor raises."""
         family, member = self._located()
         return self.families[family[i]][1].build(member[i])
-
-    def check(self) -> None:
-        """Raise, for the first function that its class's constructor
-        rejects, what that constructor raises."""
-        rejected = np.zeros(self.size, dtype=bool)
-        for rows, family in self.families:
-            rejected[rows] = family.rejected()
-        for i in np.flatnonzero(rejected).tolist():
-            self.build(i)
 
 
 def check_basis(d: int, basis: int) -> None:

@@ -567,8 +567,51 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.lru_cache(maxsize=None)
+def _float_options() -> frozenset:
+    """The option strings of every float option of the subcommands."""
+    (commands,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return frozenset(
+        name
+        for command in commands.choices.values()
+        for action in command._actions
+        if action.type is float
+        for name in action.option_strings
+    )
+
+
+def _reads_as_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: List[str]) -> List[str]:
+    """``argv`` with each float option and a following token that ``float()``
+    reads joined into one ``--opt=value``.  Argparse takes only ``-N`` and
+    ``-N.N`` for negative numbers, so it reads ``--t -inf`` or ``--rate
+    -1e-3`` as an option missing its argument, before the option's own
+    check sees the value.  Tokens after ``--`` are left as they are."""
+    out: List[str] = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token == "--":
+            return out + argv[i:]
+        if token in _float_options() and i + 1 < len(argv) and _reads_as_float(argv[i + 1]):
+            out.append(f"{token}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser().parse_args(_join_float_values(argv))
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -35,17 +35,14 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .channelcore import (
-    _WEIGHT_SUM_TOL,
     ChannelSpec,
     MixtureSpec,
     MixtureValidationError,
     _Functions,
     bracket_roots,
-    check_basis,
     range_violations,
     structural_issues,
 )
-from .mubgen import check_dimension
 
 __all__ = [
     "TimeGrid",
@@ -138,8 +135,8 @@ class Tolerances:
     at the choice for the input alone, whatever mixture it sits in.
 
     ``semigroup_at`` and ``cp_at`` choose for mixture ``b`` of a
-    :class:`MixtureBatch`; ``semigroup_for`` and ``cp_for`` are their
-    one-mixture case.
+    :class:`MixtureBatch`; ``semigroup_for`` is the semigroup choice for
+    one mixture object.
     """
 
     semigroup: Optional[float] = None
@@ -154,9 +151,6 @@ class Tolerances:
 
     def semigroup_for(self, spec: MixtureSpec) -> float:
         return _tolerance_for(self.semigroup, spec.has_sampled_functions())
-
-    def cp_for(self, spec: MixtureSpec) -> float:
-        return _tolerance_for(self.cp, spec.has_sampled_functions())
 
     def semigroup_at(self, batch: "MixtureBatch", b: int) -> float:
         return _tolerance_for(self.semigroup, batch.sampled[b])
@@ -305,12 +299,12 @@ class MixtureBatch:
     components ``starts[b]:starts[b+1]``, in order.  Producers:
 
     - :meth:`of_specs` encodes ``MixtureSpec`` objects (``specs`` keeps
-      them) with a table of their distinct functions;
-    - :meth:`of_columns` takes columns and a table of entries written
-      directly (the scanners' draws), and checks them as the object
-      constructors would;
-    - the simplex sweep writes its lattice as batches of columns, a block
-      of lattice points each, over one shared table.
+      them), which their constructors and ``structural_issues`` check,
+      with a table of their distinct functions;
+    - the scanners write their draws as columns over a table of the
+      draws' entries, and the simplex sweep writes its lattice as columns,
+      a block of lattice points each, over one shared table.  Both are
+      valid by construction, so the constructor checks nothing.
 
     Each producer hands over blocks of the size that the block stage runs.
     ``spec(b)`` is mixture ``b`` as an object, and ``alone(b)`` is mixture
@@ -337,20 +331,6 @@ class MixtureBatch:
         table, function = _Functions.of([c.channel.p for c in comps])
         basis, weight = [c.channel.basis for c in comps], [c.weight for c in comps]
         return cls(specs[0].dimension, starts, basis, weight, function, table, specs)
-
-    @classmethod
-    def of_columns(cls, d, starts, basis, weight, function, functions) -> "MixtureBatch":
-        """A batch of columns, checked as building its objects would check
-        them: first the functions (in table order, each as its class's
-        constructor checks it), then the dimension and every basis label
-        (as ``ChannelSpec`` does)."""
-        functions.check()
-        check_dimension(d)
-        batch = cls(d, starts, basis, weight, function, functions)
-        outside = np.flatnonzero((batch.basis < 1) | (batch.basis > d + 1))
-        if outside.size:
-            check_basis(d, batch.basis.item(outside[0]))
-        return batch
 
     def __len__(self) -> int:
         return self.starts.size - 1
@@ -391,19 +371,19 @@ class MixtureBatch:
     @property
     def slots(self) -> Tuple[_Slot, ...]:
         """The components slot by slot: slot ``j`` holds the ``j``-th
-        component of each mixture that has one.  A basis label above
-        ``d+1`` would address another mixture's row, so it raises
-        ``ValueError``."""
+        component of each mixture that has one.  A basis label outside
+        ``1..d+1`` would address another mixture's row, or none, so it
+        raises ``ValueError``."""
         if self._slots is None:
             self._slots = self._encode()
         return self._slots
 
     def _encode(self) -> Tuple[_Slot, ...]:
         d, size = self.dimension, len(self)
-        beyond = np.flatnonzero(self.basis > d + 1)
-        if beyond.size:
+        outside = np.flatnonzero((self.basis < 1) | (self.basis > d + 1))
+        if outside.size:
             raise ValueError(
-                f"basis label {self.basis.item(beyond[0])} lies outside 1..{d + 1} "
+                f"basis label {self.basis.item(outside[0])} lies outside 1..{d + 1} "
                 f"for dimension {d}"
             )
         if size == 1:
@@ -783,23 +763,12 @@ def _report(d: int, fit: _Fit, b: int, singular, inputs, p_in_range, sg_tol, cp_
 
 
 def _check_structure(batch: MixtureBatch) -> None:
-    """Raise the :class:`MixtureValidationError` of the first mixture of
-    ``batch`` with structural issues.  Encoded mixtures are checked one by
-    one; columns are flagged as arrays first, their weights summed per
-    mixture in component order, as :func:`structural_issues` sums them."""
-    if batch.specs is not None:
-        flagged = range(len(batch))
-    else:
-        total = np.zeros(len(batch))
-        for slot in batch.slots:
-            total[slot.members] += np.ravel(slot.weights)
-        flagged = np.flatnonzero(
-            (np.diff(batch.starts) == 0)
-            | _any_per_row(batch.starts, batch.weight < 0)
-            | ~(np.abs(total - 1.0) <= _WEIGHT_SUM_TOL)  # a NaN or infinite weight too
-        ).tolist()
-    for b in flagged:
-        issues = structural_issues(batch.spec(b))
+    """Raise the :class:`MixtureValidationError` of the first encoded
+    mixture of ``batch`` with structural issues.  A batch of columns has no
+    objects to check: the simplex sweep's lattice weights are valid by
+    construction."""
+    for spec in batch.specs or ():
+        issues = structural_issues(spec)
         if issues:
             raise MixtureValidationError(issues)
 

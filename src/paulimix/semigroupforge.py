@@ -370,6 +370,9 @@ def simplex_scan(
     sweep yields them a block at a time, each block a
     :class:`~paulimix.dynamics.MixtureBatch` over that table, classified as
     by :func:`~paulimix.dynamics.classify_many`; no mixture object is built.
+    The inputs are checked by building them as ``ExpRelax`` objects, and
+    the lattice is valid by construction: its weights ``counts/divisions``
+    are nonnegative and sum to 1, on distinct labels in ``1..d+1``.
     """
     if divisions < 1:
         raise ValueError(f"divisions must be positive, got {divisions}")
@@ -384,10 +387,9 @@ def simplex_scan(
         params = [((d - 1) / (k / divisions * d**2), rate) for k in admissible]
     else:
         params = [((d - 1) / d, rate)]
-    functions = _Functions.of_entries([(ExpRelax, p) for p in params])
-    # The inputs and the dimension are checked before the lattice, which
-    # grows with d, is built.
-    functions.check()
+    # The inputs are checked as they are built, and then the dimension,
+    # before the lattice, which grows with d, is built.
+    functions, _ = _Functions.of([ExpRelax(*p) for p in params])
     check_dimension(d)
     counts = simplex_lattice(d + 1, divisions)
     weights = counts / divisions
@@ -486,9 +488,12 @@ def _draw_mixture(rng: np.random.Generator, d: int, low: int, high: int, floor: 
     over ``low..high-1`` distinct random basis labels, each with a random
     decoherence function (:func:`_draw_function`).  The weights are
     ``floor`` plus a uniform (Dirichlet) share of the remaining
-    ``1 - floor * size``."""
+    ``1 - floor * size``; where ``size`` labels cannot each have ``floor``,
+    the floor is ``0.5 / size``, so the weights are always positive."""
     size = int(rng.integers(low, high))
     bases = (rng.choice(d + 1, size=size, replace=False) + 1).tolist()
+    if floor * size > 1.0:
+        floor = 0.5 / size
     weights = (floor + (1.0 - floor * size) * rng.dirichlet([1.0] * size)).tolist()
     return bases, weights, [_draw_function(rng) for _ in range(size)]
 
@@ -506,7 +511,10 @@ def _random_mixture(
 
 def _drawn_batch(d: int, draws) -> MixtureBatch:
     """Drawn mixtures (:func:`_draw_mixture`) as a batch of columns, each
-    component with its own function, its draw a table entry."""
+    component with its own function, its draw a table entry.  A draw is a
+    valid mixture by construction (distinct labels in ``1..d+1``, positive
+    weights that sum to 1, functions from the declared family), so nothing
+    is checked here."""
     starts, basis, weight, entries = [0], [], [], []
     for bases, weights, functions in draws:
         basis += bases
@@ -514,7 +522,7 @@ def _drawn_batch(d: int, draws) -> MixtureBatch:
         entries += functions
         starts.append(len(basis))
     table = _Functions.of_entries(entries)
-    return MixtureBatch.of_columns(d, starts, basis, weight, np.arange(len(basis)), table)
+    return MixtureBatch(d, starts, basis, weight, np.arange(len(basis)), table)
 
 
 def _noninvertible_bound(d: int) -> Tuple[int, bool]:
@@ -551,7 +559,7 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
     def rng(trial):
         return np.random.default_rng([seed, trial])
 
-    drawn = (d, 2, d + 1, 0.05)  # 2..d distinct labels, weights of at least 0.05
+    drawn = (d, 2, d + 1, 0.05)  # 2..d distinct labels, weights of at least 0.05 (0.5/size above 20)
     # Deterministic extra case: d+1 semigroup inputs, equal weights — the
     # mixture must not be a semigroup (its rates decay in time).
     semi = (ExpRelax, ((d - 1) / d, 1.0))

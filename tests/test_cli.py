@@ -401,6 +401,15 @@ def test_scan_rejects_bad_window_without_warnings(capsys, t_max):
     assert "t_max must be finite and positive" in capsys.readouterr().err
 
 
+def test_scan_reads_a_negative_rate_with_an_exponent_as_the_rate(out_dir, capsys):
+    # Argparse alone takes "-1e-3" and "-inf" for flags, not for values.
+    assert main(["scan", "2", "--rate", "-1e-3", "--divisions", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: relaxation rate must be positive and finite, got -0.001\n"
+    assert not list(out_dir.glob("*.csv"))
+
+
 def test_analyze_rejects_infinite_rate(out_dir, capsys):
     cfg = out_dir / "inf.ini"
     write_config(
@@ -621,7 +630,7 @@ def test_dump_rejects_an_invalid_mixture_before_writing(out_dir, tmp_path, capsy
     assert not (out_dir / "m.csv").exists()
 
 
-@pytest.mark.parametrize("t", ["nan", "-3", "inf"])
+@pytest.mark.parametrize("t", ["nan", "-3", "inf", "-inf", "-1e-3"])
 def test_dump_rejects_a_time_that_is_not_finite_and_nonnegative(out_dir, tmp_path, capsys, t):
     cfg = write_config(tmp_path / "mix.ini", EQUAL_THIRDS)
     assert main(["dump", "choi", "--config", cfg, "--t", t, "--out", "m.csv"]) == 2

@@ -1037,6 +1037,17 @@ def test_a_basis_label_beyond_the_mixture_dimension_raises():
     for batch in ([beyond, good], [good, beyond]):
         with pytest.raises(ValueError, match=message):
             dynamics.semigroup_verdicts(batch, _BATCH_GRID)
+    # Columns that no constructor checked: label 0 or d+2, in a block of
+    # two and in a batch of one.  Label 0 would address the row before a
+    # mixture's own, or in a batch of one no row at all.
+    table, _ = channelcore._Functions.of([_SHARED])
+    for label in (0, 4):
+        outside = f"basis label {label} lies outside 1..3 for dimension 2"
+        for basis in ([label], [1, label]):
+            starts, weight = np.arange(len(basis) + 1), [1.0] * len(basis)
+            batch = dynamics.MixtureBatch(2, starts, basis, weight, [0] * len(basis), table)
+            with pytest.raises(ValueError, match=outside):
+                batch.slots
 
 
 def test_a_mixture_that_fails_alone_raises_ahead_of_its_blocks_error():
