@@ -331,7 +331,7 @@ def _stack(times: np.ndarray, values: np.ndarray) -> _Stack:
 # ``members[k]`` at ``t[k]``, shape ``(t.size,)`` each, also bit for bit.
 # ``build(k)`` is member ``k`` as an object.  A family checks nothing: its
 # members come from objects that their constructors checked, or from the
-# scanners' draws and the simplex sweep, which are valid by construction.
+# scanners' draws, which are valid by construction.
 
 
 class _ClosedForms:
