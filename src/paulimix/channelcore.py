@@ -512,20 +512,14 @@ class _Functions:
     def at(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Values ``[p, p']`` of function ``rows[k]`` at ``t[k]``, shape
         ``(2, t.size)``, bit for bit as each function gives them alone; each
-        family evaluates its points in one call.  If that raises, each
-        function runs alone on its points, in order of first appearance in
-        ``rows``, so the first that fails alone raises its own error."""
+        family evaluates its points in one call, and raises what it raises
+        (``dynamics._rows_at`` runs the functions alone then)."""
         family, member = self._located()
         of = family[rows]
         out = np.empty((2, t.size))
-        try:
-            for f in np.unique(of).tolist():
-                points = np.flatnonzero(of == f)
-                out[:, points] = self.families[f][1].at(member[rows[points]], t[points])
-        except Exception:
-            for i in dict.fromkeys(rows.tolist()):
-                self.build(i).value_and_derivative(t[rows == i])
-            raise
+        for f in np.unique(of).tolist():
+            points = np.flatnonzero(of == f)
+            out[:, points] = self.families[f][1].at(member[rows[points]], t[points])
         return out
 
     def sampled(self) -> np.ndarray:

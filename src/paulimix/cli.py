@@ -497,12 +497,13 @@ def cmd_dump(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    full = functools.partial(argparse.ArgumentParser, allow_abbrev=False)  # options in full
+    parser = full(
         prog="paulimix",
         description="Convex mixtures of generalized dephasing channels: "
         "decay rates, semigroup detection, CP divisibility.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=full)
 
     pa = sub.add_parser("analyze", help="classify the mixture in an INI config")
     pa.add_argument("config", help="path to the run configuration")
@@ -590,10 +591,10 @@ def _reads_as_float(token: str) -> bool:
 
 def _join_float_values(argv: List[str]) -> List[str]:
     """``argv`` with each float option and a following token that ``float()``
-    reads joined into one ``--opt=value``.  Argparse takes only ``-N`` and
-    ``-N.N`` for negative numbers, so it reads ``--t -inf`` or ``--rate
-    -1e-3`` as an option missing its argument, before the option's own
-    check sees the value.  Tokens after ``--`` are left as they are."""
+    reads joined into one ``--opt=value``: argparse takes only ``-N`` and
+    ``-N.N`` for negative numbers, and reads ``--t -inf`` as an option
+    missing its argument.  No option is abbreviated, so the exact names
+    match them all.  Tokens after ``--`` are left as they are."""
     out: List[str] = []
     i = 0
     while i < len(argv):

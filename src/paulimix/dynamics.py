@@ -133,10 +133,7 @@ class Tolerances:
     error dominates there, in the rate minimum as much as in the exponential
     fit).  An input's own fit is judged at ``semigroup``, or if that is unset
     at the choice for the input alone, whatever mixture it sits in.
-
-    ``semigroup_at`` and ``cp_at`` choose for mixture ``b`` of a
-    :class:`MixtureBatch`; ``semigroup_for`` is the semigroup choice for
-    one mixture object.
+    ``semigroup_at`` and ``cp_at`` choose for mixture ``b`` of a batch.
     """
 
     semigroup: Optional[float] = None
@@ -148,9 +145,6 @@ class Tolerances:
         for name, value in vars(self).items():
             if value is not None and not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"tolerance {name} must be finite and nonnegative, got {value!r}")
-
-    def semigroup_for(self, spec: MixtureSpec) -> float:
-        return _tolerance_for(self.semigroup, spec.has_sampled_functions())
 
     def semigroup_at(self, batch: "MixtureBatch", b: int) -> float:
         return _tolerance_for(self.semigroup, batch.sampled[b])
@@ -321,7 +315,6 @@ class MixtureBatch:
         self.specs = specs
         self._slots: Optional[Tuple[_Slot, ...]] = None
         self._sampled: Optional[list] = None
-        self._alone: dict = {}  # mixture -> itself as a batch of one
 
     @classmethod
     def of_specs(cls, specs: Sequence[MixtureSpec]) -> "MixtureBatch":
@@ -353,12 +346,8 @@ class MixtureBatch:
 
     def alone(self, b: int) -> "MixtureBatch":
         """Mixture ``b`` as a batch of one: this batch if it holds only
-        ``b``, else ``spec(b)`` encoded by :meth:`of_specs`, at most once."""
-        if len(self) == 1:
-            return self
-        if b not in self._alone:
-            self._alone[b] = MixtureBatch.of_specs([self.spec(b)])
-        return self._alone[b]
+        ``b``, else ``spec(b)`` encoded by :meth:`of_specs`."""
+        return self if len(self) == 1 else MixtureBatch.of_specs([self.spec(b)])
 
     @property
     def sampled(self) -> list:
@@ -649,15 +638,14 @@ def semigroup_verdicts(
     """The semigroup verdict of each mixture, in one batched pass.
 
     Equals ``[detect_semigroup(tr, rates_from_spectrum(tr, pole_tol=tol.pole),
-    tol.semigroup_for(s)) for s in specs]`` with ``tr = mixture_eigenvalues(s,
-    grid)``, field for field (exponents bit for bit), and raises the first
-    exception that this would raise.  ``specs`` is read a block at a time,
-    so a generator's mixtures need not all be alive at once, and each block
-    is encoded as a :class:`MixtureBatch`: its distinct decoherence
+    tol.semigroup_at(MixtureBatch.of_specs([s]), 0)) for s in specs]`` with
+    ``tr = mixture_eigenvalues(s, grid)``, field for field (exponents bit
+    for bit), and raises the first exception that this would raise.
+    ``specs`` is read a block at a time, so a generator's mixtures need not
+    all be alive at once.  Each block is a :class:`MixtureBatch`: distinct
     functions in a table of families, each evaluated once, and spectra,
-    rates and fits computed as arrays over a leading mixture axis.  The
-    scanners write their draws into batches directly
-    (:func:`_semigroup_verdicts`).
+    rates and fits as arrays over a leading mixture axis.  The scanners
+    write their draws into batches directly (:func:`_semigroup_verdicts`).
     """
     return _semigroup_verdicts(_batches(specs, len(grid)), grid, tolerances)
 
@@ -679,39 +667,54 @@ def _semigroup_verdicts(batches, grid: TimeGrid, tolerances: Optional[Tolerances
 # ---------------------------------------------------------------------------
 
 
+def _rows_at(batch: MixtureBatch, owners: np.ndarray, labels: np.ndarray, t: np.ndarray):
+    """``lambda_beta(t[k])`` of mixture ``owners[k]`` of ``batch``, ``beta =
+    labels[k]`` (0-based), bit for bit as :func:`_spectrum` gives it alone:
+    all points' components in one ``functions.at`` call, summed in component
+    order from 0.0.  If that raises, each owner's functions run alone on its
+    points, owner by owner, so the first that fails raises its own error."""
+    first, counts = batch.starts[owners], np.diff(batch.starts)[owners]
+    point = np.repeat(np.arange(t.size), counts)
+    comp = np.arange(point.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    uses, at = batch.function[comp], t[point]
+    try:
+        weighted = batch.weight[comp] * batch.functions.at(uses, at)[0]
+    except Exception:
+        for mine in (owners[point] == m for m in dict.fromkeys(owners.tolist())):
+            for i in dict.fromkeys(uses[mine].tolist()):
+                batch.functions.build(i).value_and_derivative(at[mine][uses[mine] == i])
+        raise
+    total = np.bincount(point, weights=weighted, minlength=t.size)
+    own = batch.basis[comp] == labels[point] + 1
+    total -= np.bincount(point[own], weights=weighted[own], minlength=t.size)
+    return 1.0 - batch.dimension / (batch.dimension - 1.0) * total
+
+
 def _zeros(done: _Block, times: np.ndarray, xtol: float):
     """Zeros of every output row of ``done`` (on ``times``) and of the
     off-label row ``1 - (d/(d-1)) p`` of each of its functions, in one
-    :func:`bracket_roots` pass.  Each round of its bisection evaluates,
-    at all the points of the live brackets' midpoint trees, each mixture
-    once alone (:meth:`MixtureBatch.alone`), and then every
-    function's points together (``functions.at``), each function as
-    its dual pair, of which the value plane is kept.  Returns each
-    mixture's sorted ``(label, t*)`` zeros, and each function's zeros and
-    midpoint-fit deviation (inf unless positive), by index."""
+    :func:`bracket_roots` pass.  Each input is a mixture of its own, so
+    each round of the bisection evaluates every ``(owner, label)`` row at
+    its points in one :func:`_rows_at` call.  Returns each mixture's sorted
+    ``(label, t*)`` zeros, and each function's zeros and midpoint-fit
+    deviation (inf unless positive), by index."""
     lam, batch = done.lam, done.batch
     size, labels, n = lam.shape
     factor = (labels - 1) / (labels - 2.0)  # d/(d-1)
     rows_in = 1.0 - factor * done.values[0]
-    owner = np.concatenate([np.repeat(np.arange(size), labels), size + np.arange(len(rows_in))])
-
-    def f(rows, t):
-        out = np.empty(t.size)
-        who = owner[rows]
-        # Rows come in ascending order: each mixture's points are contiguous,
-        # and the functions' points come last.
-        inputs = int(np.searchsorted(who, size))
-        if inputs:
-            cuts = [0, *(np.flatnonzero(who[1:inputs] != who[: inputs - 1]) + 1).tolist(), inputs]
-            for a, b in zip(cuts, cuts[1:]):
-                row = batch.alone(who.item(a))
-                lam = _spectrum(row, row.slots, row.functions.evaluate(t[a:b]))[0, 0]
-                out[a:b] = lam[rows[a:b] % labels, np.arange(b - a)]
-        if inputs < t.size:
-            p = batch.functions.at(who[inputs:] - size, t[inputs:])[0]
-            out[inputs:] = 1.0 - factor * p
-        return out
-
+    # Function j is mixture size + j: one component of weight 1.0 on basis
+    # 0, which matches no label, so its rows are its input's row.
+    j = np.arange(len(rows_in))
+    grown = MixtureBatch(
+        batch.dimension,
+        np.concatenate([batch.starts, batch.starts[-1] + 1 + j]),
+        np.concatenate([batch.basis, np.zeros_like(j)]),
+        np.concatenate([batch.weight, np.ones(j.size)]),
+        np.concatenate([batch.function, j]),
+        batch.functions,
+    )
+    owner = np.concatenate([np.repeat(np.arange(size), labels), size + j])
+    f = lambda rows, t: _rows_at(grown, owner[rows], rows % labels, t)
     roots = bracket_roots(np.concatenate([lam.reshape(size * labels, n), rows_in]), times, f, xtol)
     positive = (rows_in > 0.0).all(axis=1)
     fits = np.where(positive, _exponential(rows_in, times)[1].max(axis=1), np.inf).tolist()
@@ -833,9 +836,10 @@ def classify_many(
     directly.  Each block evaluates every distinct decoherence function
     once on the grid, a family at a time, and computes eigenvalues, rates,
     poles, the semigroup fit and the least rate as arrays over a leading
-    mixture axis.  One bracketing pass finds the zeros of all its output
-    rows and of each distinct input's row, all brackets bisected together;
-    that pass gives every input its verdict.  Rows with singular times are
+    mixture axis.  One bracketing pass, with one row evaluator, finds the
+    zeros of all its output rows and of each distinct input's row (the
+    input as a mixture of its own), all brackets bisected together; that
+    pass gives every input its verdict.  Rows with singular times are
     refined and their trajectories and rates recomputed one by one, each
     alone (:meth:`MixtureBatch.alone`).  Blocks hold at most
     ``_BLOCK_VALUES`` eigenvalues, so memory does not grow with the batch

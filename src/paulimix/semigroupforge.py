@@ -369,10 +369,11 @@ def simplex_scan(
     one matched input per admissible lattice weight ``k/divisions``.  The
     sweep yields them a block at a time, each block a
     :class:`~paulimix.dynamics.MixtureBatch` over that table, classified as
-    by :func:`~paulimix.dynamics.classify_many`; no mixture object is built.
-    The inputs are checked by building them as ``ExpRelax`` objects, and
-    the lattice is valid by construction: its weights ``counts/divisions``
-    are nonnegative and sum to 1, on distinct labels in ``1..d+1``.
+    by :func:`~paulimix.dynamics.classify_many`; only a point with singular
+    times is built as an object, to be refined alone.  The inputs are
+    checked by building them as ``ExpRelax`` objects, and the lattice is
+    valid by construction: its weights ``counts/divisions`` are nonnegative
+    and sum to 1, on distinct labels in ``1..d+1``.
     """
     if divisions < 1:
         raise ValueError(f"divisions must be positive, got {divisions}")

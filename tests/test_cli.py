@@ -410,6 +410,17 @@ def test_scan_reads_a_negative_rate_with_an_exponent_as_the_rate(out_dir, capsys
     assert not list(out_dir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("value", ["1", "-1e-3"])
+def test_an_abbreviated_option_is_an_unknown_argument(out_dir, capsys, value):
+    # No parser takes abbreviations, so "--ra" is never "--rate", whatever
+    # its value, and every float option is joined by its one spelling.
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "2", "--ra", value, "--divisions", "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --ra {value}\n" in capsys.readouterr().err
+    assert not list(out_dir.glob("*.csv"))
+
+
 def test_analyze_rejects_infinite_rate(out_dir, capsys):
     cfg = out_dir / "inf.ini"
     write_config(

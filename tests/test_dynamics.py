@@ -375,7 +375,7 @@ def test_tolerances_reject_a_nonfinite_or_negative_field(field, value):
 
 
 def test_tolerances_keep_none_as_auto_and_accept_zero():
-    assert Tolerances(semigroup=None, cp=None).semigroup_for(equal_thirds_mix()) == 1e-8
+    assert Tolerances(semigroup=None, cp=None).semigroup_at(_alone(equal_thirds_mix()), 0) == 1e-8
     assert Tolerances(semigroup=0.0, cp=0.0, pole=0.0, singularity=0.0).pole == 0.0
 
 
@@ -664,6 +664,11 @@ def test_classify_many_equals_classify_on_mixed_batches(specs, rows_per_block):
         assert_batch_matches(specs)
 
 
+def _alone(spec):
+    """``spec`` as a batch of one, as ``classify`` encodes it."""
+    return dynamics.MixtureBatch.of_specs([spec])
+
+
 def scalar_eigenvalues(spec, t):
     """``lambda_beta(t)`` of a mixture at one time, from scalar evaluations,
     summed in the batched kernel's order: ``1 - (d/(d-1)) (total - own label)``."""
@@ -708,7 +713,7 @@ def reference_zeros(spec, grid, tol):
             verdict = "noninvertible"
         elif np.all(row > 0.0) and np.abs(
             row - np.exp(-(-np.log(row[mid]) / times[mid]) * times)
-        ).max() <= tol.semigroup_for(MixtureSpec(d, [(1.0, c.channel)])):
+        ).max() <= tol.semigroup_at(_alone(MixtureSpec(d, [(1.0, c.channel)])), 0):
             verdict = "semigroup"
         else:
             verdict = "invertible"
@@ -730,6 +735,73 @@ def test_one_pass_matches_the_per_bracket_scalar_search(specs, rows_per_block):
     values = rows_per_block * 4 * len(_BATCH_GRID)
     with mock.patch.object(dynamics, "_BLOCK_VALUES", values):
         assert_matches_reference(specs)
+
+
+def _spec_batch(monkeypatch):
+    # Shared, repeated-label, sampled and NaN-tailed components, encoded.
+    q = ChannelSpec(2, 2, Expression("0.8*sin(t)^2"))
+    specs = [
+        MixtureSpec(2, [(0.6, ChannelSpec(2, 1, Expression("1-exp(-2*t)"))), (0.4, q)]),
+        MixtureSpec(2, [(0.5, ChannelSpec(2, 3, _SHARED)), (0.5, ChannelSpec(2, 3, _SHARED))]),
+        MixtureSpec(2, [(0.5, ChannelSpec(2, 1, NanTail())), (0.5, ChannelSpec(2, 2, _SHARED))]),
+        MixtureSpec(2, [(0.3, ChannelSpec(2, 1, _SAMPLED)), (0.7, ChannelSpec(2, 2, _POOL[2]))]),
+        MixtureSpec(2, [(1 / 3, ChannelSpec(2, b, _POOL[b + 4])) for b in (1, 2, 3)]),
+    ]
+    return dynamics.MixtureBatch.of_specs(specs)
+
+
+def _drawn_batch(monkeypatch):
+    # Twelve qutrit draws of every kind, as the theorem scanners draw them.
+    draws = [
+        semigroupforge._draw_mixture(np.random.default_rng([1, k]), 3, 2, 4, 0.05)
+        for k in range(12)
+    ]
+    return semigroupforge._drawn_batch(3, draws)
+
+
+def _sweep_batch(monkeypatch):
+    # The qutrit semigroup sweep at rate 40, whose outputs reach zero: its one block.
+    batches = []
+    block = dynamics._block
+
+    def recorded(batch, times, pole_tol):
+        batches.append(batch)
+        return block(batch, times, pole_tol)
+
+    monkeypatch.setattr(dynamics, "_block", recorded)
+    simplex_scan(3, 6, "semigroup", 40.0)
+    return batches[0]
+
+
+@pytest.mark.parametrize("make", [_spec_batch, _drawn_batch, _sweep_batch])
+def test_each_row_equals_its_mixtures_spectrum_alone(monkeypatch, make):
+    # The zero search's row function, called once on points of every row as
+    # a round of the bisection calls it: each output row equals its
+    # mixture's _spectrum alone, and each input's row 1 - (d/(d-1)) p of
+    # its function alone, bit for bit.
+    batch = make(monkeypatch)
+    d, size, table = batch.dimension, len(batch), batch.functions.size
+    assert size > 1
+    calls = []
+    monkeypatch.setattr(
+        dynamics, "bracket_roots", lambda values, times, f, xtol: calls.append(f) or [[]] * len(values)
+    )
+    times = default_grid(5.0, 64).times
+    dynamics._zeros(dynamics._block(batch, times, 1e-12), times, 1e-10)
+    (f,) = calls
+    rng = np.random.default_rng(size)
+    rows = np.repeat(np.arange(size * (d + 1) + table), 8)
+    t = rng.uniform(0.0, 5.0, rows.size)
+    got = f(rows, t)
+    for m in range(size):
+        at = rows // (d + 1) == m
+        alone = batch.alone(m)
+        lam = dynamics._spectrum(alone, alone.slots, alone.functions.evaluate(t[at]))[0, 0]
+        assert got[at].tobytes() == lam[rows[at] % (d + 1), np.arange(at.sum())].tobytes()
+    for j in range(table):
+        at = rows == size * (d + 1) + j
+        p = batch.functions.build(j).value_and_derivative(t[at])[0]
+        assert got[at].tobytes() == (1.0 - d / (d - 1.0) * p).tobytes()
 
 
 def test_classify_many_batch_covers_the_edge_cases():
@@ -960,7 +1032,8 @@ def assert_verdicts_match(specs, grid=_BATCH_GRID, tolerances=None):
     for s in specs:
         traj = mixture_eigenvalues(s, grid)
         rates = rates_from_spectrum(traj, pole_tol=tol.pole)
-        single.append(_verdict_fields(detect_semigroup(traj, rates, tol.semigroup_for(s))))
+        verdict = detect_semigroup(traj, rates, tol.semigroup_at(_alone(s), 0))
+        single.append(_verdict_fields(verdict))
     batched = dynamics.semigroup_verdicts(specs, grid, tolerances)
     assert [_verdict_fields(v) for v in batched] == single
 
@@ -1064,6 +1137,47 @@ def test_a_mixture_that_fails_alone_raises_ahead_of_its_blocks_error():
     with pytest.raises(DomainError) as batched:
         dynamics.semigroup_verdicts([uncovered, beyond], grid)
     assert str(batched.value) == message
+
+
+def test_a_failing_block_raises_its_first_failing_mixtures_own_error(monkeypatch):
+    # Two mixtures share an expression undefined near its input's zero at
+    # 1/0.82; the first mixture's other input is undefined near its zero at
+    # t = 1, which its own bisection meets first.  Run one at a time after
+    # the block fails, the first mixture of the batch raises its own error.
+    grid = default_grid(2.0, 64)
+    shared = Expression(f"0.41*t + 0*sqrt((t-{1 / 0.82!r})^2-1e-12)")
+    other = Expression("0.5*t + 0*sqrt((t-1)^2-1e-8)")
+    first = MixtureSpec(2, [(0.5, ChannelSpec(2, 1, shared)), (0.5, ChannelSpec(2, 2, other))])
+    second = MixtureSpec(2, [(0.5, ChannelSpec(2, 1, shared)), (0.5, ChannelSpec(2, 3, _SHARED))])
+    sizes = _record_blocks(monkeypatch)
+    raised = []
+    for batch in ([first, second], [second, first]):
+        with pytest.raises(DomainError) as single:
+            classify(batch[0], grid)
+        sizes.clear()
+        with pytest.raises(DomainError) as batched:
+            classify_many(batch, grid)
+        assert str(batched.value) == str(single.value)
+        assert sizes == [2, 1]
+        raised.append(batched.value.t)
+    assert raised[0] == 1.0 and abs(raised[1] - 1 / 0.82) < 1e-6
+
+
+def test_two_inputs_failing_in_one_round_raise_in_row_order():
+    # Input 1's own row and the output row lambda_3 reach their zeros at the
+    # same place in their grid cells, so one plain halving meets both
+    # holes: input 1's at its input row's zero, input 2's at the output's.
+    # Output rows come first, so input 2's error is raised.
+    grid = default_grid(2.0, 64)
+    h = float(grid.times[1])
+    t_in, t_out = 22.05 * h, 40.05 * h
+    a = 1 / (2 * t_in)
+    first = Expression(f"{a!r}*t + 0*sqrt((t-{t_in!r})^2-1e-8)")
+    second = Expression(f"{1 / t_out - a!r}*t + 0*sqrt((t-{t_out!r})^2-1e-8)")
+    spec = MixtureSpec(2, [(0.5, ChannelSpec(2, 1, first)), (0.5, ChannelSpec(2, 2, second))])
+    with pytest.raises(DomainError) as err:
+        classify(spec, grid)
+    assert abs(err.value.t - t_out) < 1e-3
 
 
 def _record_blocks(monkeypatch, fail_batches=False):

@@ -526,6 +526,16 @@ def test_scanners_and_the_sweep_build_no_mixture_objects(monkeypatch):
     for d, divisions, family in [(3, 6, "semigroup"), (2, 12, "matched"), (3, 12, "matched")]:
         assert simplex_scan(d, divisions, family).valid.any()
     assert built == []
+    # At rate 40 some of the qutrit sweep's outputs reach zero on the grid.
+    # Each such lattice point is refined alone, as an object; the zero
+    # search itself builds none.
+    refined = []
+    refine = dynamics.refine_grid
+    monkeypatch.setattr(dynamics, "refine_grid", lambda *a: refined.append(a) or refine(*a))
+    assert simplex_scan(3, 6, "semigroup", 40.0).valid.any()
+    assert built.count("MixtureSpec") == len(refined) == 74
+    assert set(built) == {"MixtureSpec", "ChannelSpec"}
+    built.clear()
     # The counting patch sees the mixture that a counterexample draws again.
     monkeypatch.setattr(semigroupforge, "_MIN_TRIALS", 1)
     monkeypatch.setattr(semigroupforge, "Tolerances", _LooseSubsets)
@@ -629,7 +639,8 @@ def _per_trial_scan(d, trials, seed):
         spec = MixtureSpec(d, components)
         traj = mixture_eigenvalues(spec, grid)
         rates = rates_from_spectrum(traj)
-        verdict = detect_semigroup(traj, rates, tolerances.semigroup_for(spec))
+        tol = tolerances.semigroup_at(dynamics.MixtureBatch.of_specs([spec]), 0)
+        verdict = detect_semigroup(traj, rates, tol)
         phase_one.append((spec, verdict))
         if verdict.is_semigroup:
             subset_semigroups += 1
@@ -704,11 +715,6 @@ class _LooseSubsets(Tolerances):
         if batch.starts[b + 1] - batch.starts[b] <= batch.dimension:
             return math.inf
         return super().semigroup_at(batch, b)
-
-    def semigroup_for(self, spec):
-        if len(spec.components) <= spec.dimension:
-            return math.inf
-        return super().semigroup_for(spec)
 
 
 def _blocks_of(monkeypatch, d, size):
