@@ -452,17 +452,35 @@ class _Functions:
         for i, (kind, args) in enumerate(entries):
             shared = args[0].tobytes() if kind is SampledGrid else None  # the sample times
             groups.setdefault((kind, i if kind is None else shared), []).append(i)
-        families = []
+        columns = []
         for (kind, _), rows in groups.items():
             members = [entries[i][1] for i in rows]
             if kind is SampledGrid:
-                family = _Samples(members[0][0], np.stack([values for _, values in members]))
+                members = (members[0][0], np.stack([values for _, values in members]))
+            elif kind is None:
+                (members,) = members
+            columns.append((kind, np.array(rows, dtype=np.intp), members))
+        return cls.of_columns(len(entries), columns)
+
+    @classmethod
+    def of_columns(cls, size: int, columns: Sequence[tuple]) -> "_Functions":
+        """The table of ``size`` functions given a family at a time:
+        ``(kind, rows, members)`` for the functions ``rows`` of one family.
+        A closed form's ``members`` are its functions' parameters, a row
+        each in field order; a sampled grid's are ``(times, values)``,
+        shared sample times and a value row per grid; ``(None, [i], f)``
+        is a function ``f`` evaluated alone."""
+        families = []
+        for kind, rows, members in columns:
+            if kind is SampledGrid:
+                family = _Samples(*members)
             elif kind is not None:
                 family = _ClosedForms(kind, members)
             else:
-                family = _Lone(members[0])
-            families.append((np.array(rows, dtype=np.intp), family))
-        return cls(len(entries), families)
+                family = _Lone(members)
+            families.append((rows, family))
+        families.sort(key=lambda pair: pair[0][0])
+        return cls(size, families)
 
     @classmethod
     def of(cls, functions: Sequence[DecoherenceFunction]):

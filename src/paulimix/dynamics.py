@@ -295,10 +295,11 @@ class MixtureBatch:
     - :meth:`of_specs` encodes ``MixtureSpec`` objects (``specs`` keeps
       them), which their constructors and ``structural_issues`` check,
       with a table of their distinct functions;
-    - the scanners write their draws as columns over a table of the
-      draws' entries, and the simplex sweep writes its lattice as columns,
-      a block of lattice points each, over one shared table.  Both are
-      valid by construction, so the constructor checks nothing.
+    - the scanners draw a block of mixtures as arrays, straight into
+      columns over a table of their functions, and the simplex sweep
+      writes its lattice as columns, a block of lattice points each, over
+      one shared table.  Both are valid by construction, so the
+      constructor checks nothing.
 
     Each producer hands over blocks of the size that the block stage runs.
     ``spec(b)`` is mixture ``b`` as an object, and ``alone(b)`` is mixture
@@ -454,11 +455,11 @@ def _block_size(d: int, points: int) -> int:
     return max(1, _BLOCK_VALUES // (max(d + 1, 1) * points))
 
 
-def _blocks(items: Iterable, points: int, dimension=operator.attrgetter("dimension")):
-    """Lists of consecutive ``items`` (mixtures, or drawn rows) of one
-    ``dimension``, each of at most :func:`_block_size` of them.  ``items``
-    is read lazily, at most one item ahead."""
-    for d, run in itertools.groupby(items, dimension):
+def _blocks(specs: Iterable[MixtureSpec], points: int):
+    """Lists of consecutive ``specs`` of one dimension, each of at most
+    :func:`_block_size` of them.  ``specs`` is read lazily, at most one
+    mixture ahead."""
+    for d, run in itertools.groupby(specs, operator.attrgetter("dimension")):
         size = _block_size(d, points)
         while block := list(itertools.islice(run, size)):
             yield block

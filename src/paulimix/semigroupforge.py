@@ -55,7 +55,6 @@ from .dynamics import (
     Tolerances,
     _analyze,
     _block_size,
-    _blocks,
     _semigroup_verdicts,
     default_grid,
     # Not called here: perfbench/test_perfbench.py checks that the tracer
@@ -447,83 +446,91 @@ _SAMPLE_TIMES = np.linspace(0.0, 5.0, 257)
 _SAMPLE_TIMES.setflags(write=False)
 
 
-def _uniform(low: float, high: float, u: float) -> float:
-    """``u`` in ``[0, 1)`` mapped to ``[low, high)`` by the expression that
-    ``Generator.uniform`` evaluates, so a draw equals its ``uniform`` draw."""
-    return low + (high - low) * u
+def _draw(
+    rng: np.random.Generator,
+    d: int,
+    n: int,
+    low: int,
+    high: int,
+    floor: float,
+    keep: Optional[int] = None,
+    equal: bool = False,
+) -> MixtureBatch:
+    """The one draw of random mixtures: ``n`` of them, drawn from ``rng`` as
+    arrays, as a batch of columns.  The block is always drawn whole, and
+    the batch holds its first ``keep`` mixtures (all ``n`` by default),
+    then, if ``equal``, the equal-weights mixture of ``d+1`` semigroup
+    inputs ``ExpRelax((d-1)/d, 1)``, one per label.
 
-
-def _draw_function(rng: np.random.Generator):
-    """The one draw of a decoherence function from the scanners' declared
-    family, as ``(class, constructor arguments)``.  A sampled grid's
-    arguments are ``(_SAMPLE_TIMES, values)``, its samples of
-    ``scale*(1 - exp(-rate*t))``.  After the class, one ``rng.random`` call
-    draws the function's 2 or 4 uniform parameters, which consumes the
-    stream as that many scalar ``rng.uniform`` calls would."""
-    kind = _KINDS[rng.integers(len(_KINDS))]
-    u = rng.random(4 if kind in (ProductTemplate, DifferenceTemplate) else 2).tolist()
-    scale = _uniform(0.2, 1.0, u[0])
-    rate = _uniform(0.2, 2.0, u[1])
-    if kind is ProductTemplate:
-        return kind, (scale, rate, _uniform(0.1, 0.5, u[2]), _uniform(0.3, 2.0, u[3]))
-    if kind is DifferenceTemplate:
-        return kind, (scale, rate, scale * _uniform(0.0, 0.8, u[2]), rate * _uniform(0.2, 1.0, u[3]))
-    if kind is SampledGrid:
-        return kind, (_SAMPLE_TIMES, scale * (1.0 - np.exp(-rate * _SAMPLE_TIMES)))
-    return kind, (scale, rate)
+    Mixture ``b`` has ``low..high-1`` distinct basis labels, the first of
+    a random ordering of ``1..d+1``.  Its weights are ``floor`` plus a
+    uniform (Dirichlet) share of the remaining ``1 - floor * size``, the
+    normalized standard exponentials; where ``size`` labels cannot each
+    have ``floor``, the floor is ``0.5 / size``, so the weights are always
+    positive.  Each component has its own function, a table row of the
+    scanners' declared family: one of ``_KINDS`` with equal chances, with
+    parameters mapped from uniforms ``u`` as ``low + (high - low) * u``
+    (a sampled grid holds the samples of ``scale*(1 - exp(-rate*t))``).
+    A draw is a valid mixture by construction (distinct labels in
+    ``1..d+1``, positive weights that sum to 1, functions from the
+    declared family), so nothing is checked here."""
+    size = rng.integers(low, high, n)
+    kept = np.arange(d + 1) < size[:, None]
+    basis = np.argsort(rng.random((n, d + 1)), axis=1)[kept] + 1
+    least = np.where(floor * size > 1.0, 0.5 / size, floor)
+    share = np.where(kept, rng.standard_exponential((n, d + 1)), 0.0)
+    share /= share.sum(axis=1, keepdims=True)
+    weight = (least[:, None] + (1.0 - least * size)[:, None] * share)[kept]
+    kind = rng.integers(len(_KINDS), size=basis.size)
+    # scale U(0.2, 1), rate U(0.2, 2), and a product's depth U(0.1, 0.5) and
+    # freq U(0.3, 2); a difference's m and rate2 are the fractions U(0, 0.8)
+    # and U(0.2, 1) of its scale and rate.
+    u = rng.random((basis.size, 4))
+    params = np.array([0.2, 0.2, 0.1, 0.3]) + np.array([0.8, 1.8, 0.4, 1.7]) * u
+    diff = kind == _KINDS.index(DifferenceTemplate)
+    params[diff, 2:] = params[diff, :2] * (np.array([0.0, 0.2]) + 0.8 * u[diff, 2:])
+    if keep is not None:
+        cut = int(size[:keep].sum())
+        size, basis, weight = size[:keep], basis[:cut], weight[:cut]
+        kind, params = kind[:cut], params[:cut]
+    if equal:
+        size = np.append(size, d + 1)
+        basis = np.append(basis, np.arange(1, d + 2))
+        weight = np.append(weight, np.full(d + 1, 1.0 / (d + 1)))
+        kind = np.append(kind, np.full(d + 1, _KINDS.index(ExpRelax)))
+        params = np.vstack([params, np.tile([(d - 1) / d, 1.0, 0.0, 0.0], (d + 1, 1))])
+    columns = []
+    for k, cls in enumerate(_KINDS):
+        rows = np.flatnonzero(kind == k)
+        if not rows.size:
+            continue
+        if cls is SampledGrid:
+            scale, rate = params[rows, :1], params[rows, 1:2]
+            members = (_SAMPLE_TIMES, scale * (1.0 - np.exp(-rate * _SAMPLE_TIMES)))
+        else:  # an ExpRelax has 2 parameters, a template 4
+            members = params[rows, : 2 if cls is ExpRelax else 4].tolist()
+        columns.append((cls, rows, members))
+    table = _Functions.of_columns(basis.size, columns)
+    starts = np.concatenate([[0], np.cumsum(size)])
+    return MixtureBatch(d, starts, basis, weight, np.arange(basis.size), table)
 
 
 def random_decoherence_function(rng: np.random.Generator) -> DecoherenceFunction:
     """Draw one decoherence function from the scanners' declared family.
 
     All members are smooth, start at 0, and stay within [0, 1]; the sampled
-    grids cover ``[0, 5]``.  This is :func:`_draw_function`'s class called
-    on its arguments.
+    grids cover ``[0, 5]``.  This is the function of a one-component qubit
+    mixture drawn by the scanners' one draw, :func:`_draw`, built as an
+    object: a block of one, drawn from ``rng`` as given, so the same
+    generator state replays the same function.
     """
-    kind, args = _draw_function(rng)
-    return kind(*args)
+    return _draw(rng, 2, 1, 1, 2, 0.0).functions.build(0)
 
 
-def _draw_mixture(rng: np.random.Generator, d: int, low: int, high: int, floor: float):
-    """The one draw of a random mixture: ``(bases, weights, functions)``
-    over ``low..high-1`` distinct random basis labels, each with a random
-    decoherence function (:func:`_draw_function`).  The weights are
-    ``floor`` plus a uniform (Dirichlet) share of the remaining
-    ``1 - floor * size``; where ``size`` labels cannot each have ``floor``,
-    the floor is ``0.5 / size``, so the weights are always positive."""
-    size = int(rng.integers(low, high))
-    bases = (rng.choice(d + 1, size=size, replace=False) + 1).tolist()
-    if floor * size > 1.0:
-        floor = 0.5 / size
-    weights = (floor + (1.0 - floor * size) * rng.dirichlet([1.0] * size)).tolist()
-    return bases, weights, [_draw_function(rng) for _ in range(size)]
-
-
-def _random_mixture(
-    rng: np.random.Generator, d: int, low: int, high: int, floor: float
-) -> MixtureSpec:
-    """:func:`_draw_mixture` as an object."""
-    bases, weights, functions = _draw_mixture(rng, d, low, high, floor)
-    return MixtureSpec(
-        d,
-        [(w, ChannelSpec(d, b, kind(*args))) for b, w, (kind, args) in zip(bases, weights, functions)],
-    )
-
-
-def _drawn_batch(d: int, draws) -> MixtureBatch:
-    """Drawn mixtures (:func:`_draw_mixture`) as a batch of columns, each
-    component with its own function, its draw a table entry.  A draw is a
-    valid mixture by construction (distinct labels in ``1..d+1``, positive
-    weights that sum to 1, functions from the declared family), so nothing
-    is checked here."""
-    starts, basis, weight, entries = [0], [], [], []
-    for bases, weights, functions in draws:
-        basis += bases
-        weight += weights
-        entries += functions
-        starts.append(len(basis))
-    table = _Functions.of_entries(entries)
-    return MixtureBatch(d, starts, basis, weight, np.arange(len(basis)), table)
+def _check_seed(seed) -> None:
+    """A scanner's seed must be a nonnegative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _noninvertible_bound(d: int) -> Tuple[int, bool]:
@@ -545,35 +552,37 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
     a valid full construction's noninvertible inputs is proven exactly by
     :func:`_noninvertible_bound`.
 
-    Trial ``k`` draws from ``default_rng([seed, k])`` (:func:`_draw_mixture`).
-    The trials, and last the equal-weights mixture, are drawn a block at a
-    time straight into batch rows whose functions are the draws' table
-    entries (:func:`_drawn_batch`), each block judged by
-    :func:`~paulimix.dynamics._semigroup_verdicts` before the next is
-    drawn.  Only a counterexample's mixture is built as an object, drawn
-    again from its trial's generator.
+    The trials are drawn a block of ``B = _block_size(d, 128)`` at a time,
+    block ``j`` whole from ``default_rng([seed, j])`` by :func:`_draw`,
+    and cut to the trials the scan needs, so trial ``k`` is mixture
+    ``k % B`` of block ``k // B`` and depends only on ``(seed, d, k)``.
+    The equal-weights mixture rides last in the last block.  Each block is
+    judged by :func:`~paulimix.dynamics._semigroup_verdicts` before the
+    next is drawn.  Only a counterexample's mixture is built as an object:
+    its block is drawn again, and it is ``spec(k % B)`` of that batch.
     """
     if trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {trials}")
     check_dimension(d)
-
-    def rng(trial):
-        return np.random.default_rng([seed, trial])
-
-    drawn = (d, 2, d + 1, 0.05)  # 2..d distinct labels, weights of at least 0.05 (0.5/size above 20)
-    # Deterministic extra case: d+1 semigroup inputs, equal weights — the
-    # mixture must not be a semigroup (its rates decay in time).
-    semi = (ExpRelax, ((d - 1) / d, 1.0))
-    equal = (list(range(1, d + 2)), [1.0 / (d + 1)] * (d + 1), [semi] * (d + 1))
+    _check_seed(seed)
     grid = default_grid(5.0, 128)
-    rows = itertools.chain((_draw_mixture(rng(k), *drawn) for k in range(trials)), [equal])
-    batches = (_drawn_batch(d, block) for block in _blocks(rows, len(grid), lambda _: d))
-    verdicts = _semigroup_verdicts(batches, grid, Tolerances())
+    size = _block_size(d, len(grid))
+    count = trials // size + 1  # blocks: the trials, then the equal-weights mixture
+
+    def block(j):
+        # 2..d distinct labels, weights of at least 0.05 (0.5/size above 20);
+        # last the deterministic extra case, d+1 semigroup inputs with equal
+        # weights, which must not be a semigroup (its rates decay in time).
+        rng = np.random.default_rng([seed, j])
+        keep = min(size, trials - j * size)
+        return _draw(rng, d, size, 2, d + 1, 0.05, keep, equal=j == count - 1)
+
+    verdicts = _semigroup_verdicts(map(block, range(count)), grid, Tolerances())
     equal_verdict = verdicts.pop()
     counterexamples = []
     for trial, verdict in enumerate(verdicts):
         if verdict.is_semigroup:
-            spec = _random_mixture(rng(trial), *drawn)
+            spec = block(trial // size).spec(trial % size)
             counterexamples.append(
                 {
                     "phase": "subset",
@@ -615,15 +624,22 @@ def _scan(d: int, trials: int, seed: int) -> ScanReport:
 def theorem1_scan(trials: int, seed: int) -> ScanReport:
     """Qubit scan: random two-direction mixtures are never semigroups.  The
     floor of 2 noninvertible inputs in every valid three-direction
-    construction is proven in exact arithmetic, not sampled.  Reproducible
-    from (seed, trials); counterexamples, if any, are listed verbatim."""
+    construction is proven in exact arithmetic, not sampled.
+    Counterexamples, if any, are listed verbatim.  The trials are drawn in
+    blocks of ``B = _block_size(2, 128)``, block ``j`` whole from
+    ``default_rng([seed, j])`` (:func:`_scan`), so trial ``k`` depends only
+    on ``(seed, k)`` and a listed trial replays as mixture ``k % B`` of
+    block ``k // B``."""
     return _scan(2, trials, seed)
 
 
 def theorem2_scan(d: int, trials: int, seed: int) -> ScanReport:
     """Dimension-d scan: random proper-subset mixtures are never semigroups.
     The floor of d noninvertible inputs in every valid full construction is
-    proven in exact arithmetic, not sampled."""
+    proven in exact arithmetic, not sampled.  The trials are drawn in
+    blocks of ``B = _block_size(d, 128)``, as :func:`theorem1_scan` draws
+    them, so a listed trial ``k`` replays as mixture ``k % B`` of block
+    ``k // B`` from ``(seed, d)``."""
     return _scan(d, trials, seed)
 
 
@@ -631,18 +647,27 @@ def cptp_scan(d: int, trials: int, seed: int, tol: float) -> ScanReport:
     """Random mixtures over random basis subsets are valid channels: at three
     random times each, the Choi matrix is Hermitian (to 1e-12), its partial
     trace is the identity (to ``tol``) and no eigenvalue is below ``-tol``.
-    Reproducible from (seed, trials); every failing check is listed."""
+    Every failing check is listed.
+
+    All ``trials`` mixtures are one draw (:func:`_draw`, of 1..d+1 labels)
+    from ``default_rng(seed)``, and their times are one ``(trials, 3)``
+    uniform draw on ``[0, 5]`` after it: trial ``k`` is ``spec(k)`` of that
+    batch with row ``k`` of the times, so a listed trial replays from
+    ``(d, trials, seed)``."""
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must not be NaN, infinite or negative, got {tol!r}")
+    check_dimension(d)
+    _check_seed(seed)
+    rng = np.random.default_rng(seed)
+    batch = _draw(rng, d, trials, 1, d + 2, 0.0)
+    times = rng.uniform(0.0, 5.0, size=(trials, 3))
     eye = np.eye(d)
     counterexamples = []
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        spec = _random_mixture(rng, d, 1, d + 2, 0.0)
-        times = rng.uniform(0.0, 5.0, size=3)
-        for t, choi in zip(times.tolist(), matrixlab.choi(spec, times)):
+        spec = batch.spec(trial)
+        for t, choi in zip(times[trial].tolist(), matrixlab.choi(spec, times[trial])):
             herm = matrixlab.hermiticity_deviation(choi)
             ptr = float(np.abs(matrixlab.partial_trace_first(choi, d) - eye).max())
             psd = matrixlab.psd_check(choi, tol)

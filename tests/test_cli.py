@@ -513,6 +513,14 @@ def test_verify_cptp_without_trials_exits_2(capsys, trials):
     assert "need at least 1 trial" in err
 
 
+@pytest.mark.parametrize("what", [["theorem1"], ["theorem2", "--d", "3"], ["cptp"]])
+def test_verify_rejects_a_negative_seed(capsys, what):
+    assert main(["verify", *what, "--trials", "100", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

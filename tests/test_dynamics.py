@@ -752,11 +752,7 @@ def _spec_batch(monkeypatch):
 
 def _drawn_batch(monkeypatch):
     # Twelve qutrit draws of every kind, as the theorem scanners draw them.
-    draws = [
-        semigroupforge._draw_mixture(np.random.default_rng([1, k]), 3, 2, 4, 0.05)
-        for k in range(12)
-    ]
-    return semigroupforge._drawn_batch(3, draws)
+    return semigroupforge._draw(np.random.default_rng([1, 0]), 3, 12, 2, 4, 0.05)
 
 
 def _sweep_batch(monkeypatch):
@@ -1208,11 +1204,8 @@ def test_a_clean_batch_runs_each_block_once(monkeypatch, batched):
 
 def _drawn_block():
     # Three drawn qubit mixtures, one batch of columns, as the scanners draw them.
-    draws = [
-        semigroupforge._draw_mixture(np.random.default_rng([0, k]), 2, 2, 3, 0.05)
-        for k in range(3)
-    ]
-    dynamics._semigroup_verdicts([semigroupforge._drawn_batch(2, draws)], _BATCH_GRID, None)
+    batch = semigroupforge._draw(np.random.default_rng([0, 0]), 2, 3, 2, 3, 0.05)
+    dynamics._semigroup_verdicts([batch], _BATCH_GRID, None)
 
 
 def _sweep_block():

@@ -306,40 +306,54 @@ def test_same_channel_rejects_q_without_closed_form():
 # ---------------------------------------------------------------------------
 
 
-def _parsed_random_decoherence_function(rng, t_max=5.0, allow_sampled=True):
-    """The scanner family as it was drawn when templates were parsed strings."""
-    kinds = ["exp_relax", "product", "difference"]
-    if allow_sampled:
-        kinds.append("sampled")
-    kind = kinds[rng.integers(len(kinds))]
-    scale = float(rng.uniform(0.2, 1.0))
-    rate = float(rng.uniform(0.2, 2.0))
-    if kind == "exp_relax":
-        return ExpRelax(scale, rate)
-    if kind == "product":
-        depth = float(rng.uniform(0.1, 0.5))
-        freq = float(rng.uniform(0.3, 2.0))
-        return Expression(
-            f"{scale!r}*(1-exp(-{rate!r}*t))*(1-{depth!r}*sin({freq!r}*t)^2)"
-        )
-    if kind == "difference":
-        m = scale * float(rng.uniform(0.0, 0.8))
-        r2 = rate * float(rng.uniform(0.2, 1.0))
-        return Expression(
-            f"{scale!r}*(1-exp(-{rate!r}*t)) - {m!r}*(1-exp(-{r2!r}*t))"
-        )
-    times = np.linspace(0.0, t_max, 257)
-    vals = scale * (1.0 - np.exp(-rate * times))
-    return SampledGrid(times, vals)
+def _scalar_draw(rng, d, n, low, high, floor):
+    """The scanners' draw of ``n`` mixtures, reference version: the same
+    generator calls in the same order, then each component mapped alone
+    with Python floats and built as objects, the templates as the parsed
+    ``Expression`` of their formula."""
+    sizes = rng.integers(low, high, n).tolist()
+    orders = np.argsort(rng.random((n, d + 1)), axis=1)
+    exps = rng.standard_exponential((n, d + 1))
+    kinds = iter(rng.integers(4, size=sum(sizes)).tolist())
+    us = iter(rng.random((sum(sizes), 4)).tolist())
+    specs = []
+    for b, size in enumerate(sizes):
+        least = floor if floor * size <= 1.0 else 0.5 / size  # more than 20 labels
+        share = np.where(np.arange(d + 1) < size, exps[b], 0.0)
+        share = (share / share.sum()).tolist()
+        components = []
+        for j in range(size):
+            kind, u = next(kinds), next(us)
+            scale, rate = 0.2 + (1.0 - 0.2) * u[0], 0.2 + (2.0 - 0.2) * u[1]
+            if kind == 0:
+                f = ExpRelax(scale, rate)
+            elif kind == 1:
+                depth, freq = 0.1 + (0.5 - 0.1) * u[2], 0.3 + (2.0 - 0.3) * u[3]
+                f = Expression(
+                    f"{scale!r}*(1-exp(-{rate!r}*t))*(1-{depth!r}*sin({freq!r}*t)^2)"
+                )
+            elif kind == 2:
+                m, r2 = scale * (0.0 + 0.8 * u[2]), rate * (0.2 + (1.0 - 0.2) * u[3])
+                f = Expression(f"{scale!r}*(1-exp(-{rate!r}*t)) - {m!r}*(1-exp(-{r2!r}*t))")
+            else:
+                times = np.linspace(0.0, 5.0, 257)
+                f = SampledGrid(times, scale * (1.0 - np.exp(-rate * times)))
+            weight = least + (1.0 - least * size) * share[j]
+            components.append((weight, ChannelSpec(d, int(orders[b, j]) + 1, f)))
+        specs.append(MixtureSpec(d, components))
+    return specs
 
 
 def test_random_draws_replay_the_parsed_family():
+    # random_decoherence_function is the draw of a one-component qubit
+    # mixture, built as an object: each template evaluates as the parsed
+    # formula of the reference draw, bit for bit, and reports it.
     new_rng, old_rng = np.random.default_rng(2024), np.random.default_rng(2024)
     times = default_grid(5.0, 128).times
     kinds = []
     for _ in range(500):
         new = random_decoherence_function(new_rng)
-        old = _parsed_random_decoherence_function(old_rng)
+        (old,) = _scalar_draw(old_rng, 2, 1, 1, 2, 0.0)[0].functions
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
         assert new.kind == old.kind
         assert new.describe() == old.describe()
@@ -353,48 +367,37 @@ def test_random_draws_replay_the_parsed_family():
     }
 
 
-def _scalar_random_mixture(rng, d, low, high, floor):
-    """The scanners' mixture draw with array bases and weights, an ``np.ones``
-    Dirichlet, per-component casts and one scalar ``uniform`` call per
-    function parameter."""
-    size = int(rng.integers(low, high))
-    bases = rng.choice(d + 1, size=size, replace=False) + 1
-    weights = floor + (1.0 - floor * size) * rng.dirichlet(np.ones(size))
-    return MixtureSpec(
-        d,
-        [
-            (float(w), ChannelSpec(d, int(b), _parsed_random_decoherence_function(rng)))
-            for b, w in zip(bases, weights)
-        ],
-    )
-
-
 @pytest.mark.parametrize(
     "d, low, high, floor",
-    [(2, 2, 3, 0.05), (5, 2, 6, 0.05), (5, 1, 7, 0.0)],
-    ids=["theorem-d2", "theorem-d5", "cptp-d5"],
+    [(2, 2, 3, 0.05), (5, 2, 6, 0.05), (5, 1, 7, 0.0), (31, 2, 32, 0.05)],
+    ids=["theorem-d2", "theorem-d5", "cptp-d5", "theorem-d31"],
 )
 def test_random_mixtures_replay_the_scalar_draw(d, low, high, floor):
-    # The scanners' settings: (2, d+1, 0.05) for theorem trials and
-    # (1, d+2, 0.0) for cptp trials, each trial on default_rng([seed, k]).
+    # The scanners' settings: (2, d+1, 0.05) for theorem blocks, with the
+    # floor 0.5/size above 20 labels, and (1, d+2, 0.0) for cptp trials.
+    # Every mixture of a drawn batch equals the reference draw's object,
+    # and both leave the generator in the same state.
     kinds = set()
-    for seed in range(20):
-        for k in range(50):
-            new_rng = np.random.default_rng([seed, k])
-            old_rng = np.random.default_rng([seed, k])
-            new = semigroupforge._random_mixture(new_rng, d, low, high, floor)
-            old = _scalar_random_mixture(old_rng, d, low, high, floor)
+    for seed in range(10):
+        for n in (1, 9):
+            new_rng = np.random.default_rng([seed, n])
+            old_rng = np.random.default_rng([seed, n])
+            batch = semigroupforge._draw(new_rng, d, n, low, high, floor)
+            specs = _scalar_draw(old_rng, d, n, low, high, floor)
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
-            assert [c.channel.basis for c in new.components] == [
-                c.channel.basis for c in old.components
-            ]
-            assert [c.weight.hex() for c in new.components] == [
-                c.weight.hex() for c in old.components
-            ]
-            assert [c.channel.p.describe() for c in new.components] == [
-                c.channel.p.describe() for c in old.components
-            ]
-            kinds.update(type(c.channel.p).__name__ for c in new.components)
+            assert len(batch) == n
+            for b, old in enumerate(specs):
+                new = batch.spec(b)
+                assert [c.channel.basis for c in new.components] == [
+                    c.channel.basis for c in old.components
+                ]
+                assert [c.weight.hex() for c in new.components] == [
+                    c.weight.hex() for c in old.components
+                ]
+                assert [c.channel.p.describe() for c in new.components] == [
+                    c.channel.p.describe() for c in old.components
+                ]
+                kinds.update(type(c.channel.p).__name__ for c in new.components)
     assert kinds == {"ExpRelax", "ProductTemplate", "DifferenceTemplate", "SampledGrid"}
 
 
@@ -418,46 +421,103 @@ _DRAWS = {"theorem": (2, None, 0.05), "cptp": (1, 1, 0.0)}  # low, high - (d+1),
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 31])
 @pytest.mark.parametrize("draws", sorted(_DRAWS))
 def test_a_drawn_batch_row_equals_the_encoded_mixture_of_its_draw(d, draws):
-    # The scanners draw straight into batch rows; the mixture built from the
-    # same (seed, trial) draw, encoded, must give every column bit for bit.
+    # The scanners draw straight into batch rows; each row's mixture, built
+    # as an object and encoded, must give every column bit for bit.  A
+    # block cut to its first 17 mixtures, with the equal-weights mixture
+    # after them, holds the same rows, then that mixture's.
     low, extra, floor = _DRAWS[draws]
     high = d + 1 + (extra or 0)
     times = default_grid(5.0, 64).times
+    semi = ExpRelax((d - 1) / d, 1.0)
+    equal = MixtureSpec(d, [(1.0 / (d + 1), ChannelSpec(d, b, semi)) for b in range(1, d + 2)])
     kinds = set()
     for seed in range(4):
-        rngs = [np.random.default_rng([seed, k]) for k in range(40)]
-        batch = semigroupforge._drawn_batch(
-            d, [semigroupforge._draw_mixture(rng, d, low, high, floor) for rng in rngs]
-        )
-        assert len(batch) == 40
+        batch = semigroupforge._draw(np.random.default_rng(seed), d, 40, low, high, floor)
+        cut = semigroupforge._draw(np.random.default_rng(seed), d, 40, low, high, floor, 17, True)
+        assert len(batch) == 40 and len(cut) == 18
         values = batch.functions.evaluate(times)
         for k in range(40):
-            rng = np.random.default_rng([seed, k])
-            spec = semigroupforge._random_mixture(rng, d, low, high, floor)
-            assert rng.bit_generator.state == rngs[k].bit_generator.state
-            encoded = dynamics.MixtureBatch.of_specs([spec])
+            encoded = dynamics.MixtureBatch.of_specs([batch.spec(k)])
             assert _row(batch, k) == _row(encoded, 0)
             drawn = values[:, batch.function[batch.starts[k] : batch.starts[k + 1]]]
             built = encoded.functions.evaluate(times)[:, encoded.function]
             assert drawn.tobytes() == built.tobytes()
             kinds.update(kind for kind, _, _ in _row(batch, k)[3])
+            if k < 17:
+                assert _row(cut, k) == _row(batch, k)
+        assert _row(cut, 17) == _row(dynamics.MixtureBatch.of_specs([equal]), 0)
     assert kinds == {ExpRelax, ProductTemplate, DifferenceTemplate, SampledGrid}
 
 
 @pytest.mark.parametrize("d, seed", [(2, 3), (5, 1)])
 def test_a_counterexample_redraws_its_trials_batch_row(monkeypatch, d, seed):
+    # Blocks of 8 trials: trial k is row k % 8 of block k // 8, drawn whole
+    # from default_rng([seed, k // 8]).
     monkeypatch.setattr(semigroupforge, "_MIN_TRIALS", 1)
     monkeypatch.setattr(semigroupforge, "Tolerances", _LooseSubsets)
+    size = _blocks_of(monkeypatch, d, 8)
     report = semigroupforge._scan(d, 30, seed)
     listed = [c for c in report.counterexamples if c["phase"] == "subset"]
-    assert len(listed) >= 5
+    assert len(listed) >= 5 and listed[-1]["trial"] >= 2 * size
     for c in listed:
-        rng = np.random.default_rng([seed, c["trial"]])
-        batch = semigroupforge._drawn_batch(d, [semigroupforge._draw_mixture(rng, d, 2, d + 1, 0.05)])
-        _, bases, weights, functions = _row(batch, 0)
+        rng = np.random.default_rng([seed, c["trial"] // size])
+        batch = semigroupforge._draw(rng, d, size, 2, d + 1, 0.05)
+        _, bases, weights, functions = _row(batch, c["trial"] % size)
         assert c["bases"] == bases
         assert np.array(c["weights"]).tobytes() == weights
         assert c["functions"] == [kind.kind for kind, _, _ in functions]
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_a_longer_scan_draws_and_judges_the_same_first_trials(monkeypatch, d):
+    # Trial k depends only on (seed, d, k): in blocks of 8 trials, the
+    # mixtures and verdicts of a 13-trial scan are the first 13 of a
+    # 29-trial scan's, and each ends with the equal-weights mixture.
+    monkeypatch.setattr(semigroupforge, "_MIN_TRIALS", 1)
+    monkeypatch.setattr(semigroupforge, "Tolerances", _LooseSubsets)
+    _blocks_of(monkeypatch, d, 8)
+    runs = []
+    judge = semigroupforge._semigroup_verdicts
+
+    def recorded(batches, grid, tolerances):
+        rows = []
+
+        def read():
+            for batch in batches:
+                rows.extend(_row(batch, b) for b in range(len(batch)))
+                yield batch
+
+        verdicts = judge(read(), grid, tolerances)
+        runs.append((rows, [_fields(v) for v in verdicts]))
+        return verdicts
+
+    monkeypatch.setattr(semigroupforge, "_semigroup_verdicts", recorded)
+    short, long = semigroupforge._scan(d, 13, 4), semigroupforge._scan(d, 29, 4)
+    (short_rows, short_verdicts), (long_rows, long_verdicts) = runs
+    assert len(short_rows) == 14 and len(long_rows) == 30
+    assert short_rows[:13] == long_rows[:13] and short_rows[13] == long_rows[29]
+    assert short_verdicts[:13] == long_verdicts[:13]
+    assert short.counterexamples == tuple(c for c in long.counterexamples if c["trial"] < 13)
+    assert short.counterexamples
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_the_scanners_reject_a_seed_that_is_not_a_nonnegative_integer(monkeypatch, seed):
+    # Checked before anything is drawn, with a message that names the seed.
+    monkeypatch.setattr(semigroupforge, "_draw", None)
+    for scan in (
+        lambda: theorem1_scan(100, seed),
+        lambda: theorem2_scan(3, 100, seed),
+        lambda: cptp_scan(2, 1, seed, 1e-10),
+    ):
+        with pytest.raises(ValueError) as info:
+            scan()
+        assert str(info.value) == f"seed must be a nonnegative integer, got {seed!r}"
+
+
+def test_the_scanners_take_a_numpy_integer_seed():
+    assert theorem1_scan(100, np.int64(3)) == theorem1_scan(100, 3)
+    assert cptp_scan(2, 2, np.uint8(3), 1e-10) == cptp_scan(2, 2, 3, 1e-10)
 
 
 _PRIMES = [d for d in range(DIMENSION_RANGE[0], DIMENSION_RANGE[1] + 1) if is_prime(d)]
@@ -466,13 +526,80 @@ _PRIMES = [d for d in range(DIMENSION_RANGE[0], DIMENSION_RANGE[1] + 1) if is_pr
 @pytest.mark.parametrize("d", _PRIMES)
 def test_the_scanners_draw_only_valid_mixtures(d):
     # The draws are columns that nothing checks, so each must be a valid
-    # mixture by construction: as the theorem scanners draw them (up to d
-    # labels, 21 or more of them from d = 23 on) and as cptp_scan does.
-    for drawn in [(d, 2, d + 1, 0.05), (d, 1, d + 2, 0.0)]:
-        for trial in range(200):
-            rng = np.random.default_rng([0, trial])
-            spec = semigroupforge._random_mixture(rng, *drawn)
-            assert structural_issues(spec) == [], (drawn, trial)
+    # mixture by construction: as the theorem scanners draw their blocks
+    # (up to d labels, 21 or more of them from d = 23 on), the last with
+    # the equal-weights mixture, and as cptp_scan draws its trials.
+    size = dynamics._block_size(d, 128)
+    batches = [
+        semigroupforge._draw(np.random.default_rng([0, j]), d, size, 2, d + 1, 0.05)
+        for j in range(max(1, 200 // size))
+    ]
+    batches.append(
+        semigroupforge._draw(np.random.default_rng([0, 9]), d, size, 2, d + 1, 0.05, 5, True)
+    )
+    batches.append(semigroupforge._draw(np.random.default_rng(0), d, 200, 1, d + 2, 0.0))
+    for batch in batches:
+        for b in range(len(batch)):
+            assert structural_issues(batch.spec(b)) == [], (d, b)
+
+
+_KIND_INDEX = {ExpRelax: 0, ProductTemplate: 1, DifferenceTemplate: 2, SampledGrid: 3}
+
+
+def _drawn_components(d, n, low, high, floor, seed=20):
+    """One draw of ``n`` mixtures, with each component's function class,
+    in draw order, and the parameters of each closed-form class."""
+    batch = semigroupforge._draw(np.random.default_rng(seed), d, n, low, high, floor)
+    kinds = np.empty(batch.function.size, dtype=object)
+    params = {}
+    for rows, family in batch.functions.families:
+        kinds[rows] = family.kind
+        params[family.kind] = family.params
+    return batch, kinds, params
+
+
+@pytest.mark.parametrize(
+    "d, low, high, floor",
+    [(2, 2, 3, 0.05), (5, 2, 6, 0.05), (5, 1, 7, 0.0), (31, 2, 32, 0.05)],
+    ids=["theorem-d2", "theorem-d5", "cptp-d5", "theorem-d31"],
+)
+def test_the_draw_follows_the_declared_family_law(d, low, high, floor):
+    # About 20k components: sizes uniform on low..high-1, labels distinct
+    # and uniform on 1..d+1, each class with chance 1/4, weights at least
+    # the floor (0.5/size above 20 labels) and summing to 1, and every
+    # parameter within its range.  Frequencies are checked to 5 sigma.
+    n = 20000 // ((low + high - 1) // 2)
+    batch, kinds, params = _drawn_components(d, n, low, high, floor)
+    counts = np.diff(batch.starts)
+
+    def uniform(observed, values):
+        expected = observed.size / len(values)
+        sigma = math.sqrt(expected * (1.0 - 1.0 / len(values)))
+        freq = np.array([np.count_nonzero(observed == v) for v in values])
+        assert freq.sum() == observed.size
+        assert np.abs(freq - expected).max() <= 5 * sigma, (freq, expected)
+
+    uniform(counts, range(low, high))
+    uniform(batch.basis, range(1, d + 2))
+    uniform(np.array([_KIND_INDEX[k] for k in kinds]), range(4))
+    owner = np.repeat(np.arange(n), counts)
+    distinct = np.unique(owner * (d + 2) + batch.basis)
+    assert distinct.size == batch.basis.size
+    least = np.where(floor * counts > 1.0, 0.5 / counts, floor)
+    assert (batch.weight >= np.repeat(least, counts) * (1 - 1e-12)).all()
+    assert np.abs(np.add.reduceat(batch.weight, batch.starts[:-1]) - 1.0).max() < 1e-12
+    relax, product, difference = (params[k] for k in (ExpRelax, ProductTemplate, DifferenceTemplate))
+    for p in (relax, product, difference):
+        assert ((0.2 <= p[:, 0]) & (p[:, 0] < 1.0)).all()
+        assert ((0.2 <= p[:, 1]) & (p[:, 1] < 2.0)).all()
+    assert ((0.1 <= product[:, 2]) & (product[:, 2] < 0.5)).all()
+    assert ((0.3 <= product[:, 3]) & (product[:, 3] < 2.0)).all()
+    assert ((0.0 <= difference[:, 2]) & (difference[:, 2] < 0.8 * difference[:, 0])).all()
+    assert (difference[:, 3] >= 0.2 * difference[:, 1] * (1 - 1e-12)).all()
+    assert (difference[:, 3] < difference[:, 1]).all()
+    samples = params[SampledGrid]
+    assert (samples[:, 0] == 0.0).all() and (np.diff(samples, axis=1) > 0).all()
+    assert (samples[:, -1] < 1.0).all() and (samples[:, -1] > 0.2 * (1 - np.exp(-1.0))).all()
 
 
 @pytest.mark.parametrize("family, divisions", [("semigroup", 6), ("matched", 12)])
@@ -613,30 +740,22 @@ def test_a_wrong_bound_fails_the_report(monkeypatch):
 
 
 def _per_trial_scan(d, trials, seed):
-    """The scanner as it was when every trial got its own one-mixture
-    semigroup verdict, with the noninvertible floor written out by hand;
-    also returns each trial's subset mixture and verdict."""
+    """The scanner as a loop over trials, each trial's mixture ``spec(k %
+    B)`` of its block's draw, judged alone by its own one-mixture semigroup
+    verdict, with the noninvertible floor written out by hand; also
+    returns each trial's subset mixture and verdict."""
     sf = semigroupforge
     if trials < sf._MIN_TRIALS:
         raise ValueError(f"need at least {sf._MIN_TRIALS} trials, got {trials}")
     grid = default_grid(5.0, 128)
+    size = dynamics._block_size(d, len(grid))
     tolerances = sf.Tolerances()
     counterexamples = []
     subset_semigroups = 0
     phase_one = []
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        size = int(rng.integers(2, d + 1))
-        bases = rng.choice(d + 1, size=size, replace=False) + 1
-        floor = 0.05 if 0.05 * size <= 1.0 else 0.5 / size  # more than 20 labels
-        weights = floor + (1.0 - floor * size) * rng.dirichlet(np.ones(size))
-        components = []
-        fams = []
-        for basis, weight in zip(bases, weights):
-            f = random_decoherence_function(rng)
-            fams.append(f.kind)
-            components.append((float(weight), ChannelSpec(d, int(basis), f)))
-        spec = MixtureSpec(d, components)
+        rng = np.random.default_rng([seed, trial // size])
+        spec = sf._draw(rng, d, size, 2, d + 1, 0.05).spec(trial % size)
         traj = mixture_eigenvalues(spec, grid)
         rates = rates_from_spectrum(traj)
         tol = tolerances.semigroup_at(dynamics.MixtureBatch.of_specs([spec]), 0)
@@ -648,9 +767,9 @@ def _per_trial_scan(d, trials, seed):
                 {
                     "phase": "subset",
                     "trial": trial,
-                    "bases": [int(b) for b in bases],
-                    "weights": [float(w) for w in weights],
-                    "functions": fams,
+                    "bases": [c.channel.basis for c in spec.components],
+                    "weights": [c.weight for c in spec.components],
+                    "functions": [c.channel.p.kind for c in spec.components],
                     "max_eigenvalue_deviation": verdict.max_eigenvalue_deviation,
                 }
             )
