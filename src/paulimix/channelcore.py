@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
-from typing import ClassVar, NamedTuple, Optional, Sequence, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, PPoly
 
 from . import exprcalc
 from .exprcalc import DomainError
@@ -245,14 +244,17 @@ class DifferenceTemplate(_Template):
 class SampledGrid(DecoherenceFunction):
     """Sampled values on an ascending time grid, monotone-cubic interpolated.
 
-    Interpolation is shape-preserving cubic (PCHIP); the derivative comes from
-    the interpolant itself, not from finite differences of the samples.
+    Interpolation is shape-preserving cubic (PCHIP, Fritsch & Butland 1984,
+    with Moler's one-sided end slopes); the derivative comes from the
+    interpolant itself, not from finite differences of the samples.
     Evaluation outside the sampled range is a domain error.  The samples are
-    validated on construction.  Evaluated alone, the grid builds its own
-    interpolant on first use.  A function table instead stacks the values
-    of its grids on shared sample times and builds them once
-    (:class:`_Samples`); PCHIP works column by column, so each column has
-    the bits of the grid's own build.
+    validated on construction.  Evaluated alone, the grid computes its own
+    knot derivatives on first use (:func:`_knots`); a function table instead
+    stacks the values of its grids on shared sample times and computes them
+    once for all (:class:`_Samples`).  Both evaluate through :func:`_pchip`,
+    which works row by row, so each row has the bits of the grid alone, and
+    both give bit for bit what scipy's PCHIP interpolator and its
+    ``derivative()`` give.
     """
 
     kind = "samples"
@@ -278,18 +280,17 @@ class SampledGrid(DecoherenceFunction):
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_own", None)  # (value, derivative), once built
+        object.__setattr__(self, "_knots", None)  # computed on first use
 
     def value_and_derivative(self, t):
         clipped = _clip(self.times, t)
-        if self._own is None:  # type: ignore[attr-defined]
-            value = PchipInterpolator(self.times, self.values, extrapolate=False)
-            object.__setattr__(self, "_own", (value, value.derivative()))
-        value, derivative = self._own  # type: ignore[attr-defined]
-        p, dp = value(clipped), derivative(clipped)
+        values = self.values[None]  # a stack of one row
+        if self._knots is None:  # type: ignore[attr-defined]
+            object.__setattr__(self, "_knots", _knots(self.times, values))
+        p, dp = _pchip(self.times, values, self._knots, 0, clipped)  # type: ignore[attr-defined]
         if clipped.ndim == 0:
             return float(p), float(dp)
-        return np.asarray(p, dtype=float), np.asarray(dp, dtype=float)
+        return p, dp
 
     def describe(self) -> dict:
         return {
@@ -311,17 +312,62 @@ def _clip(times: np.ndarray, t) -> np.ndarray:
     return np.clip(arr, lo, hi)
 
 
-class _Stack(NamedTuple):
-    """One PCHIP build of the grids on some sample times, a column each."""
+def _knots(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The PCHIP derivatives at the samples of each row of ``values``
+    (shape ``(G, n)``) on the sample ``times``, computed with the operations
+    of scipy's PCHIP ``_find_derivatives`` and ``_edge_case`` in the same
+    order, along the last axis.  Inside, a derivative is 0 where the
+    slopes on either side differ in sign or one of them is 0, and their
+    weighted harmonic mean elsewhere.  At each end it is the one-sided
+    three-point slope, set to 0 if its sign is not that of the end slope
+    ``m0``, else to ``3*m0`` if the first two slopes differ in sign and it
+    exceeds ``3*|m0|``."""
+    h = times[1:] - times[:-1]
+    m = (values[:, 1:] - values[:, :-1]) / h
+    sign = np.sign(m)
+    flat = (sign[:, 1:] != sign[:, :-1]) | (m[:, 1:] == 0) | (m[:, :-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    # Division by 0 lands only where ``flat`` discards it; an overflow warns.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = (w1 / m[:, :-1] + w2 / m[:, 1:]) / (w1 + w2)
+    d = np.zeros_like(values)
+    d[:, 1:-1][~flat] = 1.0 / mean[~flat]
+    for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[:, 0], m[:, 1]),
+                                (-1, h[-1], h[-2], m[:, -1], m[:, -2])):
+        one_sided = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        turned = np.sign(one_sided) != np.sign(m0)
+        steep = (np.sign(m0) != np.sign(m1)) & (np.abs(one_sided) > 3.0 * np.abs(m0))
+        d[:, end] = np.where(turned, 0.0, np.where(steep, 3.0 * m0, one_sided))
+    return d
 
-    value: PchipInterpolator  # coefficients of shape (4, n-1, columns)
-    derivative: PPoly
 
-
-def _stack(times: np.ndarray, values: np.ndarray) -> _Stack:
-    """One PCHIP build of the rows of ``values`` (shape ``(G, n)``) on ``times``."""
-    value = PchipInterpolator(times, np.ascontiguousarray(values.T), extrapolate=False)
-    return _Stack(value, value.derivative())
+def _pchip(times: np.ndarray, values: np.ndarray, knots: np.ndarray, rows, t: np.ndarray):
+    """``[p, p']`` of row ``rows`` of ``values`` at ``t`` (within the sample
+    range), ``rows`` and ``t`` broadcast together, given the rows'
+    derivatives ``knots`` (:func:`_knots`).  Only the interval of each
+    point is formed: its step and slope as :func:`_knots` forms them, its
+    coefficients as scipy's cubic Hermite spline forms them, and the sums
+    as scipy's piecewise-polynomial evaluation sums the value and the
+    ``derivative()`` polynomial, power by power from the constant term;
+    so both are bit for bit what scipy's PCHIP interpolator of the row and
+    its ``derivative()`` give.  A point on a sample lies in the interval
+    that starts there, the last sample in the last interval."""
+    n = times.size
+    i = np.minimum(np.searchsorted(times, t, side="right") - 1, n - 2)
+    at = rows * n + i  # (row, i) in the flattened (G, n) arrays
+    t0 = times.take(i)
+    h = times.take(i + 1) - t0
+    y, d0, d1 = values.take(at), knots.take(at), knots.take(at + 1)
+    m = (values.take(at + 1) - y) / h
+    bend = (d0 + d1 - 2 * m) / h
+    c0 = bend / h
+    c1 = (m - d0) / h - bend
+    s = t - t0
+    s2 = s * s
+    value = ((0.0 + y) + d0 * s) + c1 * s2 + c0 * (s2 * s)
+    derivative = ((0.0 + d0) + (2.0 * c1) * s) + (3.0 * c0) * s2
+    return value, derivative
 
 
 # A function family holds G functions as arrays and evaluates them together.
@@ -367,7 +413,9 @@ class _ClosedForms:
 
 class _Samples:
     """Sampled grids on shared sample ``times``: one value matrix ``params``
-    (a row per grid) and one PCHIP build of it, made on first use."""
+    (a row per grid) and its PCHIP :func:`_knots`, computed on first use.
+    Each grid is a row of :func:`_pchip`, so it has the bits of the grid
+    evaluated alone, which are scipy's PCHIP interpolator's."""
 
     kind = SampledGrid
     sampled = True
@@ -375,23 +423,15 @@ class _Samples:
     def __init__(self, times, params):
         self.times = times
         self.params = params
-        self._stack = None
-
-    def _evaluators(self) -> _Stack:
-        if self._stack is None:
-            self._stack = _stack(self.times, self.params)
-        return self._stack
+        self._knots = None
 
     def __call__(self, t):
-        clipped = _clip(self.times, t)
-        return [piece(clipped).T for piece in self._evaluators()]
+        return self.at(np.arange(len(self.params))[:, None], t)
 
     def at(self, members, t):
-        # Every column at every point: a column's values do not depend on
-        # the others'.
-        clipped = _clip(self.times, t)
-        points = np.arange(t.size)
-        return [piece(clipped)[points, members] for piece in self._evaluators()]
+        if self._knots is None:
+            self._knots = _knots(self.times, self.params)
+        return _pchip(self.times, self.params, self._knots, members, _clip(self.times, t))
 
     def build(self, k):
         return SampledGrid(self.times, self.params[k])

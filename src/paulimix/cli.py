@@ -496,8 +496,29 @@ def cmd_dump(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _reads_as_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every token ``float()`` reads as a
+    value, never as an option: argparse alone takes only ``-N`` and
+    ``-N.N`` for negative numbers, so it reads ``-1e-3`` or ``-inf``, as a
+    positional or after ``--t``, as an unknown option.  After ``--`` every
+    token is a value, as in argparse."""
+
+    def _parse_optional(self, arg_string):
+        if _reads_as_float(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    full = functools.partial(argparse.ArgumentParser, allow_abbrev=False)  # options in full
+    full = functools.partial(_Parser, allow_abbrev=False)  # options in full
     parser = full(
         prog="paulimix",
         description="Convex mixtures of generalized dephasing channels: "
@@ -568,51 +589,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@functools.lru_cache(maxsize=None)
-def _float_options() -> frozenset:
-    """The option strings of every float option of the subcommands."""
-    (commands,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return frozenset(
-        name
-        for command in commands.choices.values()
-        for action in command._actions
-        if action.type is float
-        for name in action.option_strings
-    )
-
-
-def _reads_as_float(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
-def _join_float_values(argv: List[str]) -> List[str]:
-    """``argv`` with each float option and a following token that ``float()``
-    reads joined into one ``--opt=value``: argparse takes only ``-N`` and
-    ``-N.N`` for negative numbers, and reads ``--t -inf`` as an option
-    missing its argument.  No option is abbreviated, so the exact names
-    match them all.  Tokens after ``--`` are left as they are."""
-    out: List[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--":
-            return out + argv[i:]
-        if token in _float_options() and i + 1 < len(argv) and _reads_as_float(argv[i + 1]):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(token)
-            i += 1
-    return out
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser().parse_args(_join_float_values(argv))
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

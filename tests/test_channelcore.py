@@ -4,6 +4,7 @@ import ast
 import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from paulimix import (
     single_channel_eigenvalues,
     validate_mixture,
 )
+from paulimix import semigroupforge
 from paulimix.channelcore import _bisect, _Functions
 from paulimix.exprcalc import DomainError
 from util import reference_bisect
@@ -133,11 +135,13 @@ def _bits(pair):
     return tuple(np.asarray(x, dtype=float).tobytes() for x in pair)
 
 
-# Stacked interpolant builds: every grid's column replays its own PCHIP build.
+# Sampled grids: every grid, stacked in a table or alone, evaluated on a
+# common grid or pointwise, gives the bits of scipy's own PCHIP build of it.
 
-# Flat runs, sign changes and mixed slopes reach PCHIP's edge cases.
+# Flat runs, sign changes and mixed slopes reach PCHIP's edge cases; the
+# smallest doubles make slopes whose harmonic mean overflows.
 _SAMPLE_VALUE = st.one_of(
-    st.sampled_from([0.0, 0.5, -0.5, 1.0]),
+    st.sampled_from([0.0, 0.5, -0.5, 1.0, 5e-324, -5e-324, 1e-310]),
     st.floats(min_value=-10.0, max_value=10.0),
 )
 
@@ -149,51 +153,109 @@ def _sample_times(draw, size):
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
+def _drawn_table(d: int, seed: int) -> _Functions:
+    """The function table of a block of theorem-scan mixtures."""
+    return semigroupforge._draw(np.random.default_rng(seed), d, 6, 2, d + 1, 0.05).functions
+
+
 @st.composite
 def _sampled_batch(draw):
     """Grids on two different sample-time arrays, one of them evaluated
-    alone beforehand."""
+    alone beforehand, and the sampled grids of a scanner draw."""
     size = draw(st.integers(3, 12))
     times = [draw(_sample_times(size)), draw(_sample_times(draw(st.integers(3, 12))))]
     grids = []
     for k in draw(st.lists(st.sampled_from([0, 1]), max_size=6)) + [0, 1]:
         tail = st.lists(_SAMPLE_VALUE, min_size=times[k].size - 1, max_size=times[k].size - 1)
         grids.append(SampledGrid(times[k], [0.0] + draw(tail)))
+    table = _drawn_table(draw(st.sampled_from([2, 5, 31])), draw(st.integers(0, 2**32 - 1)))
+    grids += [table.build(i) for i in np.flatnonzero(table.sampled())[:3]]
     built = grids.pop(draw(st.integers(0, len(grids) - 1)))
     built.value(0.0)
     grids.insert(draw(st.integers(0, len(grids))), built)
     return grids
 
 
+def _scipy(g: SampledGrid, t):
+    """``(p, p')`` of scipy's PCHIP build of ``g`` at ``t``."""
+    ref = PchipInterpolator(g.times, g.values, extrapolate=False)
+    return ref(t), ref.derivative()(t)
+
+
 # Slopes near the smallest doubles overflow inside PCHIP's harmonic mean, in
-# the reference build as much as in the stacked one.
+# scipy's build as much as in the kernel.
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(_sampled_batch(), st.floats(min_value=0.0, max_value=1.0))
 def test_stacked_interpolants_replay_per_grid_builds(grids, fraction):
-    # A table stacks the grids of each sample-time array into one build;
-    # the whole table, each grid's table of one (a stack of one column),
-    # and each grid alone all give the bits of a per-grid build.
+    # A table stacks the grids of each sample-time array into one value
+    # matrix; the whole table, each grid's table of one (a stack of one
+    # row), and each grid alone all give the bits of scipy's per-grid build,
+    # at every sample (the last included) and between.
     table, rows = _Functions.of(grids + grids[:1])
     assert rows[-1] == rows[0]
-    common = np.linspace(0.0, min(float(g.times[-1]) for g in grids), 29)
+    common_end = min(float(g.times[-1]) for g in grids)
+    knots = np.concatenate([g.times[g.times <= common_end] for g in grids])
+    common = np.concatenate([np.linspace(0.0, common_end, 29), knots])
     stacked = table.evaluate(common)
     for g, i in zip(grids, rows):
-        ref = PchipInterpolator(g.times, g.values, extrapolate=False)
-        dref = ref.derivative()
-        assert _bits(stacked[:, i]) == _bits((ref(common), dref(common)))
+        assert _bits(stacked[:, i]) == _bits(_scipy(g, common))
         end = float(g.times[-1])
         probe = np.concatenate([g.times, np.linspace(0.0, end, 29)])
-        expected = _bits((ref(probe), dref(probe)))
+        expected = _bits(_scipy(g, probe))
         assert _bits(_Functions.of([g])[0].evaluate(probe)[:, 0]) == expected
         assert _bits(g.value_and_derivative(probe)) == expected
-        t = fraction * end
-        got = g.value_and_derivative(t)
-        assert all(type(x) is float for x in got)
-        assert _bits(got) == _bits((float(ref(t)), float(dref(t))))
+        for t in (fraction * end, float(g.times[1]), end):
+            got = g.value_and_derivative(t)
+            assert all(type(x) is float for x in got)
+            assert _bits(got) == _bits(tuple(float(x) for x in _scipy(g, t)))
         with pytest.raises(DomainError) as exc:
             g.value(np.array([0.0, end + 1.0]))
         assert exc.value.t == end + 1.0
+
+
+def test_an_overflowing_harmonic_mean_warns_as_in_scipy():
+    # Slopes of 5e-324 overflow w/m in the harmonic mean, and a flat run
+    # divides by 0 there; the warnings are scipy's, no more and no fewer.
+    times = np.arange(5.0)
+    values = np.array([0.0, 5e-324, 5e-324, 1e-323, 1.5e-323])
+    caught = []
+    for evaluate in (lambda: _scipy(SampledGrid(times, values), 1.5),
+                     lambda: SampledGrid(times, values).value_and_derivative(1.5)):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            evaluate()
+        caught.append([(w.category, str(w.message)) for w in seen])
+    assert caught[0] == caught[1] == [(RuntimeWarning, "overflow encountered in divide")] * 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(_sampled_batch(), st.sampled_from([2, 5, 31]), st.integers(0, 2**32 - 1), st.data())
+def test_pointwise_interpolants_replay_per_grid_builds(grids, d, seed, data):
+    # ``at`` evaluates one (function, time) pair per point: functions of
+    # every family in any order, each as often as drawn, at samples (the
+    # last included) and between, each pair twice.  Every sampled point has
+    # the bits of scipy's build of its grid, every other point those of its
+    # function alone.  Both a table of objects and a scanner draw's own
+    # table are probed.
+    objects = _Functions.of(grids + [ExpRelax(0.5, 1.0), ProductTemplate(0.5, 1.0, 0.2, 0.7)])[0]
+    for table in (objects, _drawn_table(d, seed)):
+        functions = [table.build(i) for i in range(table.size)]
+        rows = data.draw(st.lists(st.integers(0, table.size - 1), min_size=1, max_size=30))
+        times = []
+        for i in rows:
+            f = functions[i]
+            end = float(f.times[-1]) if isinstance(f, SampledGrid) else 5.0
+            on_sample = st.sampled_from(f.times.tolist()) if isinstance(f, SampledGrid) else st.just(end)
+            times.append(data.draw(st.one_of(on_sample, st.floats(min_value=0.0, max_value=end))))
+        rows, times = np.array(rows * 2), np.array(times * 2)
+        expected = np.empty((2, rows.size))
+        for k, (i, t) in enumerate(zip(rows, times)):
+            f = functions[i]
+            pair = _scipy(f, t) if isinstance(f, SampledGrid) else f.value_and_derivative(t)
+            expected[:, k] = pair
+        assert _bits(table.at(rows, times)) == _bits(expected)
 
 
 # Closed-form templates: each replays its parsed formula bit for bit.

@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 import textwrap
 import warnings
 
@@ -129,6 +132,25 @@ def test_construct_rejects_a_nonfinite_weight(out_dir, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err == "error: weights must be finite, got (nan, 0.5, 0.5)\n"
     assert not (out_dir / "c.ini").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["-1e-3", "0.5", "0.25", "0.25"], "target rate must be positive and finite, got -0.001"),
+        (["-inf", "0.5", "0.25", "0.25"], "target rate must be positive and finite, got -inf"),
+        (["1", "0.5", "-1e-1", "0.6"], "weights must be nonnegative, got (0.5, -0.1, 0.6)"),
+        # After "--" every token is a positional, as in argparse.
+        (["1", "--", "-1e-1", "0.5", "0.6"], "weights must be nonnegative, got (-0.1, 0.5, 0.6)"),
+    ],
+)
+def test_construct_reads_negative_positionals_with_an_exponent_or_inf(out_dir, capsys, args, message):
+    # Argparse alone takes "-1e-3", "-inf" and "-1e-1" for option names, and
+    # then misses the positionals; each reaches construct's own check.
+    assert main(["construct", "2", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not list(out_dir.iterdir())
 
 
 def test_construct_same_rejects_a_basis_beyond_d_plus_1(out_dir, capsys):
@@ -413,7 +435,7 @@ def test_scan_reads_a_negative_rate_with_an_exponent_as_the_rate(out_dir, capsys
 @pytest.mark.parametrize("value", ["1", "-1e-3"])
 def test_an_abbreviated_option_is_an_unknown_argument(out_dir, capsys, value):
     # No parser takes abbreviations, so "--ra" is never "--rate", whatever
-    # its value, and every float option is joined by its one spelling.
+    # its value.
     with pytest.raises(SystemExit) as exc:
         main(["scan", "2", "--ra", value, "--divisions", "2"])
     assert exc.value.code == 2
@@ -676,6 +698,20 @@ def test_main_reuses_one_parser_across_calls(out_dir, capsys):
     # defaults of one call do not leak into the next
     assert main(["verify", "mub"]) == 0
     assert json.loads(capsys.readouterr().out)["dimension"] == 2
+
+
+def test_the_package_imports_no_scipy():
+    # scipy is a test dependency only: importing the package and its CLI in
+    # a fresh interpreter loads numpy and no scipy module.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, paulimix, paulimix.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_installed_console_script_smoke():
