@@ -432,7 +432,10 @@ def cmd_scan(args) -> int:
     elif args.step is not None:
         if not 0 < args.step <= 1:
             raise ConfigError(f"--step must lie in (0, 1], got {args.step!r}")
-        divisions = max(1, round(1.0 / args.step))
+        reciprocal = 1.0 / args.step  # inf for the least subnormal steps
+        divisions = round(reciprocal) if math.isfinite(reciprocal) else 0
+        if divisions < 1 or abs(reciprocal - divisions) > 1e-9 * divisions:
+            raise ConfigError(f"--step must be 1/N for an integer N, got {args.step!r}")
     else:
         divisions = 10
     if divisions < 1:

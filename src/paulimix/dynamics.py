@@ -21,7 +21,9 @@ differencing of the trajectory.
 Every formula is written once, as a kernel over a leading mixture axis
 (arrays of shape ``(B, d+1, n)``); :func:`classify_many` and
 :func:`semigroup_verdicts` run the kernels on blocks of mixtures, and the
-one-mixture functions run them with ``B = 1``.
+one-mixture functions run them with ``B = 1``.  A block's verdicts are
+columns too (:class:`_Columns`), judged by one array predicate; the report
+objects are built from them, and the simplex sweep reads them as they are.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ class Tolerances:
     error dominates there, in the rate minimum as much as in the exponential
     fit).  An input's own fit is judged at ``semigroup``, or if that is unset
     at the choice for the input alone, whatever mixture it sits in.
-    ``semigroup_at`` and ``cp_at`` choose for mixture ``b`` of a batch.
+    ``semigroup_of`` and ``cp_of`` choose for each mixture of a batch.
     """
 
     semigroup: Optional[float] = None
@@ -146,18 +148,19 @@ class Tolerances:
             if value is not None and not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"tolerance {name} must be finite and nonnegative, got {value!r}")
 
-    def semigroup_at(self, batch: "MixtureBatch", b: int) -> float:
-        return _tolerance_for(self.semigroup, batch.sampled[b])
+    def semigroup_of(self, batch: "MixtureBatch") -> np.ndarray:
+        return _tolerance_for(self.semigroup, batch.sampled)
 
-    def cp_at(self, batch: "MixtureBatch", b: int) -> float:
-        return _tolerance_for(self.cp, batch.sampled[b])
+    def cp_of(self, batch: "MixtureBatch") -> np.ndarray:
+        return _tolerance_for(self.cp, batch.sampled)
 
 
-def _tolerance_for(given: Optional[float], sampled: bool) -> float:
-    """``given`` if set, else the automatic choice described on :class:`Tolerances`."""
+def _tolerance_for(given: Optional[float], sampled: np.ndarray) -> np.ndarray:
+    """Per flag of ``sampled``, ``given`` if set, else the automatic choice
+    described on :class:`Tolerances`."""
     if given is not None:
-        return given
-    return 1e-5 if sampled else 1e-8
+        return np.full(sampled.shape, float(given))
+    return np.where(sampled, 1e-5, 1e-8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,10 +279,10 @@ def _as_index(entries: np.ndarray):
     return entries
 
 
-def _any_per_row(starts: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Per row ``b``, whether any of ``flags[starts[b]:starts[b+1]]`` is set."""
+def _per_row(starts: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Per row ``b``, how many of ``flags[starts[b]:starts[b+1]]`` are set."""
     seen = np.concatenate([[0], np.cumsum(flags)])
-    return seen[starts[1:]] > seen[starts[:-1]]
+    return seen[starts[1:]] - seen[starts[:-1]]
 
 
 class MixtureBatch:
@@ -315,7 +318,7 @@ class MixtureBatch:
         self.functions = functions
         self.specs = specs
         self._slots: Optional[Tuple[_Slot, ...]] = None
-        self._sampled: Optional[list] = None
+        self._sampled: Optional[np.ndarray] = None
 
     @classmethod
     def of_specs(cls, specs: Sequence[MixtureSpec]) -> "MixtureBatch":
@@ -351,11 +354,11 @@ class MixtureBatch:
         return self if len(self) == 1 else MixtureBatch.of_specs([self.spec(b)])
 
     @property
-    def sampled(self) -> list:
+    def sampled(self) -> np.ndarray:
         """Per mixture, whether any of its functions is a sampled grid."""
         if self._sampled is None:
             flags = self.functions.sampled()[self.function]
-            self._sampled = _any_per_row(self.starts, flags).tolist()
+            self._sampled = _per_row(self.starts, flags) > 0
         return self._sampled
 
     @property
@@ -471,20 +474,20 @@ def _batches(specs: Iterable[MixtureSpec], points: int):
 
 
 def _by_blocks(run, batches: Iterable[MixtureBatch]):
-    """``run(batch)`` on each of ``batches``, blocks as their producers
-    sized them, its results yielded in order.  A batch of several mixtures
-    that raises is run again one mixture at a time, each as
-    :meth:`MixtureBatch.alone`, so the first mixture that fails alone raises
-    its own error; if none does, the batch's error is raised."""
+    """``run(batch)`` of each of ``batches``, blocks as their producers
+    sized them, yielded in order.  A batch of several mixtures that raises
+    is run again one mixture at a time, each as :meth:`MixtureBatch.alone`,
+    so the first mixture that fails alone raises its own error; if none
+    does, the batch's error is raised."""
     for batch in batches:
         try:
-            results = run(batch)
+            result = run(batch)
         except Exception:
             if len(batch) > 1:
                 for b in range(len(batch)):
                     run(batch.alone(b))
             raise
-        yield from results
+        yield result
 
 
 class _Fit(NamedTuple):
@@ -615,20 +618,28 @@ def detect_semigroup(
     fit = _fit(
         traj.eigenvalues[None], rates.gamma[None], rates.pole_mask[None], traj.grid.times
     )
-    return _verdict(fit, 0, tol)
+    return _verdicts(fit, np.full(1, float(tol)))[0]
 
 
-def _verdict(fit: _Fit, b: int, tol: float) -> SemigroupVerdict:
-    """The semigroup verdict of row ``b`` of ``fit``."""
-    max_dev = fit.deviation.item(b)
-    rate_var = fit.spread.item(b)
-    return SemigroupVerdict(
-        is_semigroup=bool(not fit.nonpositive.item(b) and max_dev <= tol and rate_var <= tol),
-        exponents=fit.exponents[b],
-        max_eigenvalue_deviation=max_dev,
-        max_rate_variation=rate_var,
-        tolerance=tol,
-    )
+def _is_semigroup(fit: _Fit, tol: np.ndarray) -> np.ndarray:
+    """The semigroup predicate, per row of ``fit`` at its tolerance: every
+    eigenvalue positive, exponential within ``tol`` and every rate constant
+    within ``tol``.  A NaN deviation or spread fails."""
+    return ~fit.nonpositive & (fit.deviation <= tol) & (fit.spread <= tol)
+
+
+def _verdicts(fit: _Fit, tol: np.ndarray) -> List[SemigroupVerdict]:
+    """The semigroup verdict of each row of ``fit``, at its tolerance."""
+    return [
+        SemigroupVerdict(semigroup, exponents, deviation, spread, t)
+        for semigroup, exponents, deviation, spread, t in zip(
+            _is_semigroup(fit, tol).tolist(),
+            fit.exponents,
+            fit.deviation.tolist(),
+            fit.spread.tolist(),
+            tol.tolist(),
+        )
+    ]
 
 
 def semigroup_verdicts(
@@ -639,7 +650,7 @@ def semigroup_verdicts(
     """The semigroup verdict of each mixture, in one batched pass.
 
     Equals ``[detect_semigroup(tr, rates_from_spectrum(tr, pole_tol=tol.pole),
-    tol.semigroup_at(MixtureBatch.of_specs([s]), 0)) for s in specs]`` with
+    tol.semigroup_of(MixtureBatch.of_specs([s]))[0]) for s in specs]`` with
     ``tr = mixture_eigenvalues(s, grid)``, field for field (exponents bit
     for bit), and raises the first exception that this would raise.
     ``specs`` is read a block at a time, so a generator's mixtures need not
@@ -653,14 +664,13 @@ def semigroup_verdicts(
 
 def _semigroup_verdicts(batches, grid: TimeGrid, tolerances: Optional[Tolerances]):
     """:func:`semigroup_verdicts` of the mixtures of ``batches``, each
-    judged at ``tolerances.semigroup_at``."""
+    judged at ``tolerances.semigroup_of``."""
     tol = tolerances if tolerances is not None else Tolerances()
 
     def run(batch):
-        fit = _block(batch, grid.times, tol.pole).fit
-        return [_verdict(fit, b, tol.semigroup_at(batch, b)) for b in range(len(batch))]
+        return _verdicts(_block(batch, grid.times, tol.pole).fit, tol.semigroup_of(batch))
 
-    return list(_by_blocks(run, batches))
+    return list(itertools.chain.from_iterable(_by_blocks(run, batches)))
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +706,10 @@ def _zeros(done: _Block, times: np.ndarray, xtol: float):
     off-label row ``1 - (d/(d-1)) p`` of each of its functions, in one
     :func:`bracket_roots` pass.  Each input is a mixture of its own, so
     each round of the bisection evaluates every ``(owner, label)`` row at
-    its points in one :func:`_rows_at` call.  Returns each mixture's sorted
-    ``(label, t*)`` zeros, and each function's zeros and midpoint-fit
-    deviation (inf unless positive), by index."""
+    its points in one :func:`_rows_at` call.  Returns the sorted ``(label,
+    t*)`` zeros of each mixture that has any, by index and in index order,
+    each function's zeros, and each function's midpoint-fit deviation (inf
+    unless positive)."""
     lam, batch = done.lam, done.batch
     size, labels, n = lam.shape
     factor = (labels - 1) / (labels - 2.0)  # d/(d-1)
@@ -718,52 +729,36 @@ def _zeros(done: _Block, times: np.ndarray, xtol: float):
     f = lambda rows, t: _rows_at(grown, owner[rows], rows % labels, t)
     roots = bracket_roots(np.concatenate([lam.reshape(size * labels, n), rows_in]), times, f, xtol)
     positive = (rows_in > 0.0).all(axis=1)
-    fits = np.where(positive, _exponential(rows_in, times)[1].max(axis=1), np.inf).tolist()
-    singular = [()] * size
-    for c in {row // labels for row, ts in enumerate(roots[: size * labels]) if ts}:
-        singular[c] = tuple(
-            sorted((beta + 1, t) for beta in range(labels) for t in roots[c * labels + beta])
-        )
-    found = [(tuple(ts), fit) for ts, fit in zip(roots[size * labels :], fits)]
-    return singular, found
+    fits = np.where(positive, _exponential(rows_in, times)[1].max(axis=1), np.inf)
+    singular = {
+        c: tuple(sorted((beta + 1, t) for beta in range(labels) for t in roots[c * labels + beta]))
+        for c in sorted({row // labels for row, ts in enumerate(roots[: size * labels]) if ts})
+    }
+    return singular, [tuple(ts) for ts in roots[size * labels :]], fits
 
 
-def _inputs(bases, ids, sampled: list, found: list, given: Optional[float], made: dict):
-    """The input verdicts of a mixture whose components lie on ``bases``
-    and use the functions ``ids`` of ``found`` (from :func:`_zeros`), each
-    fit judged at its own tolerance (``given`` if set, else by whether it is
-    ``sampled``); ``made`` keeps those built."""
-    out = []
-    for i, (basis, j) in enumerate(zip(bases, ids), start=1):
-        memo = (j, i, basis)
-        if memo not in made:
-            zeros, fit = found[j]
-            sg_tol = _tolerance_for(given, sampled[j])
-            kind = "noninvertible" if zeros else "semigroup" if fit <= sg_tol else "invertible"
-            made[memo] = InputVerdict(i, basis, kind, zeros)
-        out.append(made[memo])
-    return tuple(out)
+_KINDS = ("semigroup", "invertible", "noninvertible")  # an input's verdict
 
 
-def _report(d: int, fit: _Fit, b: int, singular, inputs, p_in_range, sg_tol, cp_tol):
-    """The report of row ``b`` of ``fit``: its semigroup verdict, which
-    also needs CP divisibility (least rate ``>= -cp_tol``)."""
-    verdict = _verdict(fit, b, sg_tol)
-    least = fit.least.item(b)
-    is_cp_divisible = bool(least >= -cp_tol)
-    return ClassificationReport(
-        dimension=d,
-        is_semigroup=verdict.is_semigroup and is_cp_divisible,
-        semigroup_exponents=tuple(verdict.exponents.tolist()),
-        max_semigroup_deviation=verdict.max_eigenvalue_deviation,
-        is_cp_divisible=is_cp_divisible,
-        min_rate=least,
-        singular_times=singular,
-        inputs=inputs,
-        p_in_range=p_in_range,
-        semigroup_tolerance=sg_tol,
-        cp_tolerance=cp_tol,
-    )
+class _Columns(NamedTuple):
+    """The verdicts of the B mixtures of a block, as arrays over its
+    mixtures, and over its components for their inputs.  A refined row
+    holds the entries of its own block of one."""
+
+    is_semigroup: np.ndarray  # (B,) a semigroup, which is also CP-divisible
+    is_cp_divisible: np.ndarray  # (B,) least rate >= -cp tolerance
+    min_rate: np.ndarray  # (B,) least rate off poles
+    exponents: np.ndarray  # (B, d+1) fitted r_beta
+    deviation: np.ndarray  # (B,) max |lambda - exp(-r t)|
+    semigroup_tolerance: np.ndarray  # (B,)
+    cp_tolerance: np.ndarray  # (B,)
+    p_in_range: np.ndarray  # (B,) every function within [0, 1] on the grid
+    kind: np.ndarray  # per component, its input's verdict (an index into _KINDS)
+    noninvertible: np.ndarray  # (B,) noninvertible inputs
+    singular: dict  # mixture -> its sorted (label, t*) zeros, for those that have any
+    zeros: list  # per function, its input's zeros
+    refined: dict  # refined mixture -> (its grid, its block of one)
+    block: _Block  # the mixtures on the base grid
 
 
 def _check_structure(batch: MixtureBatch) -> None:
@@ -777,33 +772,86 @@ def _check_structure(batch: MixtureBatch) -> None:
             raise MixtureValidationError(issues)
 
 
-def _analyze_block(batch: MixtureBatch, grid: TimeGrid, tol: Tolerances, keep: bool) -> list:
-    """:func:`analyze_mixture` of the mixtures of ``batch``, in order (only
-    the reports unless ``keep``)."""
+def _columns(batch: MixtureBatch, grid: TimeGrid, tol: Tolerances) -> _Columns:
+    """The verdicts of the mixtures of ``batch`` on ``grid``, as columns.
+
+    A mixture whose output has singular times is refined alone: its row of
+    the fit comes from its own block of one, on its grid refined around
+    those times, which resolves its output's poles; its inputs keep their
+    verdicts.  An input is noninvertible if its row has a zero, else a
+    semigroup if its fit is within its own tolerance, else invertible."""
     _check_structure(batch)
     times = grid.times
     done = _block(batch, times, tol.pole)
     high, low = range_violations(done.values[0])
-    in_range = (~(high.any(axis=1) | low.any(axis=1))).tolist()
-    singular, found = _zeros(done, times, tol.singularity)
-    sampled = batch.functions.sampled().tolist()
-    starts, bases, uses = batch.starts.tolist(), batch.basis.tolist(), batch.function.tolist()
-    d = batch.dimension
-    made: dict = {}
+    singular, zeros, fits = _zeros(done, times, tol.singularity)
+    fit, refined = done.fit, {}
+    if singular:
+        fit = _Fit(*(field.copy() for field in fit))
+        for b, found in singular.items():
+            row_grid = refine_grid(grid, [t for _, t in found])
+            row = _block(batch.alone(b), row_grid.times, tol.pole)
+            for mine, its in zip(fit, row.fit):
+                mine[b] = its[0]
+            refined[b] = (row_grid, row)
+    sg_tol, cp_tol = tol.semigroup_of(batch), tol.cp_of(batch)
+    is_cp_divisible = fit.least >= -cp_tol
+    semigroup = fits <= _tolerance_for(tol.semigroup, batch.functions.sampled())
+    noninvertible = np.array([len(z) > 0 for z in zeros], dtype=bool)
+    kind = np.where(noninvertible, 2, np.where(semigroup, 0, 1))[batch.function]
+    outside = (high.any(axis=1) | low.any(axis=1))[batch.function]
+    return _Columns(
+        is_semigroup=_is_semigroup(fit, sg_tol) & is_cp_divisible,
+        is_cp_divisible=is_cp_divisible,
+        min_rate=fit.least,
+        exponents=fit.exponents,
+        deviation=fit.deviation,
+        semigroup_tolerance=sg_tol,
+        cp_tolerance=cp_tol,
+        p_in_range=_per_row(batch.starts, outside) == 0,
+        kind=kind,
+        noninvertible=_per_row(batch.starts, kind == 2),
+        singular=singular,
+        zeros=zeros,
+        refined=refined,
+        block=done,
+    )
+
+
+def _reports(cols: _Columns, grid: TimeGrid, keep: bool) -> list:
+    """The report of each mixture of a block, built from its columns
+    ``cols`` (with ``keep``, each as an :class:`AnalysisResult` with its
+    trajectories, refined where it was)."""
+    batch = cols.block.batch
+    d, starts = batch.dimension, batch.starts.tolist()
+    inputs = list(zip(batch.basis.tolist(), cols.kind.tolist(), batch.function.tolist()))
+    columns = (
+        cols.is_semigroup, cols.exponents, cols.deviation, cols.is_cp_divisible,
+        cols.min_rate, cols.p_in_range, cols.semigroup_tolerance, cols.cp_tolerance,
+    )
     out = []
-    for b in range(len(batch)):
-        ids = uses[starts[b] : starts[b + 1]]
-        sg_tol, cp_tol = tol.semigroup_at(batch, b), tol.cp_at(batch, b)
-        p_in_range = all(in_range[j] for j in ids)
-        inputs = _inputs(bases[starts[b] : starts[b + 1]], ids, sampled, found, tol.semigroup, made)
-        row_grid, row, r = grid, done, b
-        if singular[b]:
-            # The row alone, as a block of one on its refined grid, which
-            # resolves its output's poles; its inputs keep their verdicts.
-            row_grid = refine_grid(grid, [t for _, t in singular[b]])
-            row, r = _block(batch.alone(b), row_grid.times, tol.pole), 0
-        report = _report(d, row.fit, r, singular[b], inputs, p_in_range, sg_tol, cp_tol)
+    for b, fields in enumerate(zip(*(column.tolist() for column in columns))):
+        semigroup, exponents, deviation, cp_divisible, least, in_range, sg, cp = fields
+        report = ClassificationReport(
+            dimension=d,
+            is_semigroup=semigroup,
+            semigroup_exponents=tuple(exponents),
+            max_semigroup_deviation=deviation,
+            is_cp_divisible=cp_divisible,
+            min_rate=least,
+            singular_times=cols.singular.get(b, ()),
+            inputs=tuple(
+                InputVerdict(i, basis, _KINDS[k], cols.zeros[j])
+                for i, (basis, k, j) in enumerate(inputs[starts[b] : starts[b + 1]], start=1)
+            ),
+            p_in_range=in_range,
+            semigroup_tolerance=sg,
+            cp_tolerance=cp,
+        )
         if keep:
+            row_grid, row, r = grid, cols.block, b
+            if b in cols.refined:
+                (row_grid, row), r = cols.refined[b], 0
             spectral = SpectralTrajectory(d, row_grid, row.lam[r], row.dlam[r])
             rates = RateTrajectory(d, row_grid, row.gamma[r], row.pole[r])
             out.append(AnalysisResult(spectral=spectral, rates=rates, report=report))
@@ -812,11 +860,17 @@ def _analyze_block(batch: MixtureBatch, grid: TimeGrid, tol: Tolerances, keep: b
     return out
 
 
+def _verdict_columns(batches: Iterable[MixtureBatch], grid: TimeGrid, tolerances):
+    """The :class:`_Columns` of each of ``batches``, a block at a time."""
+    tol = tolerances if tolerances is not None else Tolerances()
+    return _by_blocks(lambda batch: _columns(batch, grid, tol), batches)
+
+
 def _analyze(batches: Iterable[MixtureBatch], grid: TimeGrid, tolerances, keep: bool):
     """Each report (with ``keep``, each analysis) of the mixtures of
     ``batches``, a block at a time."""
-    tol = tolerances if tolerances is not None else Tolerances()
-    return _by_blocks(lambda block: _analyze_block(block, grid, tol, keep), batches)
+    blocks = _verdict_columns(batches, grid, tolerances)
+    return itertools.chain.from_iterable(_reports(cols, grid, keep) for cols in blocks)
 
 
 def _analyze_specs(specs: Iterable[MixtureSpec], grid, tolerances, keep: bool):
@@ -842,10 +896,11 @@ def classify_many(
     input as a mixture of its own), all brackets bisected together; that
     pass gives every input its verdict.  Rows with singular times are
     refined and their trajectories and rates recomputed one by one, each
-    alone (:meth:`MixtureBatch.alone`).  Blocks hold at most
-    ``_BLOCK_VALUES`` eigenvalues, so memory does not grow with the batch
-    beyond the reports themselves.  The first mixture that ``classify``
-    would reject raises the same exception here.
+    alone (:meth:`MixtureBatch.alone`).  The verdicts come out as columns
+    over the block (:func:`_columns`), and each report is built from them.
+    Blocks hold at most ``_BLOCK_VALUES`` eigenvalues, so memory does not
+    grow with the batch beyond the reports themselves.  The first mixture
+    that ``classify`` would reject raises the same exception here.
     """
     return list(_analyze_specs(specs, grid, tolerances, keep=False))
 

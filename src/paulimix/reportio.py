@@ -5,14 +5,21 @@ double bit-faithfully), infinities as ``inf``/``-inf`` and NaN as ``nan``;
 JSON objects keep insertion order.  Identical inputs therefore produce
 byte-identical output.
 
-Every float CSV (trajectories, matrices, MUB vectors, and their integer
-index columns) goes through one block renderer.  It spells each distinct
-double once -- keyed on its bit pattern, so ``0.0`` and ``-0.0`` stay apart
--- with array operations: a finite value with ``1e-4 <= |x| < 1e17``, which
-``%.17g`` writes in fixed notation, gets its 17 digits from an exact
-error-free product (Dekker's TwoProduct), and only exact ties, zeros,
-non-finite values and values that need an exponent go to ``'%.17g' %`` one
-by one.  The text is the one ``fmt_float`` gives cell by cell.
+Every CSV goes through one record renderer: each cell is a fixed-width
+record, gathered per row from a small table of texts, and dropping the
+padding leaves the body.  The float CSVs (trajectories, matrices, MUB
+vectors, and their integer index columns) fill that table by one block
+renderer; the simplex-scan CSV fills it with its lattice weights, status
+and flag words, counts and ``min_rate`` values, and indexes it by its
+verdict columns, spelling its few floats with ``'%.17g' %``.
+
+The block renderer spells each distinct double once -- keyed on its bit
+pattern, so ``0.0`` and ``-0.0`` stay apart -- with array operations: a
+finite value with ``1e-4 <= |x| < 1e17``, which ``%.17g`` writes in fixed
+notation, gets its 17 digits from an exact error-free product (Dekker's
+TwoProduct), and only exact ties, zeros, non-finite values and values that
+need an exponent go to ``'%.17g' %`` one by one.  The text is the one
+``fmt_float`` gives cell by cell.
 """
 
 from __future__ import annotations
@@ -173,11 +180,40 @@ def _texts(x: np.ndarray):
     canvas[point, every] = np.where(fraction, ord("."), ord(" "))
     slow = np.flatnonzero(~fast)
     if slow.size:
-        spelled = ("\n".join(["%.17g"] * slow.size) % tuple(x[slow].tolist())).split("\n")
-        block = "".join([s.ljust(25) for s in spelled]).encode("ascii")
-        canvas[:, slow] = np.frombuffer(block, dtype=np.uint8).reshape(-1, 25).T
+        canvas[:, slow] = _records(_spelled(x[slow].tolist()), 25).T
     canvas[24] = ord(",")
     return np.ascontiguousarray(canvas.T)
+
+
+def _spelled(values: list) -> list:
+    """``'%.17g' % v`` of each float of ``values``, in one formatting call."""
+    if not values:
+        return []
+    return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+
+
+def _records(texts: list, width: int) -> np.ndarray:
+    """``texts`` as the rows of a uint8 array of ``width`` columns: each text
+    among spaces, and a comma in the last column."""
+    block = bytearray("".join([s.ljust(width) for s in texts]), "ascii")
+    records = np.frombuffer(block, dtype=np.uint8).reshape(-1, width)
+    records[:, -1] = ord(",")
+    return records
+
+
+def _csv(header: str, records: np.ndarray, index: np.ndarray) -> str:
+    """CSV text whose row ``i`` is the records ``index[i]`` (rows of
+    ``records``, as :func:`_records` writes them): the last comma of a row
+    becomes a newline, and dropping the padding spaces leaves the body,
+    built in chunks of about 65536 cells."""
+    n, k = index.shape
+    rows = max(1, 2**16 // k)  # per chunk, so the fixed-width records stay small
+    body = []
+    for start in range(0, n, rows):
+        cells = np.take(records, index[start : start + rows], axis=0)
+        cells[:, -1, -1] = ord("\n")
+        body.append(cells.tobytes().translate(None, b" "))
+    return header + "\n" + b"".join(body).decode("ascii")
 
 
 def _csv_block(header: str, values: np.ndarray, index: Optional[np.ndarray] = None) -> str:
@@ -186,23 +222,13 @@ def _csv_block(header: str, values: np.ndarray, index: Optional[np.ndarray] = No
 
     Each distinct bit pattern is spelled once by :func:`_texts`; keying on
     bits, not values, keeps ``0.0`` apart from ``-0.0``.  Every cell is then
-    its value's 25-byte record, the last comma of a row becomes a newline,
-    and dropping the padding spaces leaves the body, built in chunks of
-    about 65536 cells.
+    its value's 25-byte record, gathered by :func:`_csv`.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if index is not None:
         values = np.concatenate([index.astype(np.float64), values], axis=1)
-    n, k = values.shape
     distinct, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
-    texts, inverse = _texts(distinct.view(np.float64)), inverse.reshape(n, k)
-    rows = max(1, 2**16 // k)  # per chunk, so the 25-byte records stay small
-    body = []
-    for start in range(0, n, rows):
-        cells = np.take(texts, inverse[start : start + rows], axis=0)
-        cells[:, -1, -1] = ord("\n")
-        body.append(cells.tobytes().translate(None, b" "))
-    return header + "\n" + b"".join(body).decode("ascii")
+    return _csv(header, _texts(distinct.view(np.float64)), inverse.reshape(values.shape))
 
 
 def trajectory_csv(spectral: SpectralTrajectory, rates: RateTrajectory) -> str:
@@ -236,8 +262,12 @@ def mub_bases_csv(family: MubFamily) -> str:
 
 def simplex_scan_csv(scan: SimplexScan) -> str:
     """One row per lattice point: weights, status and verdicts ('invalid'
-    rows leave the verdict cells empty)."""
-    d = scan.dimension
+    rows leave the verdict cells empty).
+
+    Each column indexes a small table of records (:func:`_csv`): a weight
+    ``k/divisions`` per ``k``, the status, the empty cell and the two flags,
+    the noninvertible counts, and each valid point's ``min_rate``."""
+    d, valid = scan.dimension, scan.valid
     header = [f"x_{i}" for i in range(1, d + 2)] + [
         "status",
         "is_semigroup",
@@ -245,23 +275,20 @@ def simplex_scan_csv(scan: SimplexScan) -> str:
         "min_rate",
         "noninvertible_inputs",
     ]
-    spelled = [fmt_float(k / scan.divisions) for k in range(scan.divisions + 1)]
-    flag = ("false", "true")
-    lines = [",".join(header)]
-    for counts, ok, semi, cpdiv, rate, noninv in zip(
-        map(np.ndarray.tolist, scan.counts),
-        scan.valid.tolist(),
-        scan.is_semigroup.tolist(),
-        scan.is_cp_divisible.tolist(),
-        scan.min_rate.tolist(),
-        scan.noninvertible_inputs.tolist(),
-    ):
-        weights = ",".join([spelled[k] for k in counts])
-        if ok:
-            lines.append(f"{weights},ok,{flag[semi]},{flag[cpdiv]},{fmt_float(rate)},{noninv}")
-        else:
-            lines.append(f"{weights},invalid,,,,")
-    return "\n".join(lines) + "\n"
+    weights = _spelled([k / scan.divisions for k in range(scan.divisions + 1)])
+    rates = _spelled(scan.min_rate[valid].tolist())
+    texts = weights + ["invalid", "ok", "", "false", "true"] + [str(k) for k in range(d + 2)]
+    status, empty, count = len(weights), len(weights) + 2, len(weights) + 5
+    rate = count + d + 2
+    records = _records(texts + rates, max(map(len, texts + rates)) + 1)
+    index = np.empty((valid.size, d + 6), dtype=np.intp)
+    index[:, : d + 1] = scan.counts
+    index[:, d + 1] = status + valid
+    index[:, d + 2] = np.where(valid, empty + 1 + scan.is_semigroup, empty)
+    index[:, d + 3] = np.where(valid, empty + 1 + scan.is_cp_divisible, empty)
+    index[:, d + 4] = np.where(valid, rate + np.cumsum(valid) - 1, empty)
+    index[:, d + 5] = np.where(valid, count + scan.noninvertible_inputs, empty)
+    return _csv(",".join(header), records, index)
 
 
 # ---------------------------------------------------------------------------

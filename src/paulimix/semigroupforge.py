@@ -53,15 +53,15 @@ from .dynamics import (
     MixtureBatch,
     TimeGrid,
     Tolerances,
-    _analyze,
     _block_size,
     _semigroup_verdicts,
+    _verdict_columns,
     default_grid,
     # Not called here: perfbench/test_perfbench.py checks that the tracer
     # also wraps module-level copies of a public function, such as this one.
     mixture_eigenvalues,  # noqa: F401
 )
-from .mubgen import check_dimension
+from .mubgen import DIMENSION_RANGE, check_dimension
 
 __all__ = [
     "ConstructionError",
@@ -77,6 +77,7 @@ __all__ = [
     "forecast_invertibility",
     "simplex_lattice",
     "simplex_scan",
+    "MAX_SCAN_POINTS",
     "weight_lower_bound",
     "random_decoherence_function",
     "theorem1_scan",
@@ -87,6 +88,7 @@ __all__ = [
 _SIMPLEX_TOL = 1e-12
 _TIE_TOL = 1e-12
 _MIN_TRIALS = 100
+MAX_SCAN_POINTS = 10**7  # lattice points that one simplex scan may classify
 
 
 class ConstructionError(ValueError):
@@ -368,16 +370,33 @@ def simplex_scan(
     one matched input per admissible lattice weight ``k/divisions``.  The
     sweep yields them a block at a time, each block a
     :class:`~paulimix.dynamics.MixtureBatch` over that table, classified as
-    by :func:`~paulimix.dynamics.classify_many`; only a point with singular
-    times is built as an object, to be refined alone.  The inputs are
-    checked by building them as ``ExpRelax`` objects, and the lattice is
-    valid by construction: its weights ``counts/divisions`` are nonnegative
-    and sum to 1, on distinct labels in ``1..d+1``.
+    by :func:`~paulimix.dynamics.classify_many`, and its verdict columns
+    fill the scan's arrays; no point builds a report, and only a point with
+    singular times is built as an object, to be refined alone.  The inputs
+    are checked by building them as ``ExpRelax`` objects, and the lattice
+    is valid by construction: its weights ``counts/divisions`` are
+    nonnegative and sum to 1, on distinct labels in ``1..d+1``.  A lattice
+    of more than :data:`MAX_SCAN_POINTS` points is rejected before anything
+    is built.
     """
     if divisions < 1:
         raise ValueError(f"divisions must be positive, got {divisions}")
     if family not in ("semigroup", "matched"):
         raise ValueError(f"unknown family {family!r} (expected semigroup or matched)")
+    # First, as the inputs grow with divisions and the lattice with both; a
+    # d that check_dimension rejects is left to it.
+    if isinstance(d, (int, np.integer)) and 0 < d <= DIMENSION_RANGE[1]:
+        points = math.comb(divisions + d, d)
+        if points > MAX_SCAN_POINTS:
+            # A count of thousands of digits has no str(); give a power of ten
+            # below 2**(bits - 1), using log10(2) > 0.3010299956.
+            many = points if points < 10**30 else (
+                f"over 10^{(points.bit_length() - 1) * 3010299956 // 10**10}"
+            )
+            raise ValueError(
+                f"a dimension-{d} scan with {divisions} divisions has {many} lattice "
+                f"points, more than the {MAX_SCAN_POINTS} that a scan allows"
+            )
     grid = grid if grid is not None else default_grid(5.0, 128)
     bound = weight_lower_bound(d) - _TIE_TOL
     if family == "matched":
@@ -414,11 +433,13 @@ def simplex_scan(
     is_cp_divisible = np.zeros(len(counts), dtype=bool)
     min_rate = np.full(len(counts), np.nan)
     noninvertible = np.zeros(len(counts), dtype=np.int64)
-    for row, report in zip(np.flatnonzero(valid), _analyze(batches(), grid, None, keep=False)):
-        is_semigroup[row] = report.is_semigroup
-        is_cp_divisible[row] = report.is_cp_divisible
-        min_rate[row] = report.min_rate
-        noninvertible[row] = sum(1 for v in report.inputs if v.verdict == "noninvertible")
+    rows = np.flatnonzero(valid)
+    for cols in _verdict_columns(batches(), grid, None):
+        block, rows = rows[: cols.min_rate.size], rows[cols.min_rate.size :]
+        is_semigroup[block] = cols.is_semigroup
+        is_cp_divisible[block] = cols.is_cp_divisible
+        min_rate[block] = cols.min_rate
+        noninvertible[block] = cols.noninvertible
     return SimplexScan(
         dimension=d,
         family=family,

@@ -406,6 +406,32 @@ def test_scan_rejects_bad_step(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("step", ["0.3", "0.7", "0.333", "0.4", "5e-324"])
+def test_scan_rejects_a_step_that_is_not_one_over_an_integer(out_dir, capsys, step):
+    # Rounded, 1/0.3 would give a lattice in thirds and 1/0.7 only the
+    # corners; 1/5e-324 overflows to inf.
+    assert main(["scan", "2", "--step", step]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --step must be 1/N for an integer N, got {step}\n"
+    assert not list(out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("step, divisions", [("0.25", 4), ("0.1", 10), (repr(1 / 3), 3), ("1", 1)])
+def test_scan_takes_a_step_of_one_over_an_integer(capsys, step, divisions):
+    assert main(["scan", "2", "--step", step]) == 0
+    assert json.loads(capsys.readouterr()[0])["divisions"] == divisions
+
+
+def test_scan_rejects_an_oversized_lattice_before_building_it(out_dir, capsys):
+    # 10**9 divisions: C(10**9 + 2, 2) points, counted, never allocated.
+    assert main(["scan", "2", "--step", "1e-9"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "has 500000001500000001 lattice points, more than the 10000000" in err
+    assert not list(out_dir.glob("*.csv"))
+
+
 @pytest.mark.parametrize("family", ["semigroup", "matched"])
 def test_scan_rejects_infinite_rate(out_dir, capsys, family):
     rc = main(["scan", "2", "--rate", "inf", "--divisions", "2", "--family", family])

@@ -375,7 +375,7 @@ def test_tolerances_reject_a_nonfinite_or_negative_field(field, value):
 
 
 def test_tolerances_keep_none_as_auto_and_accept_zero():
-    assert Tolerances(semigroup=None, cp=None).semigroup_at(_alone(equal_thirds_mix()), 0) == 1e-8
+    assert Tolerances(semigroup=None, cp=None).semigroup_of(_alone(equal_thirds_mix()))[0] == 1e-8
     assert Tolerances(semigroup=0.0, cp=0.0, pole=0.0, singularity=0.0).pole == 0.0
 
 
@@ -713,7 +713,7 @@ def reference_zeros(spec, grid, tol):
             verdict = "noninvertible"
         elif np.all(row > 0.0) and np.abs(
             row - np.exp(-(-np.log(row[mid]) / times[mid]) * times)
-        ).max() <= tol.semigroup_at(_alone(MixtureSpec(d, [(1.0, c.channel)])), 0):
+        ).max() <= tol.semigroup_of(_alone(MixtureSpec(d, [(1.0, c.channel)])))[0]:
             verdict = "semigroup"
         else:
             verdict = "invertible"
@@ -1028,7 +1028,7 @@ def assert_verdicts_match(specs, grid=_BATCH_GRID, tolerances=None):
     for s in specs:
         traj = mixture_eigenvalues(s, grid)
         rates = rates_from_spectrum(traj, pole_tol=tol.pole)
-        verdict = detect_semigroup(traj, rates, tol.semigroup_at(_alone(s), 0))
+        verdict = detect_semigroup(traj, rates, tol.semigroup_of(_alone(s))[0])
         single.append(_verdict_fields(verdict))
     batched = dynamics.semigroup_verdicts(specs, grid, tolerances)
     assert [_verdict_fields(v) for v in batched] == single

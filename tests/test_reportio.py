@@ -12,7 +12,9 @@ from paulimix import (
     construct_mub,
     default_grid,
     reportio,
+    simplex_lattice,
 )
+from paulimix.semigroupforge import SimplexScan
 from paulimix.reportio import _csv_block, fmt_float
 
 # Bit patterns that uniform 64-bit draws almost never hit.
@@ -118,6 +120,54 @@ def test_trajectory_csv_formats_without_per_cell_calls(monkeypatch):
     text = reportio.trajectory_csv(result.spectral, result.rates)
     assert text.count("\n") == 33
     assert text.startswith("t,lambda_1,lambda_2,lambda_3,lambda_4,gamma_1,")
+
+
+def per_row_scan_csv(scan):
+    """The simplex-scan CSV, one f-string per row."""
+    d = scan.dimension
+    lines = [",".join([f"x_{i}" for i in range(1, d + 2)] + [
+        "status", "is_semigroup", "is_cp_divisible", "min_rate", "noninvertible_inputs",
+    ])]
+    flag = ("false", "true")
+    for row in range(len(scan.counts)):
+        weights = ",".join(fmt_float(k / scan.divisions) for k in scan.counts[row])
+        if scan.valid[row]:
+            semi = flag[bool(scan.is_semigroup[row])]
+            cpdiv = flag[bool(scan.is_cp_divisible[row])]
+            rate, noninv = fmt_float(scan.min_rate[row]), scan.noninvertible_inputs[row]
+            lines.append(f"{weights},ok,{semi},{cpdiv},{rate},{noninv}")
+        else:
+            lines.append(f"{weights},invalid,,,,")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 7),
+    st.randoms(use_true_random=False),
+    st.lists(bit_patterns, min_size=1, max_size=6),
+)
+def test_simplex_scan_csv_matches_per_row_loop(d, divisions, rnd, pool):
+    # Arbitrary verdict columns, min_rate among special bit patterns: the
+    # record gather against the per-row text.
+    counts = simplex_lattice(d + 1, divisions)
+    n = len(counts)
+    valid = np.array([rnd.random() < 0.7 for _ in range(n)])
+    bits = np.array([rnd.choice(pool) for _ in range(n)], dtype=np.uint64)
+    scan = SimplexScan(
+        dimension=d,
+        family="matched",
+        rate=1.0,
+        divisions=divisions,
+        counts=counts,
+        valid=valid,
+        is_semigroup=valid & np.array([rnd.random() < 0.5 for _ in range(n)]),
+        is_cp_divisible=valid & np.array([rnd.random() < 0.5 for _ in range(n)]),
+        min_rate=np.where(valid, bits.view(np.float64), np.nan),
+        noninvertible_inputs=np.where(valid, [rnd.randint(0, d + 1) for _ in range(n)], 0),
+    )
+    assert reportio.simplex_scan_csv(scan) == per_row_scan_csv(scan)
 
 
 # ---------------------------------------------------------------------------

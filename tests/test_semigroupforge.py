@@ -1,5 +1,6 @@
 """Semigroup-from-noninvertible constructions, forecasts, and scanners."""
 
+import itertools
 import math
 
 import numpy as np
@@ -39,6 +40,7 @@ from paulimix import (
     weight_lower_bound,
 )
 from paulimix import dynamics, semigroupforge
+from paulimix.dynamics import ClassificationReport, InputVerdict, SemigroupVerdict
 from paulimix.channelcore import structural_issues
 from paulimix.mubgen import DIMENSION_RANGE, is_prime
 
@@ -648,11 +650,21 @@ def test_scanners_and_the_sweep_build_no_mixture_objects(monkeypatch):
             real(self)
 
         monkeypatch.setattr(cls, "__post_init__", counting)
+    reports = []
+    for cls in (ClassificationReport, InputVerdict, SemigroupVerdict):
+
+        def made(self, *args, real=cls.__init__, **kwargs):
+            reports.append(type(self).__name__)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", made)
     assert theorem1_scan(150, 2).passed
     assert theorem2_scan(5, 120, 9).passed
     for d, divisions, family in [(3, 6, "semigroup"), (2, 12, "matched"), (3, 12, "matched")]:
         assert simplex_scan(d, divisions, family).valid.any()
     assert built == []
+    assert set(reports) == {"SemigroupVerdict"}  # the theorem scanners' verdicts
+    reports.clear()
     # At rate 40 some of the qutrit sweep's outputs reach zero on the grid.
     # Each such lattice point is refined alone, as an object; the zero
     # search itself builds none.
@@ -662,6 +674,8 @@ def test_scanners_and_the_sweep_build_no_mixture_objects(monkeypatch):
     assert simplex_scan(3, 6, "semigroup", 40.0).valid.any()
     assert built.count("MixtureSpec") == len(refined) == 74
     assert set(built) == {"MixtureSpec", "ChannelSpec"}
+    # Nor does any point build a verdict object: the sweep reads columns.
+    assert reports == []
     built.clear()
     # The counting patch sees the mixture that a counterexample draws again.
     monkeypatch.setattr(semigroupforge, "_MIN_TRIALS", 1)
@@ -758,7 +772,7 @@ def _per_trial_scan(d, trials, seed):
         spec = sf._draw(rng, d, size, 2, d + 1, 0.05).spec(trial % size)
         traj = mixture_eigenvalues(spec, grid)
         rates = rates_from_spectrum(traj)
-        tol = tolerances.semigroup_at(dynamics.MixtureBatch.of_specs([spec]), 0)
+        tol = tolerances.semigroup_of(dynamics.MixtureBatch.of_specs([spec]))[0]
         verdict = detect_semigroup(traj, rates, tol)
         phase_one.append((spec, verdict))
         if verdict.is_semigroup:
@@ -830,10 +844,9 @@ class _LooseSubsets(Tolerances):
     semigroup, so that scans list many trials (about half of the qubit
     trials, nearly all others) with their own mixture and verdict."""
 
-    def semigroup_at(self, batch, b):
-        if batch.starts[b + 1] - batch.starts[b] <= batch.dimension:
-            return math.inf
-        return super().semigroup_at(batch, b)
+    def semigroup_of(self, batch):
+        subsets = np.diff(batch.starts) <= batch.dimension
+        return np.where(subsets, math.inf, super().semigroup_of(batch))
 
 
 def _blocks_of(monkeypatch, d, size):
@@ -957,10 +970,36 @@ def test_simplex_lattice_lists_compositions_in_lexicographic_order(parts, divisi
     assert simplex_lattice(parts, divisions).tolist() == [list(c) for c in expected]
 
 
+def _lattice_specs(d, divisions, family, rate, counts):
+    """Each lattice point of ``counts`` as a mixture object, None where the
+    matched family is undefined."""
+    bound = weight_lower_bound(d)
+    specs = []
+    for row in counts.tolist():
+        x = [k / divisions for k in row]
+        if family == "matched":
+            ok = all(xi >= bound - 1e-12 for xi in x)
+            specs.append(build_all_channels_mix(AllChannelsRequest(d, rate, x)) if ok else None)
+        else:
+            semi = ExpRelax((d - 1) / d, rate)
+            parts = [(xi, ChannelSpec(d, b, semi)) for b, xi in enumerate(x, start=1) if xi]
+            specs.append(MixtureSpec(d, parts))
+    return specs
+
+
+_SWEEPS = [
+    (2, 12, "matched"),
+    (3, 18, "matched"),
+    (5, 25, "matched"),
+    (2, 6, "semigroup"),
+    (3, 6, "semigroup"),
+    (5, 3, "semigroup"),
+]
+
+
 def test_simplex_scan_matches_pointwise_classification(monkeypatch):
     # The lattice's ten valid points in one block, then in blocks of four.
     grid = default_grid(5.0, 64)
-    bound = weight_lower_bound(2)
     block = dynamics._block
     sizes = []
 
@@ -975,17 +1014,47 @@ def test_simplex_scan_matches_pointwise_classification(monkeypatch):
         sizes.clear()
         scan = simplex_scan(2, 12, "matched", 1.5, grid)
         assert sizes == expected and max(sizes) <= dynamics._block_size(2, len(grid))
-        for counts, valid, semi, cpdiv, rate, noninv in zip(
-            scan.counts, scan.valid, scan.is_semigroup, scan.is_cp_divisible,
-            scan.min_rate, scan.noninvertible_inputs,
-        ):
-            x = tuple((counts / 12).tolist())
-            assert valid == all(xi >= bound - 1e-12 for xi in x)
-            if not valid:
+        assert scan.valid.sum() == scan.proper.sum() == 10 and not scan.corner.any()
+    # Every column, in blocks of four lattice points, against classify_many
+    # of the points built as objects; at rate 40 outputs reach zero, so
+    # points are refined.
+    for (d, divisions, family), rate in itertools.product(_SWEEPS, [1.5, 40.0]):
+        monkeypatch.setattr(dynamics, "_BLOCK_VALUES", 4 * (d + 1) * len(grid))
+        scan = simplex_scan(d, divisions, family, rate, grid)
+        specs = _lattice_specs(d, divisions, family, rate, scan.counts)
+        assert scan.valid.tolist() == [spec is not None for spec in specs]
+        reports = iter(dynamics.classify_many([s for s in specs if s is not None], grid))
+        refined = 0
+        for row, spec in enumerate(specs):
+            if spec is None:
+                assert not scan.is_semigroup[row] and not scan.is_cp_divisible[row]
+                assert math.isnan(scan.min_rate[row]) and scan.noninvertible_inputs[row] == 0
                 continue
-            report = classify(build_all_channels_mix(AllChannelsRequest(2, 1.5, x)), grid)
-            assert (semi, cpdiv, rate) == (
-                report.is_semigroup, report.is_cp_divisible, report.min_rate
-            )
-            assert noninv == sum(v.verdict == "noninvertible" for v in report.inputs)
-        assert scan.valid.sum() == scan.proper.sum() > 0 and not scan.corner.any()
+            report = next(reports)
+            refined += bool(report.singular_times)
+            assert scan.is_semigroup[row] == report.is_semigroup
+            assert scan.is_cp_divisible[row] == report.is_cp_divisible
+            bits = np.array([scan.min_rate[row], report.min_rate]).view(np.int64)
+            assert bits[0] == bits[1]
+            kinds = [v.verdict for v in report.inputs]
+            assert scan.noninvertible_inputs[row] == kinds.count("noninvertible")
+        assert next(reports, None) is None and scan.valid.any()
+        assert (refined > 0) == (rate == 40.0), (d, divisions, family)
+
+
+def test_simplex_scan_rejects_a_lattice_above_the_bound_before_building_it(monkeypatch):
+    # C(6 + 2, 2) = 28 points pass a bound of 28; C(7 + 2, 2) = 36 do not.
+    monkeypatch.setattr(semigroupforge, "MAX_SCAN_POINTS", 28)
+    assert len(simplex_scan(2, 6, "semigroup", 1.0, default_grid(5.0, 64)).counts) == 28
+    built = []
+    monkeypatch.setattr(semigroupforge, "simplex_lattice", lambda *a: built.append(a))
+    for family in ("semigroup", "matched"):
+        with pytest.raises(ValueError, match="has 36 lattice points, more than the 28"):
+            simplex_scan(2, 7, family)
+        # Past 30 digits the count is given as a power of ten below it.
+        with pytest.raises(ValueError, match=r"has over 10\^9266 lattice points"):
+            simplex_scan(31, 10**300, family)
+        # A d out of range is rejected as such, without counting C(2e6, 1e6).
+        with pytest.raises(ValueError, match="dimension must lie in"):
+            simplex_scan(10**6 + 3, 10**6, family)
+    assert built == []
